@@ -294,6 +294,7 @@ def blowup_lrp(
         edges=frozenset(coarse_edges),
         seed=seed,
         params=params,
+        box=coarse_box,
     )
 
     report = _blowup_bin_report(coarse, params, lambda_goal, spec.r)

@@ -23,6 +23,7 @@ from .rng import trial_seed, trial_seeds, vertex_uniform_each
 from .sampler import (
     BoxSpec,
     CffpRealization,
+    LazyRealization,
     Model,
     sample_fpp_costs,
     sample_graph,
@@ -129,17 +130,23 @@ class ModelConfig:
             raise DomainError("CFFP is normalized to lambda = 1")
 
 
-def _distances_for_trial(config: ModelConfig, root: int, s: int, cap) -> np.ndarray:
-    """Distance array from `root` for one realization, truncated at `cap`."""
+def _distances_for_trial(
+    config: ModelConfig, root: int, s: int, cap
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from `root` for one realization, truncated at `cap`, and its positions.
+
+    Hop distances search a `LazyRealization`, which samples only the pairs
+    the BFS looks at; the realization is the one `sample_graph` returns.
+    """
     if config.metric == "hop":
-        g = sample_graph(config.box, config.params, config.model, s)
-        dist = hop_distances_from(g, root, max_depth=int(cap)).astype(np.float64)
+        real = LazyRealization(config.box, config.params, config.model, s)
+        dist = hop_distances_from(real, root, max_depth=int(cap)).astype(np.float64)
         dist[dist < 0] = np.inf
-        return dist
+        return dist, real.positions
     if config.metric == "fpp":
         g = sample_graph(config.box, config.params, config.model, s)
         costs = sample_fpp_costs(g, s)
-        return cost_distances_from(g, costs, root, t_max=float(cap))
+        return cost_distances_from(g, costs, root, t_max=float(cap)), g.positions
     n = config.box.n_vertices
     if n > vertex_budget("complete"):
         raise BudgetError(
@@ -152,7 +159,7 @@ def _distances_for_trial(config: ModelConfig, root: int, s: int, cap) -> np.ndar
         else sample_weights(n, config.params.tau, s)
     )
     real = CffpRealization(box=config.box, weights=weights, params=config.params, seed=s)
-    return cost_distances_from(real, None, root, t_max=float(cap))
+    return cost_distances_from(real, None, root, t_max=float(cap)), real.positions
 
 
 def _map_trials(fn, trials: int, threads: int) -> list:
@@ -206,7 +213,7 @@ def mc_tail_grid(
     cap = max(thresholds)
 
     def one(i: int) -> np.ndarray:
-        dist = _distances_for_trial(config, x, trial_seed(seed, i), cap)
+        dist, _ = _distances_for_trial(config, x, trial_seed(seed, i), cap)
         return dist[ys]
 
     rows = np.array(_map_trials(one, trials, threads))
@@ -259,12 +266,16 @@ def bound_compliance(estimates, bound_fn, constants_grid) -> ComplianceReport:
 
     `bound_fn(threshold, dist, constants)` evaluates the closed-form bound.
     A constants choice complies when ci_low <= bound at every grid point;
-    the best choice maximizes the compliance margin.
+    the best choice maximizes the compliance margin.  Every estimate needs
+    a finite `dist` (GIRG tails carry NaN), else DomainError.
     """
     estimates = list(estimates)
     constants_grid = list(constants_grid)
     if not estimates or not constants_grid:
         raise DomainError("need at least one estimate and one constants choice")
+    if not all(math.isfinite(e.dist) for e in estimates):
+        # A NaN bound never lowers the margin, so the check would pass vacuously.
+        raise DomainError("bound compliance needs a finite distance for every estimate")
 
     best = None
     for constants in constants_grid:
@@ -395,7 +406,7 @@ def mc_ball_growth(
     cap = max(thresholds)
 
     def one(i: int) -> np.ndarray:
-        dist = _distances_for_trial(config, root, trial_seed(seed, i), cap)
+        dist, _ = _distances_for_trial(config, root, trial_seed(seed, i), cap)
         return np.array([np.count_nonzero(dist <= thr) for thr in thresholds])
 
     sizes = np.array(_map_trials(one, trials, threads), dtype=np.float64)
@@ -647,6 +658,21 @@ def fit_distance_exponent(
     return float(slope), fit
 
 
+def _hop_ball_radii(config: ModelConfig, root: int, ks, trials: int, seed: int,
+                    threads: int) -> np.ndarray:
+    """(trials, len(ks)) max Euclidean radius of the hop ball B(root, k)."""
+    if config.metric != "hop":
+        raise DomainError("shape containment is a hop-ball check")
+    cap = max(ks)
+
+    def one(i: int) -> np.ndarray:
+        dist, pos = _distances_for_trial(config, root, trial_seed(seed, i), cap)
+        geo = np.linalg.norm(pos - pos[root], axis=1)
+        return np.array([geo[dist <= k].max() for k in ks], dtype=np.float64)
+
+    return np.array(_map_trials(one, trials, threads))
+
+
 def shape_containment(
     config: ModelConfig,
     root: int,
@@ -660,20 +686,7 @@ def shape_containment(
     ks = [int(k) for k in ks]
     if not ks:
         raise DomainError("need at least one k")
-    if config.metric != "hop":
-        raise DomainError("shape containment is a hop-ball check")
-    cap = max(ks)
-
-    def one(i: int) -> np.ndarray:
-        s = trial_seed(seed, i)
-        g = sample_graph(config.box, config.params, config.model, s)
-        dist = hop_distances_from(g, root, max_depth=cap)
-        geo = np.linalg.norm(g.positions - g.positions[root], axis=1)
-        return np.array(
-            [geo[(dist >= 0) & (dist <= k)].max() for k in ks], dtype=np.float64
-        )
-
-    radii = np.array(_map_trials(one, trials, threads))
+    radii = _hop_ball_radii(config, root, ks, trials, seed, threads)
     out = []
     for j, k in enumerate(ks):
         contained = int(np.count_nonzero(radii[:, j] <= r_fn(k)))
@@ -701,15 +714,7 @@ def fit_shape_constant(
     """Fit c in r(k) = exp(c k^(1/delta)) to a quantile of the k0-ball radius."""
     if not 0 < quantile < 1:
         raise DomainError("quantile must lie in (0, 1)")
-
-    def one(i: int) -> float:
-        s = trial_seed(seed, i)
-        g = sample_graph(config.box, config.params, config.model, s)
-        dist = hop_distances_from(g, root, max_depth=k0)
-        geo = np.linalg.norm(g.positions - g.positions[root], axis=1)
-        return float(geo[(dist >= 0) & (dist <= k0)].max())
-
-    radii = np.array(_map_trials(one, trials, 1))
+    radii = _hop_ball_radii(config, root, [k0], trials, seed, 1)[:, 0]
     q = float(np.quantile(radii, quantile))
     if q < 1:
         q = 1.0

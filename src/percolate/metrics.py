@@ -2,19 +2,26 @@
 
 "Unreachable" is always the distinguished return `None`, never a sentinel
 number.  All operations are read-only over immutable inputs.
+
+Hop distances come from one level-synchronous BFS, which runs on a
+`SampledGraph` or on a `LazyRealization`.  The hop estimators use the
+latter: they sample only the pairs between each BFS frontier and the
+unvisited vertices.  Each pair's edge is a pure function of (seed, {u, v}),
+decided by the same arithmetic as the full scan, so the distances equal
+those on `sample_graph`'s realization.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .sampler import CffpRealization, CostMap, SampledGraph
+from .sampler import CffpRealization, CostMap, LazyRealization, SampledGraph
 
 __all__ = [
     "BallKind",
@@ -42,45 +49,39 @@ def _check_vertex(n: int, *vs: int) -> None:
             raise DomainError(f"vertex id {v} outside [0, {n})")
 
 
-def hop_distances_from(
-    graph: SampledGraph, x: int, max_depth: int | None = None
-) -> np.ndarray:
-    """BFS hop distances from x; -1 marks vertices beyond reach/depth."""
+def _next_level(graph, frontier: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
+    """Sorted unvisited vertices adjacent to the frontier."""
+    if isinstance(graph, LazyRealization):
+        return graph.frontier_neighbors(frontier, unvisited)
+    adj = graph.neighbors
+    reached = np.fromiter(chain.from_iterable(adj[u] for u in frontier.tolist()),
+                          dtype=np.int64)
+    return np.unique(reached[unvisited[reached]])
+
+
+def hop_distances_from(graph, x: int, max_depth: int | None = None) -> np.ndarray:
+    """BFS hop distances from x; -1 marks vertices beyond reach/depth.
+
+    `graph` is a SampledGraph or a LazyRealization, whose edges are then
+    sampled only between each BFS level and the unvisited vertices.
+    """
     _check_vertex(graph.n, x)
     dist = np.full(graph.n, -1, dtype=np.int64)
     dist[x] = 0
-    queue = deque([x])
-    adj = graph.neighbors
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if max_depth is not None and du >= max_depth:
-            continue
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
+    frontier = np.array([x], dtype=np.int64)
+    depth = 0
+    while frontier.size and (max_depth is None or depth < max_depth):
+        depth += 1
+        frontier = _next_level(graph, frontier, dist < 0)
+        dist[frontier] = depth
     return dist
 
 
 def graph_distance(graph: SampledGraph, x: int, y: int) -> int | None:
     """Shortest-path hop count between x and y, or None if unreachable."""
     _check_vertex(graph.n, x, y)
-    if x == y:
-        return 0
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    dist[x] = 0
-    queue = deque([x])
-    adj = graph.neighbors
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                if v == y:
-                    return int(dist[u] + 1)
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return None
+    d = int(hop_distances_from(graph, x)[y])
+    return None if d < 0 else d
 
 
 def _sparse_cost_search(

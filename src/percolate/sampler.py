@@ -4,6 +4,13 @@ Every edge indicator is a deterministic function of (seed, {u, v}) via the
 counter-based uniforms in `rng`, so two parameterizations sampled with the
 same seed share their uniforms edge by edge.  That is what makes the
 couplings in `couplings` exact rather than merely distributional.
+
+The same fact lets a realization be sampled lazily.  `sample_graph` scans
+all n(n-1)/2 pairs; `LazyRealization` decides a pair only when a search
+asks for it, which is how the hop estimators sample: a k-hop search sees
+about |B(k-1)| * n pairs, not n^2 / 2.  Both paths decide each pair from
+its own uniform through the one helper `_pair_probs`, so a lazily sampled
+realization is the scanned one, bit for bit, wherever it is observed.
 """
 
 from __future__ import annotations
@@ -11,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .kernels import ModelParams, connection_prob, pareto_quantile
+from .kernels import KernelVariant, ModelParams, connection_prob, pareto_quantile
 from .rng import (
     COST_STREAM,
     absorb_indices,
@@ -37,6 +44,7 @@ __all__ = [
     "SampledGraph",
     "CostMap",
     "CffpRealization",
+    "LazyRealization",
     "DEFAULT_SPARSE_BUDGET",
     "DEFAULT_COMPLETE_BUDGET",
     "set_vertex_budgets",
@@ -114,7 +122,11 @@ class BoxSpec:
 
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
-    """One realization: positions, weights, symmetric edge set, and its seed."""
+    """One realization: positions, weights, symmetric edge set, and its seed.
+
+    `box` is the window it was sampled on; hand-built graphs may leave it
+    out, and are then taken to sit on a box at the origin.
+    """
 
     model: Model
     positions: np.ndarray
@@ -122,6 +134,7 @@ class SampledGraph:
     edges: frozenset
     seed: int
     params: ModelParams
+    box: BoxSpec | None = None
 
     @property
     def n(self) -> int:
@@ -201,59 +214,114 @@ def _kernel_probs(w_u, w_v, dist, params: ModelParams) -> np.ndarray:
     return np.asarray(connection_prob(w_u, w_v, dist, params), dtype=np.float64)
 
 
-def _long_range_pairs_1d(seed, n, weights, params, lrp):
+# Pairs per block of the all-pairs scan and of the lazy rows.
+_BLOCK_PAIRS = 4_000_000
+
+
+@lru_cache(maxsize=32)
+def _lrp_offset_probs(n: int, params: ModelParams) -> np.ndarray:
+    """p[r] of two LRP vertices at 1-d lattice offset r, for r < n (p[0] unused).
+
+    Scalar arithmetic, one offset at a time; read-only, as it is shared.
+    """
+    alpha, lam, d = params.alpha, params.lam, params.d
+    exp_kernel = params.kernel_variant is KernelVariant.EXP
+    p = np.zeros(n, dtype=np.float64)
+    for r in range(1, n):
+        arg = lam * float(r) ** (-alpha * d)
+        p[r] = 1.0 - math.exp(-arg) if exp_kernel else min(1.0, arg)
+    p.setflags(write=False)
+    return p
+
+
+def _pair_probs(lo, hi, positions, weights, params, model):
+    """The pairs (lo, hi), lo < hi, left to decide, and their edge probabilities.
+
+    This is the one place where a pair's edge decision is computed; the
+    all-pairs scan and the lazy rows both call it, so they decide every
+    pair identically.  1-d lattices go by offset r = hi - lo; their grid
+    pairs (r = 1) are kept, as grid edges exist whichever way they are
+    decided, and the 1-d scan never asks for them.  Other lattices drop
+    pairs at distance 1; GIRG has no grid.
+    """
+    if model is not Model.GIRG and params.d == 1:
+        if model is Model.LRP:
+            return lo, hi, _lrp_offset_probs(len(weights), params)[hi - lo]
+        arg = params.lam * (
+            weights[lo] * weights[hi] / (hi - lo).astype(np.float64) ** params.d
+        ) ** params.alpha
+        if params.kernel_variant is KernelVariant.EXP:
+            return lo, hi, -np.expm1(-arg)
+        return lo, hi, np.minimum(1.0, arg)
+    diff = positions[lo] - positions[hi]
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    del diff  # a block holds millions of pairs
+    if model is not Model.GIRG:
+        keep = dist2 != 1.0
+        lo, hi, dist2 = lo[keep], hi[keep], dist2[keep]
+    return lo, hi, _kernel_probs(weights[lo], weights[hi], np.sqrt(dist2), params)
+
+
+def _long_range_pairs_1d(seed, positions, weights, params, model):
     """Per-offset scan of all non-grid pairs on the 1-d lattice."""
+    n = len(weights)
     pre = absorb_indices(seed_state(seed), np.arange(n))
     out_u, out_v = [], []
-    alpha, lam, d = params.alpha, params.lam, params.d
-    exp_kernel = params.kernel_variant.value == "exp"
     for r in range(2, n):
         lo = np.arange(0, n - r)
-        u = uniforms_from_states(pre[lo], lo + r)
-        if lrp:
-            arg = lam * float(r) ** (-alpha * d)
-            p = 1.0 - math.exp(-arg) if exp_kernel else min(1.0, arg)
-            sel = u < p
-        else:
-            arg = lam * (weights[lo] * weights[lo + r] / float(r) ** d) ** alpha
-            p = -np.expm1(-arg) if exp_kernel else np.minimum(1.0, arg)
-            sel = u < p
-        hits = np.nonzero(sel)[0]
+        _, hi, p = _pair_probs(lo, lo + r, positions, weights, params, model)
+        hits = np.nonzero(uniforms_from_states(pre[lo], hi) < p)[0]
         if hits.size:
             out_u.append(lo[hits])
-            out_v.append(lo[hits] + r)
+            out_v.append(hi[hits])
     if not out_u:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate(out_u), np.concatenate(out_v)
 
 
-def _long_range_pairs_general(seed, positions, weights, params, skip_grid):
+def _long_range_pairs_general(seed, positions, weights, params, model):
     """Blocked scan over all vertex pairs for d >= 2 lattices and GIRG."""
     n = len(weights)
     pre = absorb_indices(seed_state(seed), np.arange(n))
     out_u, out_v = [], []
-    rows_per_block = max(1, int(4_000_000 // max(n, 1)))
+    rows_per_block = max(1, int(_BLOCK_PAIRS // max(n, 1)))
     for i0 in range(0, n - 1, rows_per_block):
         rows = np.arange(i0, min(i0 + rows_per_block, n - 1))
-        counts = n - 1 - rows
-        us = np.repeat(rows, counts)
-        vs = np.concatenate([np.arange(i + 1, n) for i in rows])
-        diff = positions[us] - positions[vs]
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        if skip_grid:
-            keep = dist2 != 1.0
-            us, vs, dist2 = us[keep], vs[keep], dist2[keep]
+        us, vs, p = _pair_probs(np.repeat(rows, n - 1 - rows),
+                                np.concatenate([np.arange(i + 1, n) for i in rows]),
+                                positions, weights, params, model)
         if us.size == 0:
             continue
-        u01 = uniforms_from_states(pre[us], vs)
-        p = _kernel_probs(weights[us], weights[vs], np.sqrt(dist2), params)
-        sel = u01 < p
+        sel = uniforms_from_states(pre[us], vs) < p
         if np.any(sel):
             out_u.append(us[sel])
             out_v.append(vs[sel])
     if not out_u:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate(out_u), np.concatenate(out_v)
+
+
+def _check_sparse(box: BoxSpec, params: ModelParams, budget: int | None) -> None:
+    if box.d != params.d:
+        raise DomainError(f"box dimension {box.d} != params dimension {params.d}")
+    limit = vertex_budget("sparse") if budget is None else budget
+    if box.n_vertices > limit:
+        raise BudgetError(f"{box.n_vertices} vertices exceed the budget of {limit}")
+
+
+def _positions(box: BoxSpec, model: Model, seed: int) -> np.ndarray:
+    """Lattice points, or for GIRG n = side^d uniform points in the box."""
+    if model is Model.GIRG:
+        return box.side * position_uniforms(seed, box.n_vertices, box.d) + np.asarray(
+            box.origin, dtype=np.float64
+        )
+    return box.lattice_positions()
+
+
+def _weights(box: BoxSpec, params: ModelParams, model: Model, seed: int) -> np.ndarray:
+    if model is Model.LRP:
+        return np.ones(box.n_vertices, dtype=np.float64)
+    return sample_weights(box.n_vertices, params.tau, seed)
 
 
 def sample_graph(
@@ -272,45 +340,24 @@ def sample_graph(
     edges.  LRP forces all weights to 1.
     """
     model = Model(model)
-    if box.d != params.d:
-        raise DomainError(f"box dimension {box.d} != params dimension {params.d}")
-    n = box.n_vertices
-    limit = vertex_budget("sparse") if budget is None else budget
-    if n > limit:
-        raise BudgetError(f"{n} vertices exceed the budget of {limit}")
-
-    if model is Model.GIRG:
-        positions = box.side * position_uniforms(seed, n, box.d) + np.asarray(
-            box.origin, dtype=np.float64
-        )
-        weights = sample_weights(n, params.tau, seed)
-        base = frozenset()
-    else:
-        positions = box.lattice_positions()
-        if model is Model.LRP:
-            weights = np.ones(n, dtype=np.float64)
-        else:
-            weights = sample_weights(n, params.tau, seed)
-        base = grid_edges(box)
-
-    if n >= 2:
-        if model is not Model.GIRG and box.d == 1:
-            us, vs = _long_range_pairs_1d(seed, n, weights, params, model is Model.LRP)
-        else:
-            us, vs = _long_range_pairs_general(
-                seed, positions, weights, params, skip_grid=model is not Model.GIRG
-            )
-        long_range = {(int(a), int(b)) for a, b in zip(us, vs)}
-    else:
-        long_range = set()
-
+    _check_sparse(box, params, budget)
+    positions = _positions(box, model, seed)
+    weights = _weights(box, params, model, seed)
+    base = frozenset() if model is Model.GIRG else grid_edges(box)
+    scan = (
+        _long_range_pairs_1d
+        if model is not Model.GIRG and box.d == 1
+        else _long_range_pairs_general
+    )
+    us, vs = scan(seed, positions, weights, params, model)
     return SampledGraph(
         model=model,
         positions=positions,
         weights=weights,
-        edges=base | frozenset(long_range),
+        edges=base | frozenset(zip(us.tolist(), vs.tolist())),
         seed=seed,
         params=params,
+        box=box,
     )
 
 
@@ -400,6 +447,78 @@ class CffpRealization:
         return float(np.linalg.norm(self.positions[x] - self.positions[y]))
 
 
+@dataclass(frozen=True, eq=False)
+class LazyRealization:
+    """The realization `sample_graph` would return, with edges decided on demand.
+
+    Positions and weights are drawn as `sample_graph` draws them.  An edge
+    is decided only when `frontier_neighbors` reaches its pair, from the
+    pair's own uniform and through the scan's `_pair_probs`, so every edge
+    it reports is an edge of the scanned graph and vice versa.
+    """
+
+    box: BoxSpec
+    params: ModelParams
+    model: Model
+    seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "model", Model(self.model))
+        _check_sparse(self.box, self.params, None)
+
+    @property
+    def n(self) -> int:
+        return self.box.n_vertices
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        return _positions(self.box, self.model, self.seed)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _weights(self.box, self.params, self.model, self.seed)
+
+    @cached_property
+    def _states(self) -> np.ndarray:
+        return absorb_indices(seed_state(self.seed), np.arange(self.n))
+
+    def _grid_neighbors(self, frontier: np.ndarray) -> np.ndarray:
+        if self.model is Model.GIRG:
+            return np.empty(0, dtype=np.int64)
+        side, d = self.box.side, self.box.d
+        out = []
+        for axis in range(d):
+            stride = side ** (d - 1 - axis)
+            coord = frontier // stride % side
+            out += [frontier[coord > 0] - stride, frontier[coord < side - 1] + stride]
+        return np.concatenate(out)
+
+    def frontier_neighbors(self, frontier, unvisited: np.ndarray) -> np.ndarray:
+        """Sorted unvisited vertices joined to some vertex of `frontier`.
+
+        `unvisited` is a boolean mask over the vertices that must be False
+        on the frontier.  Only frontier x unvisited pairs are hashed, so a
+        search that marks each expanded vertex visited hashes every pair
+        at most once.
+        """
+        frontier = np.asarray(frontier, dtype=np.int64)
+        found = [self._grid_neighbors(frontier)]
+        others = np.flatnonzero(unvisited)
+        m = len(others)
+        rows_per_block = max(1, _BLOCK_PAIRS // max(m, 1))
+        for i0 in range(0, len(frontier), rows_per_block):
+            rows = frontier[i0:i0 + rows_per_block]
+            us, vs = np.repeat(rows, m), np.tile(others, len(rows))
+            lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+            del us, vs  # a block holds up to _BLOCK_PAIRS pairs
+            lo, hi, p = _pair_probs(lo, hi, self.positions, self.weights, self.params,
+                                    self.model)
+            sel = uniforms_from_states(self._states[lo], hi) < p
+            found += [lo[sel], hi[sel]]
+        reached = np.concatenate(found)
+        return np.unique(reached[unvisited[reached]])
+
+
 def sample_cffp_costs(
     box: BoxSpec,
     weights: np.ndarray,
@@ -424,10 +543,10 @@ def sample_cffp_costs(
 
 
 # ---------------------------------------------------------------------------
-# Text serialization: header `model d L alpha tau lambda seed`, one
-# `w <index> <weight>` line per vertex, `e <u> <v>` per edge, and optional
-# `c <u> <v> <cost>` lines.  Reals use 17 significant digits so doubles
-# round-trip exactly.
+# Text serialization: header `model d L alpha tau lambda seed kernel
+# origin_1 .. origin_d`, one `w <index> <weight>` line per vertex, `e <u> <v>`
+# per edge, and optional `c <u> <v> <cost>` lines.  Reals use 17
+# significant digits so doubles round-trip exactly.
 # ---------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
@@ -435,11 +554,13 @@ def _fmt(x: float) -> str:
 
 
 def save_graph(graph: SampledGraph, path, costs: CostMap | None = None) -> None:
-    side = round(graph.n ** (1.0 / graph.params.d))
+    params = graph.params
+    box = graph.box or BoxSpec(d=params.d, side=round(graph.n ** (1.0 / params.d)))
     lines = [
-        f"{graph.model.value} {graph.params.d} {side} "
-        f"{_fmt(graph.params.alpha)} {_fmt(graph.params.tau)} "
-        f"{_fmt(graph.params.lam)} {graph.seed}"
+        f"{graph.model.value} {params.d} {box.side} "
+        f"{_fmt(params.alpha)} {_fmt(params.tau)} "
+        f"{_fmt(params.lam)} {graph.seed} {params.kernel_variant.value} "
+        + " ".join(str(int(o)) for o in box.origin)
     ]
     for i, w in enumerate(graph.weights):
         lines.append(f"w {i} {_fmt(w)}")
@@ -455,17 +576,20 @@ def save_graph(graph: SampledGraph, path, costs: CostMap | None = None) -> None:
 def load_graph(path) -> tuple[SampledGraph, CostMap | None]:
     """Read a graph (and costs, if present) written by `save_graph`.
 
-    GIRG positions and the kernel variant are not part of the format;
-    positions are regenerated deterministically from the stored seed and
-    the kernel defaults to the min-form.  The box origin defaults to zero.
+    GIRG positions are not part of the format; they are regenerated from
+    the stored seed and box, as `sample_graph` drew them.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    model_s, d_s, side_s, alpha_s, tau_s, lam_s, seed_s = lines[0].split()
+    header = lines[0].split()
+    if len(header) < 8 or len(header) != 8 + int(header[1]):
+        raise DomainError(f"malformed graph header {lines[0]!r}")
+    model_s, d_s, side_s, alpha_s, tau_s, lam_s, seed_s, kernel_s = header[:8]
     model = Model(model_s)
     d, side, seed = int(d_s), int(side_s), int(seed_s)
-    params = ModelParams(d=d, alpha=float(alpha_s), tau=float(tau_s), lam=float(lam_s))
-    box = BoxSpec(d=d, side=side)
+    params = ModelParams(d=d, alpha=float(alpha_s), tau=float(tau_s), lam=float(lam_s),
+                         kernel_variant=KernelVariant(kernel_s))
+    box = BoxSpec(d=d, side=side, origin=tuple(int(o) for o in header[8:]))
     n = box.n_vertices
 
     weights = np.ones(n, dtype=np.float64)
@@ -484,17 +608,14 @@ def load_graph(path) -> tuple[SampledGraph, CostMap | None]:
         else:
             raise DomainError(f"unrecognized record {parts[0]!r}")
 
-    if model is Model.GIRG:
-        positions = side * position_uniforms(seed, n, d) + np.zeros(d)
-    else:
-        positions = box.lattice_positions()
     graph = SampledGraph(
         model=model,
-        positions=positions,
+        positions=_positions(box, model, seed),
         weights=weights,
         edges=frozenset(edges),
         seed=seed,
         params=params,
+        box=box,
     )
     cost_map = None
     if costs:

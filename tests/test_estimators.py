@@ -145,6 +145,17 @@ class TestBoundCompliance:
         with pytest.raises(DomainError):
             bound_compliance([], lambda *a: 1.0, [0.1])
 
+    def test_girg_tail_has_no_distance_to_bound(self):
+        # GIRG positions are redrawn per trial, so its tail estimates carry
+        # dist = NaN; compliance at NaN would pass vacuously.
+        params = ModelParams(d=1, alpha=1.5, tau=3.5, lam=1.0)
+        config = ModelConfig(box=BoxSpec(d=1, side=256), params=params,
+                             model=Model.GIRG, metric="hop")
+        ests = mc_tail_grid(config, 10, [200], [1, 2, 3], 20, 5)
+        assert all(math.isnan(e.dist) for e in ests)
+        with pytest.raises(DomainError):
+            bound_compliance(ests, self.lrp_bound(params), [0.1, 0.3])
+
 
 class TestBallGrowth:
     def test_grid_counts(self):

@@ -1,9 +1,12 @@
 """Distances and balls against brute-force oracles and lattice closed forms."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percolate import (
     BallKind,
@@ -12,6 +15,8 @@ from percolate import (
     CffpRealization,
     CostMap,
     DomainError,
+    KernelVariant,
+    LazyRealization,
     Model,
     ModelParams,
     RateModel,
@@ -25,6 +30,8 @@ from percolate import (
     sample_graph,
     t_ball,
 )
+from percolate import rng, sampler
+from percolate.metrics import hop_distances_from
 
 
 def lrp(alpha=1.5, lam=0.0, d=1):
@@ -260,3 +267,56 @@ class TestBruteForce:
         cm = CostMap(costs={e: 1.0 for e in g.edges}, rate_model=RateModel.UNIT_RATE)
         with pytest.raises(BudgetError):
             brute_force_cost_distance(g, cm, 0, 19)
+
+
+@st.composite
+def realizations(draw):
+    """A small LRP/SFP/GIRG realization, a root and a BFS depth cap."""
+    model = draw(st.sampled_from(list(Model)))
+    d = draw(st.sampled_from([1, 2]))
+    side = draw(st.integers(2, 40) if d == 1 else st.integers(2, 7))
+    box = BoxSpec(d=d, side=side,
+                  origin=tuple(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))))
+    params = ModelParams(
+        d=d,
+        alpha=draw(st.floats(1.0, 3.0)),
+        tau=math.inf if model is Model.LRP else draw(st.floats(1.5, 5.0)),
+        lam=draw(st.floats(0.0, 2.0)),
+        kernel_variant=draw(st.sampled_from(list(KernelVariant))),
+    )
+    seed = draw(st.integers(0, 2**64 - 1))
+    root = draw(st.integers(0, box.n_vertices - 1))
+    cap = draw(st.none() | st.integers(0, 6))
+    return box, params, model, seed, root, cap
+
+
+class TestLazyRealization:
+    @settings(max_examples=150, deadline=None)
+    @given(realizations())
+    def test_lazy_bfs_equals_bfs_on_the_scanned_graph(self, case):
+        box, params, model, seed, root, cap = case
+        g = sample_graph(box, params, model, seed)
+        real = LazyRealization(box, params, model, seed)
+        hashed = []
+
+        def counting(states, words):
+            hashed.append(len(words))
+            return rng.uniforms_from_states(states, words)
+
+        with mock.patch.object(sampler, "uniforms_from_states", counting):
+            lazy = hop_distances_from(real, root, max_depth=cap)
+        assert np.array_equal(lazy, hop_distances_from(g, root, max_depth=cap))
+        assert np.array_equal(real.positions, g.positions)
+        assert np.array_equal(real.weights, g.weights)
+        n = box.n_vertices
+        assert sum(hashed) <= n * (n - 1) // 2
+
+    def test_checks_as_sample_graph(self):
+        params = lrp(lam=0.5)
+        with pytest.raises(BudgetError):
+            LazyRealization(BoxSpec(d=1, side=300_000), params, Model.LRP, 1)
+        with pytest.raises(DomainError):
+            LazyRealization(BoxSpec(d=2, side=4), params, Model.LRP, 1)
+        real = LazyRealization(BoxSpec(d=1, side=8), params, Model.LRP, 1)
+        with pytest.raises(DomainError):
+            hop_distances_from(real, 8)

@@ -2,9 +2,13 @@
 cost laws, and the text serialization round-trip."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percolate import (
     BoxSpec,
@@ -300,6 +304,32 @@ class TestSerialization:
         assert c2 is None
         assert np.array_equal(g2.positions, g.positions)
         assert g2.edges == g.edges
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(list(Model)),
+        d=st.sampled_from([1, 2]),
+        kernel=st.sampled_from(list(KernelVariant)),
+        origin=st.lists(st.integers(-50, 50), min_size=2, max_size=2),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_round_trip_keeps_kernel_and_origin(self, model, d, kernel, origin, seed):
+        params = ModelParams(d=d, alpha=1.6, tau=math.inf if model is Model.LRP else 3.0,
+                             lam=0.7, kernel_variant=kernel)
+        box = BoxSpec(d=d, side=12 if d == 1 else 4, origin=tuple(origin[:d]))
+        g = sample_graph(box, params, model, seed)
+        costs = sample_fpp_costs(g, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            save_graph(g, path, costs=costs)
+            g2, c2 = load_graph(path)
+        assert g2.model is model and g2.seed == seed
+        assert g2.params == params
+        assert g2.box == box
+        assert np.array_equal(g2.positions, g.positions)
+        assert np.array_equal(g2.weights, g.weights)
+        assert g2.edges == g.edges
+        assert c2.costs == costs.costs
 
     def test_17_digit_reals(self, tmp_path):
         params = ModelParams(d=1, alpha=1.0 + 1e-13, tau=4.0 / 3.0, lam=0.1 + 0.2)
