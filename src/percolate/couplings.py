@@ -25,7 +25,7 @@ from .kernels import (
     tau_prime_max,
 )
 from .rng import trial_seed, trial_seeds, vertex_uniform_each, vertex_uniforms
-from .sampler import BoxSpec, Model, SampledGraph, sample_graph
+from .sampler import BoxSpec, Model, SampledGraph, _pair_blocks, sample_graph
 
 __all__ = [
     "CouplingKind",
@@ -48,7 +48,6 @@ class CouplingKind(str, Enum):
     ALPHA_REDUCE = "AlphaReduce"
     FPP_CFFP = "FppCffp"
     BLOWUP_LRP = "BlowupLRP"
-    BLOWUP_SFP = "BlowupSFP"
     WEIGHT_DOMINANCE = "WeightDominance"
 
 
@@ -239,10 +238,6 @@ def path_stitch_bound(r: int, d: int, k: int) -> int:
     return 3 * d * r * k
 
 
-def _coarse_of_fine(fine_coord: np.ndarray, r: int) -> tuple[int, ...]:
-    return tuple(int(c) // r for c in fine_coord)
-
-
 def blowup_lrp(
     coarse_box: BoxSpec,
     spec: BlowupSpec,
@@ -271,61 +266,61 @@ def blowup_lrp(
     )
     fine = sample_graph(fine_box, params, Model.LRP, seed, budget=budget)
 
-    # Map fine edges to coarse pairs; remember one witness edge per pair.
-    side_c, d = coarse_box.side, coarse_box.d
-    witnesses: dict = {}
-    coarse_edges = set()
-    for fu, fv in fine.edges:
-        cu = _coarse_of_fine(fine.positions[fu], r)
-        cv = _coarse_of_fine(fine.positions[fv], r)
-        if cu == cv:
-            continue
-        iu = _coarse_index(cu, coarse_box)
-        iv = _coarse_index(cv, coarse_box)
-        key = (min(iu, iv), max(iu, iv))
-        coarse_edges.add(key)
-        if key not in witnesses:
-            witnesses[key] = (fu, fv) if iu < iv else (fv, fu)
+    # Map fine edges to coarse pairs in the edge set's iteration order; the
+    # witness of a coarse pair is the first fine edge joining its boxes,
+    # oriented from the lower coarse vertex.
+    cells = fine.positions.astype(np.int64) // r - np.asarray(coarse_box.origin)
+    cell = np.ravel_multi_index(tuple(cells.T), (coarse_box.side,) * coarse_box.d)
+    fe = np.array(list(fine.edges), dtype=np.int64).reshape(-1, 2)
+    fe = fe[cell[fe[:, 0]] != cell[fe[:, 1]]]
+    cu, cv = cell[fe[:, 0]], cell[fe[:, 1]]
+    lo, hi = np.minimum(cu, cv), np.maximum(cu, cv)
+    _, first = np.unique(lo * coarse_box.n_vertices + hi, return_index=True)
+    fe[cu > cv] = fe[cu > cv][:, ::-1]
+    witnesses = {f"{a},{b}": w for a, b, w in
+                 zip(lo[first].tolist(), hi[first].tolist(), fe[first].tolist())}
 
     coarse = SampledGraph(
         model=Model.LRP,
         positions=coarse_box.lattice_positions(),
         weights=np.ones(coarse_box.n_vertices),
-        edges=frozenset(coarse_edges),
+        edges=frozenset(zip(lo.tolist(), hi.tolist())),
         seed=seed,
         params=params,
         box=coarse_box,
     )
 
-    report = _blowup_bin_report(coarse, params, lambda_goal, spec.r)
-    report.parameters["witnesses"] = {
-        f"{k[0]},{k[1]}": list(v) for k, v in sorted(witnesses.items())
-    }
+    report = _blowup_report(_distance_bins(coarse), {
+        "r": r, "alpha": params.alpha, "d": params.d, "lambda_small": params.lam,
+        "lambda_goal": lambda_goal,
+    })
+    report.parameters["witnesses"] = witnesses
     return fine, coarse, report
 
 
-def _coarse_index(coord: tuple[int, ...], box: BoxSpec) -> int:
-    rel = tuple(c - o for c, o in zip(coord, box.origin))
-    return int(np.ravel_multi_index(rel, (box.side,) * box.d))
-
-
-def _blowup_bin_report(
-    coarse: SampledGraph, params: ModelParams, lambda_goal: float, r: int
-) -> CouplingReport:
-    n = coarse.n
-    pos = coarse.positions
-    ad = params.alpha * params.d
+def _distance_bins(graph: SampledGraph) -> dict:
+    """{round(dist, 9): [pairs, edges]} over all vertex pairs of the graph."""
+    pos = graph.positions
     bins: dict = {}
-    for i in range(n - 1):
-        diff = pos[i + 1 :] - pos[i]
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        for j, dist in zip(range(i + 1, n), dists):
-            key = round(float(dist), 9)
-            present = (i, j) in coarse.edges
-            cnt = bins.setdefault(key, [0, 0])
-            cnt[0] += 1
-            cnt[1] += int(present)
 
+    def add(lo, hi, slot):
+        diff = pos[hi] - pos[lo]
+        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        values, counts = np.unique(dists, return_counts=True)
+        for dist, count in zip(values.tolist(), counts.tolist()):
+            bins.setdefault(round(dist, 9), [0, 0])[slot] += count
+
+    for lo, hi in _pair_blocks(graph.n):
+        add(lo, hi, 0)
+    add(graph.edge_array[:, 0], graph.edge_array[:, 1], 1)
+    return bins
+
+
+def _blowup_report(bins: dict, parameters: dict) -> CouplingReport:
+    """Flag the distance bins whose edge frequency falls 3 sigma short of
+    min{1, lambda_goal * dist^(-alpha d)}."""
+    lambda_goal = parameters["lambda_goal"]
+    ad = parameters["alpha"] * parameters["d"]
     details = []
     violations = 0
     total_pairs = 0
@@ -353,13 +348,7 @@ def _blowup_bin_report(
         kind=CouplingKind.BLOWUP_LRP,
         trials=total_pairs,
         violations=violations,
-        parameters={
-            "r": r,
-            "alpha": params.alpha,
-            "d": params.d,
-            "lambda_small": params.lam,
-            "lambda_goal": lambda_goal,
-        },
+        parameters=parameters,
         details=details,
     )
 
@@ -368,45 +357,14 @@ def combine_blowup_reports(reports: list[CouplingReport]) -> CouplingReport:
     """Pool per-bin counts across independent blow-up realizations."""
     if not reports:
         raise DomainError("need at least one report")
-    params = reports[0].parameters
-    lambda_goal = params["lambda_goal"]
-    ad = params["alpha"] * params["d"]
     pooled: dict = {}
     for rep in reports:
         for rec in rep.details:
             cnt = pooled.setdefault(rec["dist"], [0, 0])
             cnt[0] += rec["pairs"]
             cnt[1] += rec["edges"]
-    details = []
-    violations = 0
-    total = 0
-    for dist in sorted(pooled):
-        npairs, hits = pooled[dist]
-        total += npairs
-        target = min(1.0, lambda_goal * dist ** (-ad))
-        freq = hits / npairs
-        sigma = math.sqrt(target * (1.0 - target) / npairs)
-        flagged = freq + 3.0 * sigma < target
-        violations += int(flagged)
-        details.append(
-            {
-                "dist": dist,
-                "pairs": npairs,
-                "edges": hits,
-                "freq": freq,
-                "target": target,
-                "sigma": sigma,
-                "lambda_hat": freq * dist**ad,
-                "flagged": flagged,
-            }
-        )
-    return CouplingReport(
-        kind=CouplingKind.BLOWUP_LRP,
-        trials=total,
-        violations=violations,
-        parameters={k: v for k, v in params.items() if k != "witnesses"},
-        details=details,
-    )
+    params = reports[0].parameters
+    return _blowup_report(pooled, {k: v for k, v in params.items() if k != "witnesses"})
 
 
 def _walk_within_box(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:

@@ -8,17 +8,21 @@ Hop distances come from one level-synchronous BFS, which runs on a
 latter: they sample only the pairs between each BFS frontier and the
 unvisited vertices.  Each pair's edge is a pure function of (seed, {u, v}),
 decided by the same arithmetic as the full scan, so the distances equal
-those on `sample_graph`'s realization.
+those on `sample_graph`'s realization.  Cost distances on a `SampledGraph`
+come from scipy's Dijkstra on its edge array, weighted from the CostMap;
+on a `CffpRealization`, from a dense Dijkstra over its cost rows.  Both
+read inf beyond `t_max`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import BudgetError, DomainError
 from .sampler import CffpRealization, CostMap, LazyRealization, SampledGraph
@@ -84,37 +88,25 @@ def graph_distance(graph: SampledGraph, x: int, y: int) -> int | None:
     return None if d < 0 else d
 
 
-def _sparse_cost_search(
-    graph: SampledGraph,
-    costs: CostMap,
-    x: int,
-    target: int | None,
-    t_max: float | None,
-) -> np.ndarray:
-    dist = np.full(graph.n, np.inf)
-    dist[x] = 0.0
-    done = np.zeros(graph.n, dtype=bool)
-    heap = [(0.0, x)]
-    adj = graph.neighbors
-    while heap:
-        du, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if target is not None and u == target:
-            break
-        if t_max is not None and du > t_max:
-            break
-        for v in adj[u]:
-            try:
-                c = costs.cost(u, v)
-            except KeyError:
-                raise DomainError(f"cost map does not cover edge ({u}, {v})") from None
-            nd = du + c
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+def _sparse_cost_search(graph: SampledGraph, costs: CostMap | None, x: int,
+                        t_max: float | None) -> np.ndarray:
+    """scipy's Dijkstra on the graph's edges, weighted by `costs`.
+
+    Costs are read from the CostMap's dict for every edge, so a cost map
+    that misses an edge raises DomainError.
+    """
+    if costs is None:
+        raise DomainError("a CostMap is required for sparse graphs")
+    e = graph.edge_array
+    lo, hi = e[:, 0].tolist(), e[:, 1].tolist()
+    try:
+        c = np.fromiter(map(costs.costs.__getitem__, zip(lo, hi)), np.float64, len(e))
+    except KeyError as err:
+        u, v = err.args[0]
+        raise DomainError(f"cost map does not cover edge ({u}, {v})") from None
+    # csgraph keeps an explicit zero entry as an edge of cost 0.
+    mat = csr_array((c, (e[:, 0], e[:, 1])), shape=(graph.n, graph.n))
+    return dijkstra(mat, directed=False, indices=x, limit=np.inf if t_max is None else t_max)
 
 
 def _dense_cost_search(
@@ -136,6 +128,8 @@ def _dense_cost_search(
         if target is not None and u == target:
             break
         np.minimum(dist, du + real.cost_row(u), out=dist)
+    if t_max is not None:
+        dist[dist > t_max] = np.inf
     return dist
 
 
@@ -145,18 +139,13 @@ def cost_distance(obj, costs: CostMap | None, x: int, y: int) -> float | None:
     `obj` is either a SampledGraph (costs must cover its edges) or a
     CffpRealization, whose complete-graph costs are derived on demand.
     """
+    _check_vertex(obj.n, x, y)
+    if x == y:
+        return 0.0
     if isinstance(obj, CffpRealization):
-        _check_vertex(obj.n, x, y)
-        if x == y:
-            return 0.0
         dist = _dense_cost_search(obj, x, target=y, t_max=None)
     else:
-        _check_vertex(obj.n, x, y)
-        if x == y:
-            return 0.0
-        if costs is None:
-            raise DomainError("a CostMap is required for sparse graphs")
-        dist = _sparse_cost_search(obj, costs, x, target=y, t_max=None)
+        dist = _sparse_cost_search(obj, costs, x, t_max=None)
     d = float(dist[y])
     return d if np.isfinite(d) else None
 
@@ -165,13 +154,12 @@ def cost_distances_from(
     obj, costs: CostMap | None, x: int, t_max: float | None = None
 ) -> np.ndarray:
     """Cost distances from x to every vertex; inf beyond reach or `t_max`."""
-    if isinstance(obj, CffpRealization):
-        _check_vertex(obj.n, x)
-        return _dense_cost_search(obj, x, target=None, t_max=t_max)
     _check_vertex(obj.n, x)
-    if costs is None:
-        raise DomainError("a CostMap is required for sparse graphs")
-    return _sparse_cost_search(obj, costs, x, target=None, t_max=t_max)
+    if t_max is not None and not t_max >= 0:
+        raise DomainError(f"t_max must be a nonnegative number, got {t_max}")
+    if isinstance(obj, CffpRealization):
+        return _dense_cost_search(obj, x, target=None, t_max=t_max)
+    return _sparse_cost_search(obj, costs, x, t_max=t_max)
 
 
 def k_ball(graph: SampledGraph, x: int, k: int) -> set[int]:

@@ -88,15 +88,21 @@ def position_uniform(seed: int, index: int, axis: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_P1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_P2)
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer, mixed into z in place; z must be a fresh buffer."""
+    t = np.empty_like(z)
+    for shift, mult in ((30, _P1), (27, _P2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        if mult is not None:
+            z *= np.uint64(mult)
+    return z
 
 
 def _absorb_vec(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return _mix64_vec((h + np.uint64(_GOLD)) ^ w)
+    """Absorb w into the states h, into a fresh buffer; h is never written."""
+    z = h + np.uint64(_GOLD)
+    z ^= w
+    return _mix64_vec(z)
 
 
 def seed_state(seed: int) -> np.uint64:
@@ -107,13 +113,16 @@ def seed_state(seed: int) -> np.uint64:
 def absorb_indices(state: np.uint64, idx: np.ndarray) -> np.ndarray:
     """Absorb one word per element; used to share hash prefixes."""
     idx = np.asarray(idx, dtype=np.uint64)
-    return _absorb_vec(np.broadcast_to(state, idx.shape).copy(), idx)
+    return _absorb_vec(np.broadcast_to(state, idx.shape), idx)
 
 
 def uniforms_from_states(states: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Finish a hash chain with one more absorbed word, as uniforms."""
     h = _absorb_vec(states, np.asarray(words, dtype=np.uint64))
-    return (h >> np.uint64(11)).astype(np.float64) * _INV53
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= _INV53
+    return u
 
 
 def edge_uniforms(seed: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -131,8 +140,7 @@ def edge_uniforms(seed: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 def vertex_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized `vertex_uniform`."""
     idx = np.asarray(indices, dtype=np.uint64)
-    h = absorb_indices(seed_state(seed), idx)
-    return (h >> np.uint64(11)).astype(np.float64) * _INV53
+    return uniforms_from_states(np.broadcast_to(seed_state(seed), idx.shape), idx)
 
 
 def position_uniforms(seed: int, n: int, d: int) -> np.ndarray:
@@ -148,7 +156,7 @@ def position_uniforms(seed: int, n: int, d: int) -> np.ndarray:
 def trial_seeds(seed: int, n: int) -> np.ndarray:
     """uint64 array of trial_seed(seed, 0..n-1), bit-identical to the scalar."""
     h1 = np.uint64(_absorb(_mix64((seed & _MASK) ^ _IV), TRIAL_STREAM))
-    return _absorb_vec(np.broadcast_to(h1, (n,)).copy(), np.arange(n, dtype=np.uint64))
+    return _absorb_vec(np.broadcast_to(h1, (n,)), np.arange(n, dtype=np.uint64))
 
 
 def vertex_uniform_each(seeds: np.ndarray, word: int) -> np.ndarray:

@@ -8,9 +8,12 @@ couplings in `couplings` exact rather than merely distributional.
 The same fact lets a realization be sampled lazily.  `sample_graph` scans
 all n(n-1)/2 pairs; `LazyRealization` decides a pair only when a search
 asks for it, which is how the hop estimators sample: a k-hop search sees
-about |B(k-1)| * n pairs, not n^2 / 2.  Both paths decide each pair from
-its own uniform through the one helper `_pair_probs`, so a lazily sampled
-realization is the scanned one, bit for bit, wherever it is observed.
+about |B(k-1)| * n pairs, not n^2 / 2.  Both paths run `_scan` over blocks
+of index arrays and decide each pair from its own uniform through the one
+helper `_pair_probs`, which reads distances from per-axis coordinate
+columns, so a lazily sampled realization is the scanned one, bit for bit,
+wherever it is observed.  `sample_graph` also keeps the edges it found as
+the sorted array `SampledGraph.edge_array`, which costs and searches use.
 """
 
 from __future__ import annotations
@@ -144,6 +147,11 @@ class SampledGraph:
         return (min(u, v), max(u, v)) in self.edges
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as an (m, 2) int64 array of (lo, hi) rows in sorted order."""
+        return np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
+
+    @cached_property
     def neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -173,8 +181,8 @@ class CostMap:
         return len(self.costs)
 
 
-def grid_edges(box: BoxSpec) -> frozenset:
-    """All nearest-neighbour lattice pairs inside the box."""
+def _grid_pairs(box: BoxSpec) -> np.ndarray:
+    """(m, 2) array of the nearest-neighbour lattice pairs (lo, hi), axis by axis."""
     n = box.n_vertices
     d, side = box.d, box.side
     idx = np.arange(n)
@@ -182,13 +190,18 @@ def grid_edges(box: BoxSpec) -> frozenset:
     pairs = []
     for axis in range(d):
         stride = side ** (d - 1 - axis)
-        mask = coords[:, axis] < side - 1
-        us = idx[mask]
+        us = idx[coords[:, axis] < side - 1]
         pairs.append(np.stack([us, us + stride], axis=1))
-    if not pairs:
-        return frozenset()
-    stacked = np.concatenate(pairs, axis=0)
-    return frozenset((int(a), int(b)) for a, b in stacked)
+    return np.concatenate(pairs, axis=0)
+
+
+def _pair_set(pairs: np.ndarray) -> frozenset:
+    return frozenset(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+
+
+def grid_edges(box: BoxSpec) -> frozenset:
+    """All nearest-neighbour lattice pairs inside the box."""
+    return _pair_set(_grid_pairs(box))
 
 
 def sample_weights(n: int, tau: float, seed: int) -> np.ndarray:
@@ -234,71 +247,99 @@ def _lrp_offset_probs(n: int, params: ModelParams) -> np.ndarray:
     return p
 
 
-def _pair_probs(lo, hi, positions, weights, params, model):
-    """The pairs (lo, hi), lo < hi, left to decide, and their edge probabilities.
+def _coordinate_columns(positions: np.ndarray) -> tuple:
+    """One contiguous 1-d coordinate array per axis of an (n, d) position array."""
+    return tuple(np.ascontiguousarray(positions[:, k]) for k in range(positions.shape[1]))
+
+
+def _squared_distances(columns: tuple, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """|pos_lo - pos_hi|^2, gathered axis by axis from the coordinate columns.
+
+    The squares are added in two partial sums, over the even and over the
+    odd axes, and then together.  That is the order in which the scan has
+    always added them, so GIRG realizations, whose coordinates are not
+    integers, keep their edges bit for bit; on lattices every order gives
+    the same exact integer.
+    """
+    partial = []
+    for k, col in enumerate(columns):
+        sq = col[lo]
+        sq -= col[hi]
+        sq *= sq
+        if k < 2:
+            partial.append(sq)
+        else:
+            partial[k % 2] += sq
+    if len(partial) == 2:
+        partial[0] += partial[1]
+    return partial[0]
+
+
+def _pair_probs(lo, hi, columns, weights, params, model) -> np.ndarray:
+    """Edge probabilities of the pairs (lo, hi), lo < hi.
 
     This is the one place where a pair's edge decision is computed; the
     all-pairs scan and the lazy rows both call it, so they decide every
-    pair identically.  1-d lattices go by offset r = hi - lo; their grid
-    pairs (r = 1) are kept, as grid edges exist whichever way they are
-    decided, and the 1-d scan never asks for them.  Other lattices drop
-    pairs at distance 1; GIRG has no grid.
+    pair identically.  `columns` are the realization's coordinate columns
+    (`_coordinate_columns`).  1-d lattices go by offset r = hi - lo; their
+    grid pairs (r = 1) keep their kernel value, as grid edges exist
+    whichever way they are decided, and the 1-d scan never asks for them.
+    Other lattices give probability 0 to pairs at distance 1, which the
+    grid adds; GIRG has no grid.
     """
     if model is not Model.GIRG and params.d == 1:
         if model is Model.LRP:
-            return lo, hi, _lrp_offset_probs(len(weights), params)[hi - lo]
+            return _lrp_offset_probs(len(weights), params)[hi - lo]
         arg = params.lam * (
             weights[lo] * weights[hi] / (hi - lo).astype(np.float64) ** params.d
         ) ** params.alpha
         if params.kernel_variant is KernelVariant.EXP:
-            return lo, hi, -np.expm1(-arg)
-        return lo, hi, np.minimum(1.0, arg)
-    diff = positions[lo] - positions[hi]
-    dist2 = np.einsum("ij,ij->i", diff, diff)
-    del diff  # a block holds millions of pairs
+            return -np.expm1(-arg)
+        return np.minimum(1.0, arg)
+    dist2 = _squared_distances(columns, lo, hi)
+    p = _kernel_probs(weights[lo], weights[hi], np.sqrt(dist2), params)
     if model is not Model.GIRG:
-        keep = dist2 != 1.0
-        lo, hi, dist2 = lo[keep], hi[keep], dist2[keep]
-    return lo, hi, _kernel_probs(weights[lo], weights[hi], np.sqrt(dist2), params)
+        p[dist2 == 1.0] = 0.0
+    return p
 
 
-def _long_range_pairs_1d(seed, positions, weights, params, model):
-    """Per-offset scan of all non-grid pairs on the 1-d lattice."""
-    n = len(weights)
-    pre = absorb_indices(seed_state(seed), np.arange(n))
-    out_u, out_v = [], []
-    for r in range(2, n):
-        lo = np.arange(0, n - r)
-        _, hi, p = _pair_probs(lo, lo + r, positions, weights, params, model)
-        hits = np.nonzero(uniforms_from_states(pre[lo], hi) < p)[0]
-        if hits.size:
-            out_u.append(lo[hits])
-            out_v.append(hi[hits])
-    if not out_u:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(out_u), np.concatenate(out_v)
-
-
-def _long_range_pairs_general(seed, positions, weights, params, model):
-    """Blocked scan over all vertex pairs for d >= 2 lattices and GIRG."""
-    n = len(weights)
-    pre = absorb_indices(seed_state(seed), np.arange(n))
-    out_u, out_v = [], []
-    rows_per_block = max(1, int(_BLOCK_PAIRS // max(n, 1)))
+def _pair_blocks(n: int):
+    """All pairs (lo, hi), lo < hi, of n vertices in row order, in blocks of
+    whole rows and about _BLOCK_PAIRS pairs."""
+    rows_per_block = max(1, _BLOCK_PAIRS // max(n, 1))
     for i0 in range(0, n - 1, rows_per_block):
         rows = np.arange(i0, min(i0 + rows_per_block, n - 1))
-        us, vs, p = _pair_probs(np.repeat(rows, n - 1 - rows),
-                                np.concatenate([np.arange(i + 1, n) for i in rows]),
-                                positions, weights, params, model)
-        if us.size == 0:
-            continue
-        sel = uniforms_from_states(pre[us], vs) < p
-        if np.any(sel):
-            out_u.append(us[sel])
-            out_v.append(vs[sel])
-    if not out_u:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(out_u), np.concatenate(out_v)
+        yield np.repeat(rows, n - 1 - rows), np.concatenate([np.arange(i + 1, n) for i in rows])
+
+
+def _cross_blocks(rows: np.ndarray, others: np.ndarray):
+    """The pairs rows x others as (lo, hi), in blocks of about _BLOCK_PAIRS."""
+    m = len(others)
+    step = max(1, _BLOCK_PAIRS // max(m, 1))
+    for i0 in range(0, len(rows), step):
+        block = rows[i0:i0 + step]
+        hi = np.repeat(block, m)
+        other = np.tile(others, len(block))
+        lo = np.minimum(hi, other)
+        np.maximum(hi, other, out=hi)
+        del other  # a block holds up to _BLOCK_PAIRS pairs
+        yield lo, hi
+
+
+def _scan(states, blocks, columns, weights, params, model):
+    """The pairs (lo, hi) of `blocks` that are edges, as two index arrays.
+
+    `states` are the vertices' hash states for the seed (`absorb_indices`);
+    a pair is an edge iff lo's state finished with hi, as a uniform, falls
+    below the pair's edge probability.
+    """
+    los, his = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo, hi in blocks:
+        sel = uniforms_from_states(states[lo], hi) < _pair_probs(lo, hi, columns, weights,
+                                                                 params, model)
+        los.append(lo[sel])
+        his.append(hi[sel])
+    return np.concatenate(los), np.concatenate(his)
 
 
 def _check_sparse(box: BoxSpec, params: ModelParams, budget: int | None) -> None:
@@ -343,22 +384,27 @@ def sample_graph(
     _check_sparse(box, params, budget)
     positions = _positions(box, model, seed)
     weights = _weights(box, params, model, seed)
-    base = frozenset() if model is Model.GIRG else grid_edges(box)
-    scan = (
-        _long_range_pairs_1d
-        if model is not Model.GIRG and box.d == 1
-        else _long_range_pairs_general
-    )
-    us, vs = scan(seed, positions, weights, params, model)
-    return SampledGraph(
+    grid = np.empty((0, 2), dtype=np.int64) if model is Model.GIRG else _grid_pairs(box)
+    n = box.n_vertices
+    # The 1-d lattice is scanned one offset r >= 2 at a time; r = 1 is the grid.
+    blocks = (((np.arange(n - r), np.arange(r, n)) for r in range(2, n))
+              if model is not Model.GIRG and box.d == 1 else _pair_blocks(n))
+    found = np.stack(_scan(absorb_indices(seed_state(seed), np.arange(n)), blocks,
+                           _coordinate_columns(positions), weights, params, model), axis=1)
+    graph = SampledGraph(
         model=model,
         positions=positions,
         weights=weights,
-        edges=base | frozenset(zip(us.tolist(), vs.tolist())),
+        edges=_pair_set(grid) | _pair_set(found),
         seed=seed,
         params=params,
         box=box,
     )
+    # The scan's pairs are disjoint from the grid's, so sorting their keys
+    # gives `edge_array` without sorting the edge tuples.
+    pairs = np.concatenate([grid, found])
+    graph.__dict__["edge_array"] = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
+    return graph
 
 
 def sample_fpp_costs(graph: SampledGraph, seed: int) -> CostMap:
@@ -367,14 +413,11 @@ def sample_fpp_costs(graph: SampledGraph, seed: int) -> CostMap:
     Cost of edge e is -log(1 - u_e), with u_e drawn from a cost stream
     derived from `seed`, so costs are independent of edge existence.
     """
-    cost_seed = stream_seed(seed, COST_STREAM)
-    if not graph.edges:
-        return CostMap(costs={}, rate_model=RateModel.UNIT_RATE)
-    pairs = np.array(sorted(graph.edges), dtype=np.int64)
-    u = edge_uniforms(cost_seed, pairs[:, 0], pairs[:, 1])
+    pairs = graph.edge_array
+    u = edge_uniforms(stream_seed(seed, COST_STREAM), pairs[:, 0], pairs[:, 1])
     costs = -np.log1p(-u)
     return CostMap(
-        costs={(int(a), int(b)): float(c) for (a, b), c in zip(pairs, costs)},
+        costs=dict(zip(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()), costs.tolist())),
         rate_model=RateModel.UNIT_RATE,
     )
 
@@ -479,6 +522,10 @@ class LazyRealization:
         return _weights(self.box, self.params, self.model, self.seed)
 
     @cached_property
+    def _columns(self) -> tuple:
+        return _coordinate_columns(self.positions)
+
+    @cached_property
     def _states(self) -> np.ndarray:
         return absorb_indices(seed_state(self.seed), np.arange(self.n))
 
@@ -502,20 +549,9 @@ class LazyRealization:
         at most once.
         """
         frontier = np.asarray(frontier, dtype=np.int64)
-        found = [self._grid_neighbors(frontier)]
-        others = np.flatnonzero(unvisited)
-        m = len(others)
-        rows_per_block = max(1, _BLOCK_PAIRS // max(m, 1))
-        for i0 in range(0, len(frontier), rows_per_block):
-            rows = frontier[i0:i0 + rows_per_block]
-            us, vs = np.repeat(rows, m), np.tile(others, len(rows))
-            lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-            del us, vs  # a block holds up to _BLOCK_PAIRS pairs
-            lo, hi, p = _pair_probs(lo, hi, self.positions, self.weights, self.params,
-                                    self.model)
-            sel = uniforms_from_states(self._states[lo], hi) < p
-            found += [lo[sel], hi[sel]]
-        reached = np.concatenate(found)
+        lo, hi = _scan(self._states, _cross_blocks(frontier, np.flatnonzero(unvisited)),
+                       self._columns, self.weights, self.params, self.model)
+        reached = np.concatenate([self._grid_neighbors(frontier), lo, hi])
         return np.unique(reached[unvisited[reached]])
 
 

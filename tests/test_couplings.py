@@ -194,6 +194,23 @@ class TestBlowupLrp:
             assert int(fine.positions[fu][0]) // 3 == cu
             assert int(fine.positions[fv][0]) // 3 == cv
 
+    def test_witnesses_are_oriented_in_2d(self):
+        # in 2-d the lower fine endpoint of an edge may lie in the higher box
+        coarse_box = BoxSpec(d=2, side=8, origin=(1, -2))
+        spec = BlowupSpec(r=2, params_small=lrp_small(0.3, d=2))
+        fine, coarse, rep = blowup_lrp(coarse_box, spec, 0.2, 4)
+        box_of = {tuple(p): i for i, p in enumerate(coarse_box.lattice_positions().tolist())}
+        wit = rep.parameters["witnesses"]
+        assert sorted(wit) == sorted(f"{u},{v}" for u, v in coarse.edges)
+        flipped = 0
+        for key, (fu, fv) in wit.items():
+            cu, cv = (int(x) for x in key.split(","))
+            assert fine.has_edge(fu, fv)
+            assert box_of[tuple(np.floor(fine.positions[fu] / 2).tolist())] == cu
+            assert box_of[tuple(np.floor(fine.positions[fv] / 2).tolist())] == cv
+            flipped += fu > fv
+        assert flipped > 0
+
 
 
 class TestStitching:

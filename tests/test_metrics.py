@@ -31,7 +31,7 @@ from percolate import (
     t_ball,
 )
 from percolate import rng, sampler
-from percolate.metrics import hop_distances_from
+from percolate.metrics import cost_distances_from, hop_distances_from
 
 
 def lrp(alpha=1.5, lam=0.0, d=1):
@@ -161,6 +161,67 @@ class TestCostDistance:
         cm = CostMap(costs={(0, 1): 1.0}, rate_model=RateModel.UNIT_RATE)
         with pytest.raises(DomainError):
             cost_distance(g, cm, 0, 2)
+
+
+@st.composite
+def costed_graphs(draw):
+    """A small graph, costs on its edges (zeros included), a root and a t_max."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    cost = st.just(0.0) | st.floats(0.0, 3.0, allow_subnormal=False)
+    costs = {e: draw(cost) for e in edges}
+    root = draw(st.integers(0, n - 1))
+    t_max = draw(st.floats(0.0, 6.0, allow_subnormal=False))
+    return make_graph(n, edges), CostMap(costs, RateModel.UNIT_RATE), root, t_max
+
+
+class TestCostSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(costed_graphs())
+    def test_search_equals_brute_force_and_is_cut_at_t_max(self, case):
+        g, cm, root, t_max = case
+        dist = cost_distances_from(g, cm, root)
+        cut = cost_distances_from(g, cm, root, t_max=t_max)
+        for y in range(g.n):
+            want = brute_force_cost_distance(g, cm, root, y)
+            assert cost_distance(g, cm, root, y) == (
+                None if want is None else pytest.approx(want, abs=1e-12))
+            assert dist[y] == (np.inf if want is None else pytest.approx(want, abs=1e-12))
+            assert cut[y] == (dist[y] if dist[y] <= t_max else np.inf)
+
+    def test_sparse_search_reads_inf_beyond_t_max(self):
+        params = ModelParams(d=2, alpha=2.0, tau=3.5, lam=1.0)
+        g = sample_graph(BoxSpec(d=2, side=24), params, Model.SFP, 3)
+        cm = sampler.sample_fpp_costs(g, 3)
+        full = cost_distances_from(g, cm, 300)
+        cut = cost_distances_from(g, cm, 300, t_max=0.3)
+        inside = full <= 0.3
+        assert 1 < np.count_nonzero(inside) < g.n
+        assert np.array_equal(cut[inside], full[inside])
+        assert np.all(cut[~inside] == np.inf)
+
+    def test_dense_search_reads_inf_beyond_t_max(self):
+        params = ModelParams(d=1, alpha=1.5, tau=6.0, lam=1.0)
+        real = CffpRealization(box=BoxSpec(d=1, side=301), params=params, seed=3,
+                               weights=sampler.sample_weights(301, 6.0, 3))
+        full = cost_distances_from(real, None, 150)
+        cut = cost_distances_from(real, None, 150, t_max=0.3)
+        inside = full <= 0.3
+        assert 1 < np.count_nonzero(inside) < real.n
+        assert np.array_equal(cut[inside], full[inside])
+        assert np.all(cut[~inside] == np.inf)
+
+    def test_t_max_must_be_a_nonnegative_number(self):
+        g = make_graph(4, {(0, 1), (1, 2)})
+        cm = CostMap({(0, 1): 1.0, (1, 2): 0.5}, RateModel.UNIT_RATE)
+        real = CffpRealization(box=BoxSpec(d=1, side=4), weights=np.ones(4), seed=1,
+                               params=ModelParams(d=1, alpha=1.5, tau=6.0, lam=1.0))
+        for obj, costs in ((g, cm), (real, None)):
+            for bad in (-0.5, math.nan):
+                with pytest.raises(DomainError):
+                    cost_distances_from(obj, costs, 0, t_max=bad)
+            assert cost_distances_from(obj, costs, 0, t_max=0.0)[0] == 0.0
 
 
 class TestBalls:

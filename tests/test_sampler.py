@@ -1,6 +1,7 @@
 """Sampling: reproducibility, kernel frequencies, couplings under shared seeds,
 cost laws, and the text serialization round-trip."""
 
+import hashlib
 import math
 import os
 import tempfile
@@ -29,7 +30,7 @@ from percolate import (
     save_graph,
     vertex_uniform,
 )
-from percolate import rng
+from percolate import rng, sampler
 from percolate.sampler import grid_edges
 
 
@@ -340,3 +341,80 @@ class TestSerialization:
         assert g2.params.alpha == params.alpha
         assert g2.params.tau == params.tau
         assert g2.params.lam == params.lam
+
+
+MIN, EXP = KernelVariant.MIN, KernelVariant.EXP
+
+# (model, d, side, origin, alpha, tau, lambda, kernel, seed, edges, SHA-256 of
+# the sorted (m, 2) little-endian int64 edge array, SHA-256 of the FPP costs
+# of sample_fpp_costs(g, seed) as little-endian float64 in that edge order).
+SEED_FINGERPRINTS = [
+    ('lrp', 1, 300, (0,), 1.5, math.inf, 0.5, MIN, 11, 494,
+     "f67162af9e910b3c71bcdd05b14b36ac3639441183d3a54107951b7e6fc2bb94",
+     "1f5cef1b515ab87a89e2fb2a1ff10324b956461220e8a8aeb5c6b525882a2c91"),
+    ('lrp', 1, 257, (7,), 1.2, math.inf, 0.8, EXP, 12, 775,
+     "6af54dc253aa338ae41cf4279b70bdcc3b534d69b320249410aea07d3406f1a1",
+     "d487494b39867d74c61584e54dcf92276e8cffc46d0fd6748b6c2b6ec2c20d3c"),
+    ('sfp', 1, 200, (0,), 1.5, 3.5, 0.6, MIN, 13, 955,
+     "f33ada0ab83e99f34762b4e9b32bba01e5c5ecba155f8ea5fccbaa7708610c4b",
+     "24e4dbcd1417a0d6ca86ab505d84667148f4b1137ded86925079d7f42cbf79f6"),
+    ('sfp', 1, 180, (-4,), 2.0, 2.8, 1.0, EXP, 14, 1135,
+     "c2a0df2d11555462db80da51499464daea681399da3ed50d53979472ee0800fe",
+     "8745b5d18acc7e8102eb26c685e9407f848b3ca44d252b3a1e8ff8593afdc3d9"),
+    ('lrp', 2, 20, (0, 0), 1.3, math.inf, 0.8, MIN, 15, 1595,
+     "c7ccb95d4eb4d032bb52fcd7201bcbe0606012f49fa167755c01b9fb81340701",
+     "066c2e68fa8c9eb2cfc9ee0a5f98aa9cd249b2596953477663067390c3dd2079"),
+    ('lrp', 2, 18, (3, -2), 1.6, math.inf, 1.5, EXP, 16, 1279,
+     "6768f38382a0a09bb3a0ca45ad5d325e60a6a594e6cce1aa929ad3336cf13121",
+     "3c8a4642ad84c1ebe375606db12da591e7c3cd15f53e1798cdf4dd20cf6339ef"),
+    ('sfp', 2, 24, (-3, 5), 2.0, 3.5, 1.0, MIN, 17, 3728,
+     "5d9a855405c845b0ddc6e28e5c04b29edb1a3ddcfb1c0710d11e52e2fd898fa8",
+     "4f63d282e098fb67089a11cbb767028b9f6c712f48f4ee5ed8ea4f74d2e8ae0c"),
+    ('sfp', 2, 20, (0, 0), 1.5, 2.6, 0.7, EXP, 18, 4768,
+     "dce75143c18d27504f88a1ae3023f1b6f9fd1712131005c8941b664778e5852c",
+     "a19ec80df4f6832f9035fd6f979e1fab5f4260ccfd7cc78f90199a9dfb67cb22"),
+    ('lrp', 3, 8, (0, 0, 0), 1.4, math.inf, 1.0, MIN, 19, 2530,
+     "47a2a9df9fbc4b42db945040be456bc3bb953ebf537cf22e29656a8e5883c038",
+     "547151aa24b0016e3f07bd6f17b3f86b2ffd1ff1a89b06bc9a21e4c87bf7d833"),
+    ('sfp', 3, 8, (1, 2, 3), 1.8, 3.2, 0.9, EXP, 20, 4130,
+     "7fe772b748ded6c076ac59961fa123728aab540b95510966299a1c15626e0539",
+     "c638a92eefee4c8f7428f11f2487c135cbab8ad22147def75be26cddcb10a089"),
+    ('girg', 1, 300, (0,), 1.5, 3.5, 1.0, MIN, 21, 2187,
+     "68a058ecbb49eb6d9950817fab702b3d7ec7bf688c6b2c3a5a81fed5fe6e59dc",
+     "f330e80577eec16b91b6982b1ae90ff3d417eef0ed05b161bfc74d6a43b91339"),
+    ('girg', 2, 20, (5, -5), 2.0, 3.5, 1.0, EXP, 22, 2891,
+     "116c629fa54c4b90df3945fa020cdc3fe6b321825560934e5050b002bd4ce6f6",
+     "2788516159aee29121f768f409e9dcc6d10e70b0faca04c046c6eaa9c6f0a794"),
+    ('girg', 3, 7, (0, 0, 0), 1.7, 2.9, 0.8, MIN, 23, 3357,
+     "37eeaa94df28f445d268cb410061d5a7f8045698cb301ade86ad8f1c0352a74a",
+     "6fc44840650bb5f798ffadf29e45616fb952ab83fb1911ef8ed0108921da36a8"),
+]
+
+
+class TestSeedPromise:
+    """A seed names one realization: edges and FPP costs are pinned bit for bit."""
+
+    @pytest.mark.parametrize("case", SEED_FINGERPRINTS, ids=lambda c: f"{c[0]}-{c[1]}d-{c[8]}")
+    def test_edges_and_costs_are_pinned(self, case):
+        model, d, side, origin, alpha, tau, lam, kernel, seed, m, edges_sha, costs_sha = case
+        params = ModelParams(d=d, alpha=alpha, tau=tau, lam=lam, kernel_variant=kernel)
+        g = sample_graph(BoxSpec(d=d, side=side, origin=origin), params, Model(model), seed)
+        pairs = g.edge_array
+        assert pairs.tolist() == [list(e) for e in sorted(g.edges)]
+        assert pairs.shape == (m, 2)
+        assert hashlib.sha256(pairs.astype("<i8").tobytes()).hexdigest() == edges_sha
+        cm = sample_fpp_costs(g, seed)
+        costs = np.array([cm.costs[e] for e in sorted(g.edges)], dtype="<f8")
+        assert hashlib.sha256(costs.tobytes()).hexdigest() == costs_sha
+
+    def test_squared_distances_keep_their_summation_order(self):
+        # GIRG coordinates are not integers, so the order in which the squared
+        # coordinate differences are added decides the last bit of a distance:
+        # (even axes) + (odd axes), here (x0^2 + x2^2) + x1^2.
+        pos = 5.0 * rng.position_uniforms(31, 400, 3)
+        lo, hi = np.arange(0, 399), np.arange(1, 400)
+        got = sampler._squared_distances(sampler._coordinate_columns(pos), lo, hi)
+        sq = [[(float(a) - float(b)) * (float(a) - float(b)) for a, b in zip(pos[i], pos[j])]
+              for i, j in zip(lo.tolist(), hi.tolist())]
+        assert got.tolist() == [(s0 + s2) + s1 for s0, s1, s2 in sq]
+        assert any((s0 + s1) + s2 != (s0 + s2) + s1 for s0, s1, s2 in sq)
