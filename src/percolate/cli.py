@@ -36,13 +36,14 @@ from .sampler import (
     sample_cffp_costs,
     sample_fpp_costs,
     sample_graph,
-    sample_weights,
     save_graph,
     set_vertex_budgets,
 )
 from .metrics import cost_distance, graph_distance
 from .couplings import (
     BlowupSpec,
+    CouplingKind,
+    CouplingReport,
     blowup_lrp,
     combine_blowup_reports,
     couple_alpha,
@@ -173,10 +174,8 @@ def _cmd_tail(args) -> int:
     thresholds = _floats(args.thresholds)
     if args.metric == "hop":
         thresholds = [int(t) for t in thresholds]
-    estimates = mc_tail_grid(
-        config, args.source, _ints(args.targets), thresholds,
-        args.trials, args.seed, threads=args.threads,
-    )
+    estimates = mc_tail_grid(config, args.source, _ints(args.targets), thresholds,
+                             args.trials, args.seed)
     if args.out:
         write_tail_csv(estimates, args.out)
     result = {
@@ -228,7 +227,7 @@ def _cmd_growth(args) -> int:
                          metric=args.metric)
     root = args.root if args.root is not None else box.n_vertices // 2
     series = mc_ball_growth(config, root, _floats(args.thresholds),
-                            args.trials, args.seed, threads=args.threads)
+                            args.trials, args.seed)
     if args.out:
         series.to_csv(args.out)
     result = {
@@ -263,42 +262,32 @@ def _cmd_coupling(args) -> int:
     if kind == "alpha":
         params = ModelParams(d=args.d, alpha=args.alpha, tau=args.tau, lam=args.lam)
         box = BoxSpec(d=args.d, side=args.L)
-        trials = violations = 0
-        for i in range(args.seeds):
-            _, _, rep = couple_alpha(box, params, args.alpha_prime,
-                                     trial_seed(args.seed, i))
-            trials += rep.trials
-            violations += rep.violations
-        report_dict = {
-            "kind": "AlphaReduce", "trials": trials, "violations": violations,
-            "parameters": {"alpha": args.alpha, "alpha_prime": args.alpha_prime,
-                           "lambda": args.lam, "seeds": args.seeds},
-        }
+        reports = [couple_alpha(box, params, args.alpha_prime, trial_seed(args.seed, i))[2]
+                   for i in range(args.seeds)]
+        report = CouplingReport(
+            kind=CouplingKind.ALPHA_REDUCE,
+            trials=sum(rep.trials for rep in reports),
+            violations=sum(rep.violations for rep in reports),
+            parameters={"alpha": args.alpha, "alpha_prime": args.alpha_prime,
+                        "lambda": args.lam, "seeds": args.seeds},
+        )
     elif kind == "fpp-cffp":
         params = ModelParams(d=args.d, alpha=args.alpha, tau=args.tau, lam=args.lam)
-        rep = fpp_cffp_edge_check(args.wu, args.wv, args.dist, args.t,
-                                  args.trials, args.seed, params)
-        report_dict = rep.to_dict()
-        violations = rep.violations
+        report = fpp_cffp_edge_check(args.wu, args.wv, args.dist, args.t,
+                                     args.trials, args.seed, params)
     elif kind == "blowup-lrp":
         params = ModelParams(d=args.d, alpha=args.alpha, tau=math.inf,
                              lam=args.lambda_small)
         spec = BlowupSpec(r=args.r, params_small=params)
         box = BoxSpec(d=args.d, side=args.L)
-        reports = []
-        for i in range(args.seeds):
-            _, _, rep = blowup_lrp(box, spec, args.lambda_goal,
-                                   trial_seed(args.seed, i))
-            reports.append(rep)
-        combined = combine_blowup_reports(reports)
-        report_dict = combined.to_dict()
-        violations = combined.violations
+        report = combine_blowup_reports([
+            blowup_lrp(box, spec, args.lambda_goal, trial_seed(args.seed, i))[2]
+            for i in range(args.seeds)
+        ])
     elif kind == "weights":
-        rep = weight_dominance_test(args.tau, args.tau_prime, args.alpha,
-                                    args.r, args.d, args.c_agg,
-                                    args.trials, args.seed)
-        report_dict = rep.to_dict()
-        violations = rep.violations
+        report = weight_dominance_test(args.tau, args.tau_prime, args.alpha,
+                                       args.r, args.d, args.c_agg,
+                                       args.trials, args.seed)
     else:  # min-exp grid
         step = args.step
         grid = np.arange(0.0, args.grid_max + step / 2, step)
@@ -311,25 +300,22 @@ def _cmd_coupling(args) -> int:
                 worst = max(worst, gap)
                 if gap > 1e-12:
                     violations += 1
-        report_dict = {
-            "kind": "MinExpGrid",
-            "trials": len(grid) ** 2,
-            "violations": violations,
-            "parameters": {"grid_max": args.grid_max, "step": step,
-                           "worst_gap": worst},
-        }
+        report = CouplingReport(
+            kind=CouplingKind.MIN_EXP,
+            trials=len(grid) ** 2,
+            violations=violations,
+            parameters={"grid_max": args.grid_max, "step": step, "worst_gap": worst},
+        )
 
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report_dict, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        report.save_json(args.out)
     _emit("coupling", args, {
         "kind": kind,
-        "trials": report_dict["trials"],
-        "violations": report_dict["violations"],
+        "trials": report.trials,
+        "violations": report.violations,
         "out": args.out,
     })
-    return 3 if report_dict["violations"] > 0 else 0
+    return 3 if report.violations > 0 else 0
 
 
 # --------------------------------------------------------------------- bk
@@ -425,10 +411,8 @@ def _cmd_shape(args) -> int:
         c = fit_shape_constant(config, root, args.fit_k, delta,
                                args.fit_trials, trial_seed(args.seed, 10**6),
                                quantile=args.fit_quantile)
-    rows = shape_containment(
-        config, root, ks, lambda k: math.exp(c * k ** (1.0 / delta)),
-        args.trials, args.seed, threads=args.threads,
-    )
+    rows = shape_containment(config, root, ks, lambda k: math.exp(c * k ** (1.0 / delta)),
+                             args.trials, args.seed)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("k,radius,trials,contained,frequency\n")
@@ -483,7 +467,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--thresholds", default=None)
     sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.add_argument("--bound", choices=["lrp", "sfp"], default=None)
     sp.set_defaults(_required=("L", "alpha", "lam", "source", "targets",
@@ -500,7 +483,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--thresholds", default=None)
     sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.add_argument("--h-t", dest="h_t", type=float, default=None)
     sp.set_defaults(_required=("L", "alpha", "lam", "thresholds", "trials", "seed"))
@@ -554,7 +536,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--ks", default=None)
     sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--delta", type=float, default=None)
     sp.set_defaults(_required=("L", "alpha", "lam", "ks", "trials", "seed"))
     sp.add_argument("--c", type=float, default=None)
@@ -587,6 +568,11 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
         # defaults must land on the subparser: its own defaults would
         # otherwise overwrite anything set on the parent
         probe = parser.parse_args(argv)
+        flags = set(vars(probe)) - {"func", "_required", "subcommand", "config"}
+        unknown = sorted(k for k in values if _CONFIG_KEYMAP.get(k, k) not in flags)
+        if unknown:
+            raise UsageError(f"{probe.subcommand} has no flags for config keys: "
+                             f"{', '.join(unknown)}")
         parser.subparsers_by_name[probe.subcommand].set_defaults(**mapped)
     args = parser.parse_args(argv)
     missing = [k for k in getattr(args, "_required", ()) if getattr(args, k) is None]

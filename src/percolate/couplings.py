@@ -49,6 +49,7 @@ class CouplingKind(str, Enum):
     FPP_CFFP = "FppCffp"
     BLOWUP_LRP = "BlowupLRP"
     WEIGHT_DOMINANCE = "WeightDominance"
+    MIN_EXP = "MinExpGrid"
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,6 @@ def blowup_lrp(
     spec: BlowupSpec,
     lambda_goal: float,
     seed: int,
-    budget: int | None = None,
 ) -> tuple[SampledGraph, SampledGraph, CouplingReport]:
     """Blow up a small-lambda LRP into a coarse graph and rate its strength.
 
@@ -264,7 +264,7 @@ def blowup_lrp(
         side=r * coarse_box.side,
         origin=tuple(r * o for o in coarse_box.origin),
     )
-    fine = sample_graph(fine_box, params, Model.LRP, seed, budget=budget)
+    fine = sample_graph(fine_box, params, Model.LRP, seed)
 
     # Map fine edges to coarse pairs in the edge set's iteration order; the
     # witness of a coarse pair is the first fine edge joining its boxes,

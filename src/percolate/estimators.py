@@ -10,7 +10,6 @@ with more thresholds reuses the identical realizations.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +24,10 @@ from .sampler import (
     CffpRealization,
     LazyRealization,
     Model,
+    _check_complete,
+    _weights,
     sample_fpp_costs,
     sample_graph,
-    sample_weights,
-    vertex_budget,
 )
 
 __all__ = [
@@ -147,26 +146,10 @@ def _distances_for_trial(
         g = sample_graph(config.box, config.params, config.model, s)
         costs = sample_fpp_costs(g, s)
         return cost_distances_from(g, costs, root, t_max=float(cap)), g.positions
-    n = config.box.n_vertices
-    if n > vertex_budget("complete"):
-        raise BudgetError(
-            f"{n} vertices exceed the complete-graph budget of "
-            f"{vertex_budget('complete')}"
-        )
-    weights = (
-        np.ones(n)
-        if config.model is Model.LRP
-        else sample_weights(n, config.params.tau, s)
-    )
+    _check_complete(config.box, None)
+    weights = _weights(config.box, config.params, config.model, s)
     real = CffpRealization(box=config.box, weights=weights, params=config.params, seed=s)
     return cost_distances_from(real, None, root, t_max=float(cap)), real.positions
-
-
-def _map_trials(fn, trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
 def interior_vertices(box: BoxSpec) -> np.ndarray:
@@ -184,10 +167,9 @@ def mc_tail(
     threshold,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> TailEstimate:
     """Fraction of independent realizations with distance(x, y) <= threshold."""
-    return mc_tail_grid(config, x, [y], [threshold], trials, seed, threads)[0]
+    return mc_tail_grid(config, x, [y], [threshold], trials, seed)[0]
 
 
 def mc_tail_grid(
@@ -197,7 +179,6 @@ def mc_tail_grid(
     thresholds,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> list[TailEstimate]:
     """TailEstimates for every (y, threshold) cell, one search per trial.
 
@@ -212,11 +193,8 @@ def mc_tail_grid(
         raise DomainError("need at least one target and one threshold")
     cap = max(thresholds)
 
-    def one(i: int) -> np.ndarray:
-        dist, _ = _distances_for_trial(config, x, trial_seed(seed, i), cap)
-        return dist[ys]
-
-    rows = np.array(_map_trials(one, trials, threads))
+    rows = np.array([_distances_for_trial(config, x, trial_seed(seed, i), cap)[0][ys]
+                     for i in range(trials)])
     if config.model is Model.GIRG:
         # GIRG positions are re-drawn per trial; no fixed geometric distance.
         geo = {y: float("nan") for y in ys}
@@ -249,16 +227,6 @@ class ComplianceReport:
     margin_upper: float
     searched: int
     records: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "compliant": self.compliant,
-            "best_constants": self.best_constants,
-            "margin": self.margin,
-            "margin_upper": self.margin_upper,
-            "searched": self.searched,
-            "records": self.records,
-        }
 
 
 def bound_compliance(estimates, bound_fn, constants_grid) -> ComplianceReport:
@@ -322,10 +290,6 @@ class LogLinearFit:
     r2: float
     residuals: tuple
 
-    @property
-    def max_abs_residual(self) -> float:
-        return max(abs(r) for r in self.residuals)
-
 
 @dataclass(frozen=True)
 class StretchedFit:
@@ -388,7 +352,6 @@ def mc_ball_growth(
     thresholds,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> GrowthSeries:
     """Per-threshold mean ball size around `root`, with growth-law fits.
 
@@ -396,7 +359,10 @@ def mc_ball_growth(
     n, and for SFP/CFFP with 2 alpha >= tau - 1 (infinite E[W^(2 alpha)])
     its value at a fixed threshold depends on the box size.  The fits
     log g-hat = a + C t and log g-hat = a + b k^s (free stretch exponent
-    s) are descriptive; neither is a check of a growth law.
+    s) are descriptive; neither is a check of a growth law.  They use only
+    the thresholds at which no trial's ball reached all n vertices, as a
+    saturated ball measures the box; with fewer than two such thresholds
+    both fits are the flat one-point fit through the first threshold.
     """
     thresholds = list(thresholds)
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
@@ -405,17 +371,17 @@ def mc_ball_growth(
         raise DomainError("trials must be >= 1")
     cap = max(thresholds)
 
-    def one(i: int) -> np.ndarray:
+    sizes = np.empty((trials, len(thresholds)))
+    for i in range(trials):
         dist, _ = _distances_for_trial(config, root, trial_seed(seed, i), cap)
-        return np.array([np.count_nonzero(dist <= thr) for thr in thresholds])
-
-    sizes = np.array(_map_trials(one, trials, threads), dtype=np.float64)
+        sizes[i] = [np.count_nonzero(dist <= thr) for thr in thresholds]
     mean_sizes = sizes.mean(axis=0)
-    ts = np.asarray(thresholds, dtype=np.float64)
     logg = np.log(mean_sizes)
-    if len(ts) >= 2:
-        loglinear = _fit_loglinear(ts, logg)
-        stretched = _fit_stretched(ts, logg)
+    unsaturated = np.all(sizes < config.box.n_vertices, axis=0)
+    if np.count_nonzero(unsaturated) >= 2:
+        ts = np.asarray(thresholds, dtype=np.float64)[unsaturated]
+        loglinear = _fit_loglinear(ts, logg[unsaturated])
+        stretched = _fit_stretched(ts, logg[unsaturated])
     else:
         loglinear = LogLinearFit(float(logg[0]), 0.0, 1.0, (0.0,))
         stretched = StretchedFit(float(logg[0]), 0.0, 1.0, 1.0)
@@ -658,19 +624,17 @@ def fit_distance_exponent(
     return float(slope), fit
 
 
-def _hop_ball_radii(config: ModelConfig, root: int, ks, trials: int, seed: int,
-                    threads: int) -> np.ndarray:
+def _hop_ball_radii(config: ModelConfig, root: int, ks, trials: int, seed: int) -> np.ndarray:
     """(trials, len(ks)) max Euclidean radius of the hop ball B(root, k)."""
     if config.metric != "hop":
         raise DomainError("shape containment is a hop-ball check")
     cap = max(ks)
-
-    def one(i: int) -> np.ndarray:
+    radii = np.empty((trials, len(ks)))
+    for i in range(trials):
         dist, pos = _distances_for_trial(config, root, trial_seed(seed, i), cap)
         geo = np.linalg.norm(pos - pos[root], axis=1)
-        return np.array([geo[dist <= k].max() for k in ks], dtype=np.float64)
-
-    return np.array(_map_trials(one, trials, threads))
+        radii[i] = [geo[dist <= k].max() for k in ks]
+    return radii
 
 
 def shape_containment(
@@ -680,13 +644,12 @@ def shape_containment(
     r_fn,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> list[dict]:
     """Per-k frequency of max geo radius of B(root, k) staying within r(k)."""
     ks = [int(k) for k in ks]
     if not ks:
         raise DomainError("need at least one k")
-    radii = _hop_ball_radii(config, root, ks, trials, seed, threads)
+    radii = _hop_ball_radii(config, root, ks, trials, seed)
     out = []
     for j, k in enumerate(ks):
         contained = int(np.count_nonzero(radii[:, j] <= r_fn(k)))
@@ -714,7 +677,7 @@ def fit_shape_constant(
     """Fit c in r(k) = exp(c k^(1/delta)) to a quantile of the k0-ball radius."""
     if not 0 < quantile < 1:
         raise DomainError("quantile must lie in (0, 1)")
-    radii = _hop_ball_radii(config, root, [k0], trials, seed, 1)[:, 0]
+    radii = _hop_ball_radii(config, root, [k0], trials, seed)[:, 0]
     q = float(np.quantile(radii, quantile))
     if q < 1:
         q = 1.0

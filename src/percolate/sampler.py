@@ -159,9 +159,6 @@ class SampledGraph:
             adj[v].append(u)
         return adj
 
-    def euclidean(self, x: int, y: int) -> float:
-        return float(np.linalg.norm(self.positions[x] - self.positions[y]))
-
 
 @dataclass(frozen=True, eq=False)
 class CostMap:
@@ -172,10 +169,6 @@ class CostMap:
 
     def cost(self, u: int, v: int) -> float:
         return self.costs[(min(u, v), max(u, v))]
-
-    def __contains__(self, pair) -> bool:
-        u, v = pair
-        return (min(u, v), max(u, v)) in self.costs
 
     def __len__(self) -> int:
         return len(self.costs)
@@ -350,6 +343,14 @@ def _check_sparse(box: BoxSpec, params: ModelParams, budget: int | None) -> None
         raise BudgetError(f"{box.n_vertices} vertices exceed the budget of {limit}")
 
 
+def _check_complete(box: BoxSpec, budget: int | None) -> None:
+    limit = vertex_budget("complete") if budget is None else budget
+    if box.n_vertices > limit:
+        raise BudgetError(
+            f"{box.n_vertices} vertices exceed the complete-graph budget of {limit}"
+        )
+
+
 def _positions(box: BoxSpec, model: Model, seed: int) -> np.ndarray:
     """Lattice points, or for GIRG n = side^d uniform points in the box."""
     if model is Model.GIRG:
@@ -486,9 +487,6 @@ class CffpRealization:
         row[vs] = -np.log1p(-u01) / rates
         return row
 
-    def euclidean(self, x: int, y: int) -> float:
-        return float(np.linalg.norm(self.positions[x] - self.positions[y]))
-
 
 @dataclass(frozen=True, eq=False)
 class LazyRealization:
@@ -563,11 +561,7 @@ def sample_cffp_costs(
     budget: int | None = None,
 ) -> CostMap:
     """Materialize the full quadratic cost map of a CFFP realization."""
-    limit = vertex_budget("complete") if budget is None else budget
-    if box.n_vertices > limit:
-        raise BudgetError(
-            f"{box.n_vertices} vertices exceed the complete-graph budget of {limit}"
-        )
+    _check_complete(box, budget)
     real = CffpRealization(box=box, weights=np.asarray(weights, dtype=np.float64),
                            params=params, seed=seed)
     costs = {}

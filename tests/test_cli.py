@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from percolate import BoxSpec, ModelParams, couple_alpha
 from percolate.cli import main
+from percolate.rng import trial_seed
 
 
 def run(capsys, *argv):
@@ -106,6 +108,15 @@ class TestBk:
                      "--eventB", "open:2"]) == 1
 
 
+def coupling_report(summary, out) -> dict:
+    """The --out report of a coupling run, checked against its summary."""
+    report = json.loads(out.read_text())
+    assert set(report) == {"kind", "trials", "violations", "parameters", "details"}
+    assert report["trials"] == summary["result"]["trials"]
+    assert report["violations"] == summary["result"]["violations"]
+    return report
+
+
 class TestCoupling:
     def test_alpha_ok(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -115,32 +126,52 @@ class TestCoupling:
                             "--seed", "2", "--out", str(out))
         assert code == 0
         assert summary["result"]["violations"] == 0
-        assert json.loads(out.read_text())["violations"] == 0
+        assert coupling_report(summary, out)["kind"] == "AlphaReduce"
+        # the trials are the edges of all five seeds' original graphs
+        params = ModelParams(d=1, alpha=1.8, tau=4.0, lam=0.3)
+        assert summary["result"]["trials"] == sum(
+            couple_alpha(BoxSpec(d=1, side=32), params, 1.5, trial_seed(2, i))[2].trials
+            for i in range(5)
+        )
 
-    def test_min_exp_ok(self, capsys):
-        code, summary = run(capsys, "coupling", "--kind", "min-exp", "--seed", "1")
+    def test_min_exp_ok(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        code, summary = run(capsys, "coupling", "--kind", "min-exp", "--seed", "1",
+                            "--out", str(out))
         assert code == 0 and summary["result"]["violations"] == 0
+        report = coupling_report(summary, out)
+        assert report["kind"] == "MinExpGrid"
+        assert report["trials"] == 51 * 51
+        assert report["parameters"]["worst_gap"] == 0.0
 
-    def test_weights_ok(self, capsys):
+    def test_weights_ok(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
         code, summary = run(capsys, "coupling", "--kind", "weights", "--tau", "4",
                             "--tau-prime", "3.3", "--alpha", "1", "--r", "12",
-                            "--d", "1", "--trials", "2000", "--seed", "4")
+                            "--d", "1", "--trials", "2000", "--seed", "4",
+                            "--out", str(out))
         assert code == 0
+        assert coupling_report(summary, out)["kind"] == "WeightDominance"
 
-    def test_blowup_violation_exit_3(self, capsys):
+    def test_blowup_violation_exit_3(self, tmp_path, capsys):
         # an absurd goal lambda cannot be met: bins with target 1, freq < 1
+        out = tmp_path / "rep.json"
         code, summary = run(capsys, "coupling", "--kind", "blowup-lrp",
                             "--d", "1", "--L", "16", "--r", "2", "--alpha", "1.5",
                             "--lambda-small", "0.001", "--lambda-goal", "100",
-                            "--seeds", "2", "--seed", "3")
+                            "--seeds", "2", "--seed", "3", "--out", str(out))
         assert code == 3
         assert summary["result"]["violations"] > 0
+        assert coupling_report(summary, out)["kind"] == "BlowupLRP"
 
-    def test_fpp_cffp_ok(self, capsys):
+    def test_fpp_cffp_ok(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
         code, summary = run(capsys, "coupling", "--kind", "fpp-cffp", "--wu", "1",
                             "--wv", "1", "--dist", "2", "--t", "1", "--alpha", "1",
-                            "--lambda", "1", "--trials", "20000", "--seed", "8")
+                            "--lambda", "1", "--trials", "20000", "--seed", "8",
+                            "--out", str(out))
         assert code == 0
+        assert coupling_report(summary, out)["kind"] == "FppCffp"
 
 
 class TestTailGrowthShapeFit:
@@ -221,3 +252,31 @@ class TestUsageAndConfig:
         code, summary = run(capsys, "generate", "--config", str(cfg),
                             "--L", "8", "--out", str(tmp_path / "override.txt"))
         assert code == 0 and summary["result"]["vertices"] == 8
+
+    @pytest.mark.parametrize("extra", [{"bogus": 7}, {"func": 1}, {"_required": []},
+                                       {"subcommand": "tail"}, {"config": "x.json"}])
+    def test_config_key_without_a_flag_is_usage_error(self, tmp_path, capsys, extra):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "g.txt"
+        cfg.write_text(json.dumps({
+            "model": "lrp", "d": 1, "L": 16, "alpha": 1.5, "lambda": 0.0,
+            "seed": 7, "out": str(out), **extra,
+        }))
+        assert main(["generate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config keys: {next(iter(extra))}\n" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("tail", "--source 0 --targets 5 --thresholds 1"),
+        ("growth", "--thresholds 1"),
+        ("shape", "--ks 1 --c 1"),
+    ], ids=["tail", "growth", "shape"])
+    def test_threads_is_not_an_option(self, tmp_path, capsys, command, flags):
+        argv = [command, "--L", "16", "--alpha", "1.5", "--lambda", "0",
+                "--trials", "2", "--seed", "1", *flags.split()]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 2}))
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert main(argv + ["--threads", "2"]) == 1
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0

@@ -94,12 +94,6 @@ class TestMcTail:
         ps = [e.p_hat for e in ests]
         assert all(b >= a for a, b in zip(ps, ps[1:]))
 
-    def test_threads_do_not_change_results(self):
-        config = lrp_config(32, 0.3)
-        a = mc_tail_grid(config, 4, [20], [2, 4], 60, 5, threads=1)
-        b = mc_tail_grid(config, 4, [20], [2, 4], 60, 5, threads=4)
-        assert [e.p_hat for e in a] == [e.p_hat for e in b]
-
     def test_interior_helper(self):
         box = BoxSpec(d=1, side=16)
         inner = interior_vertices(box)
@@ -184,6 +178,37 @@ class TestBallGrowth:
         )
         with pytest.raises(BudgetError):
             mc_ball_growth(config, 0, [0.1], 1, 1)
+
+    def test_fits_skip_saturated_thresholds(self):
+        # B(4, k) on the 9-vertex path has 2k + 1 vertices until it fills the box at k = 4
+        path = lrp_config(9, 0.0)
+        gs = mc_ball_growth(path, 4, [1, 2, 3, 4, 5, 6], 2, 1)
+        assert gs.mean_sizes == (3.0, 5.0, 7.0, 9.0, 9.0, 9.0)
+        slope, intercept = np.polyfit([1.0, 2.0, 3.0], np.log([3.0, 5.0, 7.0]), 1)
+        assert gs.loglinear.slope == pytest.approx(slope)
+        assert gs.loglinear.intercept == pytest.approx(intercept)
+        assert len(gs.loglinear.residuals) == 3
+        # a single unsaturated threshold leaves the flat one-point fit
+        one = mc_ball_growth(path, 4, [1, 4, 5], 2, 1)
+        assert one.loglinear == LogLinearFit(math.log(3.0), 0.0, 1.0, (0.0,))
+        assert one.stretched == StretchedFit(math.log(3.0), 0.0, 1.0, 1.0)
+
+    def test_one_full_trial_saturates_a_threshold(self):
+        # at t = 0.8 the mean ball holds 16.6 of the 21 vertices, but one
+        # of the 12 trials already holds all 21
+        config = ModelConfig(
+            box=BoxSpec(d=1, side=21),
+            params=ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0),
+            model=Model.SFP,
+            metric="cffp",
+        )
+        ts = [0.2, 0.4, 0.6, 0.8, 1.0]
+        gs = mc_ball_growth(config, 10, ts, 12, 4)
+        assert gs.mean_sizes[3] < 21
+        prefix = mc_ball_growth(config, 10, ts[:3], 12, 4)
+        assert gs.mean_sizes[:3] == prefix.mean_sizes
+        assert gs.loglinear == prefix.loglinear
+        assert gs.stretched == prefix.stretched
 
 
 class TestSumExpTail:
