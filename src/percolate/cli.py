@@ -1,8 +1,8 @@
 """Batch experiment runner.
 
-Every subcommand is fully determined by (config, seed): flags may be loaded
-from a flat JSON config file (flags given on the command line win), all
-randomized subcommands require an explicit --seed, and a one-line JSON
+Every subcommand is fully determined by (config, seed): a flat JSON config
+file's values are parsed as flags given before the command line's, which win;
+all randomized subcommands require an explicit --seed, and a one-line JSON
 summary echoing the resolved config is printed to stdout.
 
 Exit codes: 0 success, 1 usage error, 2 budget/resource error,
@@ -90,10 +90,10 @@ def _floats(text: str) -> list[float]:
 def _add_model_args(sp):
     sp.add_argument("--model", choices=["lrp", "sfp", "girg"], default="lrp")
     sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--L", type=int, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
+    sp.add_argument("--L", type=int, required=True)
+    sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--tau", type=float, default=math.inf)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
+    sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--kernel", choices=["min", "exp"], default="min")
 
 
@@ -108,7 +108,7 @@ def _params_from(args) -> ModelParams:
 
 
 def _resolved_config(args) -> dict:
-    skip = {"func", "config", "_required"}
+    skip = {"func", "config"}
     out = {}
     for k, v in sorted(vars(args).items()):
         if k in skip:
@@ -447,30 +447,26 @@ def build_parser() -> _Parser:
 
     sp = new("generate", _cmd_generate, help="sample a graph to a text file")
     _add_model_args(sp)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--out", required=True)
     sp.add_argument("--costs", choices=["none", "fpp", "cffp"], default="none")
-    sp.set_defaults(_required=("L", "alpha", "lam", "seed", "out"))
 
     sp = new("distance", _cmd_distance, help="distances on a stored graph")
-    sp.add_argument("--in", dest="infile", default=None)
-    sp.add_argument("--source", type=int, default=None)
-    sp.add_argument("--target", type=int, default=None)
+    sp.add_argument("--in", dest="infile", required=True)
+    sp.add_argument("--source", type=int, required=True)
+    sp.add_argument("--target", type=int, required=True)
     sp.add_argument("--cost", action="store_true")
-    sp.set_defaults(_required=("infile", "source", "target"))
 
     sp = new("tail", _cmd_tail, help="Monte Carlo tail estimates on a grid")
     _add_model_args(sp)
     sp.add_argument("--metric", choices=["hop", "fpp", "cffp"], default="hop")
-    sp.add_argument("--source", type=int, default=None)
-    sp.add_argument("--targets", default=None, help="comma-separated vertex ids")
-    sp.add_argument("--thresholds", default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--source", type=int, required=True)
+    sp.add_argument("--targets", required=True, help="comma-separated vertex ids")
+    sp.add_argument("--thresholds", required=True)
+    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default=None)
     sp.add_argument("--bound", choices=["lrp", "sfp"], default=None)
-    sp.set_defaults(_required=("L", "alpha", "lam", "source", "targets",
-                               "thresholds", "trials", "seed"))
     sp.add_argument("--eps-grid", dest="eps_grid", default="0.05:0.5:10")
     sp.add_argument("--c1-grid", dest="c1_grid", default="1.0")
     sp.add_argument("--c2-grid", dest="c2_grid", default="1.0")
@@ -480,12 +476,11 @@ def build_parser() -> _Parser:
     _add_model_args(sp)
     sp.add_argument("--metric", choices=["hop", "fpp", "cffp"], default="hop")
     sp.add_argument("--root", type=int, default=None)
-    sp.add_argument("--thresholds", default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--thresholds", required=True)
+    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default=None)
     sp.add_argument("--h-t", dest="h_t", type=float, default=None)
-    sp.set_defaults(_required=("L", "alpha", "lam", "thresholds", "trials", "seed"))
     sp.add_argument("--h-delta", dest="h_delta", type=float, default=1.0)
     sp.add_argument("--selfbound", action="store_true")
 
@@ -509,19 +504,17 @@ def build_parser() -> _Parser:
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--seeds", type=int, default=1)
     sp.add_argument("--trials", type=int, default=10000)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--grid-max", dest="grid_max", type=float, default=5.0)
     sp.add_argument("--step", type=float, default=0.1)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(_required=("seed",))
 
     sp = new("bk", _cmd_bk, help="exact disjoint-occurrence enumeration")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--p", default=None, help="edge probabilities, broadcast if one")
-    sp.add_argument("--eventA", default=None)
-    sp.add_argument("--eventB", default=None)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--p", required=True, help="edge probabilities, broadcast if one")
+    sp.add_argument("--eventA", required=True)
+    sp.add_argument("--eventB", required=True)
     sp.add_argument("--eventC", default=None)
-    sp.set_defaults(_required=("n", "p", "eventA", "eventB"))
 
     sp = new("fit", _cmd_fit, help="distance-exponent regression")
     sp.add_argument("--in", dest="infile", default=None)
@@ -533,11 +526,10 @@ def build_parser() -> _Parser:
     sp = new("shape", _cmd_shape, help="shape-theorem containment frequencies")
     _add_model_args(sp)
     sp.add_argument("--root", type=int, default=None)
-    sp.add_argument("--ks", default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--ks", required=True)
+    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--delta", type=float, default=None)
-    sp.set_defaults(_required=("L", "alpha", "lam", "ks", "trials", "seed"))
     sp.add_argument("--c", type=float, default=None)
     sp.add_argument("--fit-k", dest="fit_k", type=int, default=2)
     sp.add_argument("--fit-quantile", dest="fit_quantile", type=float, default=0.95)
@@ -559,26 +551,31 @@ def _config_path_from_argv(argv: list[str]) -> str | None:
     return None
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    path = _config_path_from_argv(argv)
-    if path:
+def _config_tokens(sp: _Parser, command: str, path: str) -> list[str]:
+    """The flags a config file stands for, as `--flag=value` tokens."""
+    try:
         with open(path) as fh:
             values = json.load(fh)
-        mapped = {_CONFIG_KEYMAP.get(k, k): v for k, v in values.items()}
-        # defaults must land on the subparser: its own defaults would
-        # otherwise overwrite anything set on the parent
-        probe = parser.parse_args(argv)
-        flags = set(vars(probe)) - {"func", "_required", "subcommand", "config"}
-        unknown = sorted(k for k in values if _CONFIG_KEYMAP.get(k, k) not in flags)
-        if unknown:
-            raise UsageError(f"{probe.subcommand} has no flags for config keys: "
-                             f"{', '.join(unknown)}")
-        parser.subparsers_by_name[probe.subcommand].set_defaults(**mapped)
-    args = parser.parse_args(argv)
-    missing = [k for k in getattr(args, "_required", ()) if getattr(args, k) is None]
-    if missing:
-        raise UsageError(f"missing required arguments: {', '.join(sorted(missing))}")
-    return args
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(values, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    flags = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+    unknown = sorted(k for k in values if _CONFIG_KEYMAP.get(k, k) not in flags)
+    if unknown:
+        raise UsageError(f"{command} has no flags for config keys: {', '.join(unknown)}")
+    tokens = []
+    for key, value in values.items():
+        flag = flags[_CONFIG_KEYMAP.get(key, key)]
+        switch = flag.nargs == 0  # a store_true flag, set by true
+        if isinstance(value, bool) != switch or not isinstance(value, (int, float, str)):
+            raise UsageError(f"config key {key} must be "
+                             f"{'true or false' if switch else 'a number or a string'}")
+        if not switch:
+            tokens.append(f"{flag.option_strings[0]}={value}")
+        elif value:
+            tokens.append(flag.option_strings[0])
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -592,7 +589,11 @@ def main(argv=None) -> int:
         set_vertex_budgets(sparse=limit, complete=limit)
     parser = build_parser()
     try:
-        args = _apply_config_file(parser, argv)
+        path = _config_path_from_argv(argv)
+        if path and argv[0] in parser.subparsers_by_name:
+            # before the command line's own flags, so that those win
+            argv[1:1] = _config_tokens(parser.subparsers_by_name[argv[0]], argv[0], path)
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

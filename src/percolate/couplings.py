@@ -25,7 +25,8 @@ from .kernels import (
     tau_prime_max,
 )
 from .rng import trial_seed, trial_seeds, vertex_uniform_each, vertex_uniforms
-from .sampler import BoxSpec, Model, SampledGraph, _pair_blocks, sample_graph
+from .sampler import (BoxSpec, Model, SampledGraph, _coordinate_columns, _pair_blocks,
+                      _squared_distances, sample_graph)
 
 __all__ = [
     "CouplingKind",
@@ -266,12 +267,12 @@ def blowup_lrp(
     )
     fine = sample_graph(fine_box, params, Model.LRP, seed)
 
-    # Map fine edges to coarse pairs in the edge set's iteration order; the
-    # witness of a coarse pair is the first fine edge joining its boxes,
-    # oriented from the lower coarse vertex.
+    # Map fine edges to coarse pairs; the witness of a coarse pair is the
+    # smallest (lo, hi) fine edge joining its boxes, oriented from the lower
+    # coarse vertex.
     cells = fine.positions.astype(np.int64) // r - np.asarray(coarse_box.origin)
     cell = np.ravel_multi_index(tuple(cells.T), (coarse_box.side,) * coarse_box.d)
-    fe = np.array(list(fine.edges), dtype=np.int64).reshape(-1, 2)
+    fe = fine.edge_array
     fe = fe[cell[fe[:, 0]] != cell[fe[:, 1]]]
     cu, cv = cell[fe[:, 0]], cell[fe[:, 1]]
     lo, hi = np.minimum(cu, cv), np.maximum(cu, cv)
@@ -300,12 +301,11 @@ def blowup_lrp(
 
 def _distance_bins(graph: SampledGraph) -> dict:
     """{round(dist, 9): [pairs, edges]} over all vertex pairs of the graph."""
-    pos = graph.positions
+    columns = _coordinate_columns(graph.positions)
     bins: dict = {}
 
     def add(lo, hi, slot):
-        diff = pos[hi] - pos[lo]
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dists = np.sqrt(_squared_distances(columns, lo, hi))
         values, counts = np.unique(dists, return_counts=True)
         for dist, count in zip(values.tolist(), counts.tolist()):
             bins.setdefault(round(dist, 9), [0, 0])[slot] += count

@@ -146,7 +146,7 @@ def _distances_for_trial(
         g = sample_graph(config.box, config.params, config.model, s)
         costs = sample_fpp_costs(g, s)
         return cost_distances_from(g, costs, root, t_max=float(cap)), g.positions
-    _check_complete(config.box, None)
+    _check_complete(config.box)
     weights = _weights(config.box, config.params, config.model, s)
     real = CffpRealization(box=config.box, weights=weights, params=config.params, seed=s)
     return cost_distances_from(real, None, root, t_max=float(cap)), real.positions

@@ -5,15 +5,18 @@ counter-based uniforms in `rng`, so two parameterizations sampled with the
 same seed share their uniforms edge by edge.  That is what makes the
 couplings in `couplings` exact rather than merely distributional.
 
-The same fact lets a realization be sampled lazily.  `sample_graph` scans
-all n(n-1)/2 pairs; `LazyRealization` decides a pair only when a search
-asks for it, which is how the hop estimators sample: a k-hop search sees
-about |B(k-1)| * n pairs, not n^2 / 2.  Both paths run `_scan` over blocks
-of index arrays and decide each pair from its own uniform through the one
-helper `_pair_probs`, which reads distances from per-axis coordinate
-columns, so a lazily sampled realization is the scanned one, bit for bit,
-wherever it is observed.  `sample_graph` also keeps the edges it found as
-the sorted array `SampledGraph.edge_array`, which costs and searches use.
+The same fact lets a realization be sampled lazily.  `LazyRealization`
+decides a pair only when a search asks for it, which is how the hop
+estimators sample: a k-hop search sees about |B(k-1)| * n pairs, not
+n^2 / 2; `sample_graph` scans all n(n-1)/2 pairs of one.  There is one pair
+engine: a pair's uniform finishes the hash state of its lower vertex with
+its higher one (`uniforms_from_states`), its distance comes from per-axis
+coordinate columns (`_squared_distances`), and its edge probability from
+`_pair_probs`.  So a lazily sampled realization is the scanned one, bit for
+bit, wherever it is observed.  CFFP cost rows read the cost stream's vertex
+states and the same columns; the blow-up bins in `couplings` the same distances.
+`sample_graph` also keeps its edges as the sorted array
+`SampledGraph.edge_array`, which costs, searches and couplings use.
 """
 
 from __future__ import annotations
@@ -245,8 +248,9 @@ def _coordinate_columns(positions: np.ndarray) -> tuple:
     return tuple(np.ascontiguousarray(positions[:, k]) for k in range(positions.shape[1]))
 
 
-def _squared_distances(columns: tuple, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """|pos_lo - pos_hi|^2, gathered axis by axis from the coordinate columns.
+def _squared_distances(columns: tuple, lo, hi: np.ndarray) -> np.ndarray:
+    """|pos_lo - pos_hi|^2, gathered axis by axis from the coordinate columns;
+    `lo` may be one vertex, as in a CFFP cost row.
 
     The squares are added in two partial sums, over the even and over the
     odd axes, and then together.  That is the order in which the scan has
@@ -274,21 +278,15 @@ def _pair_probs(lo, hi, columns, weights, params, model) -> np.ndarray:
     This is the one place where a pair's edge decision is computed; the
     all-pairs scan and the lazy rows both call it, so they decide every
     pair identically.  `columns` are the realization's coordinate columns
-    (`_coordinate_columns`).  1-d lattices go by offset r = hi - lo; their
-    grid pairs (r = 1) keep their kernel value, as grid edges exist
-    whichever way they are decided, and the 1-d scan never asks for them.
+    (`_coordinate_columns`), from which `_squared_distances` gives every
+    distance.  Only 1-d LRP, whose probability depends on the offset
+    r = hi - lo alone, reads a table instead; its grid pairs (r = 1) keep
+    their kernel value, as grid edges exist whichever way they are decided.
     Other lattices give probability 0 to pairs at distance 1, which the
     grid adds; GIRG has no grid.
     """
-    if model is not Model.GIRG and params.d == 1:
-        if model is Model.LRP:
-            return _lrp_offset_probs(len(weights), params)[hi - lo]
-        arg = params.lam * (
-            weights[lo] * weights[hi] / (hi - lo).astype(np.float64) ** params.d
-        ) ** params.alpha
-        if params.kernel_variant is KernelVariant.EXP:
-            return -np.expm1(-arg)
-        return np.minimum(1.0, arg)
+    if model is Model.LRP and params.d == 1:
+        return _lrp_offset_probs(len(weights), params)[hi - lo]
     dist2 = _squared_distances(columns, lo, hi)
     p = _kernel_probs(weights[lo], weights[hi], np.sqrt(dist2), params)
     if model is not Model.GIRG:
@@ -335,16 +333,16 @@ def _scan(states, blocks, columns, weights, params, model):
     return np.concatenate(los), np.concatenate(his)
 
 
-def _check_sparse(box: BoxSpec, params: ModelParams, budget: int | None) -> None:
+def _check_sparse(box: BoxSpec, params: ModelParams) -> None:
     if box.d != params.d:
         raise DomainError(f"box dimension {box.d} != params dimension {params.d}")
-    limit = vertex_budget("sparse") if budget is None else budget
+    limit = vertex_budget("sparse")
     if box.n_vertices > limit:
         raise BudgetError(f"{box.n_vertices} vertices exceed the budget of {limit}")
 
 
-def _check_complete(box: BoxSpec, budget: int | None) -> None:
-    limit = vertex_budget("complete") if budget is None else budget
+def _check_complete(box: BoxSpec) -> None:
+    limit = vertex_budget("complete")
     if box.n_vertices > limit:
         raise BudgetError(
             f"{box.n_vertices} vertices exceed the complete-graph budget of {limit}"
@@ -366,36 +364,28 @@ def _weights(box: BoxSpec, params: ModelParams, model: Model, seed: int) -> np.n
     return sample_weights(box.n_vertices, params.tau, seed)
 
 
-def sample_graph(
-    box: BoxSpec,
-    params: ModelParams,
-    model: Model,
-    seed: int,
-    budget: int | None = None,
-) -> SampledGraph:
+def sample_graph(box: BoxSpec, params: ModelParams, model: Model, seed: int) -> SampledGraph:
     """Sample one finite-box realization of the requested model.
 
     LRP/SFP vertices are the lattice points of `box` and always carry the
     grid edges; each remaining pair {u, v} is an edge iff
     edge_uniform(seed, u, v) < connection_prob(w_u, w_v, |pos_u - pos_v|).
     GIRG places n = side^d vertices uniformly in the cube and has no grid
-    edges.  LRP forces all weights to 1.
+    edges.  LRP forces all weights to 1.  This is a `LazyRealization` with
+    all its pairs scanned at once.
     """
-    model = Model(model)
-    _check_sparse(box, params, budget)
-    positions = _positions(box, model, seed)
-    weights = _weights(box, params, model, seed)
+    real = LazyRealization(box, params, model, seed)
+    model, n = real.model, real.n
     grid = np.empty((0, 2), dtype=np.int64) if model is Model.GIRG else _grid_pairs(box)
-    n = box.n_vertices
     # The 1-d lattice is scanned one offset r >= 2 at a time; r = 1 is the grid.
     blocks = (((np.arange(n - r), np.arange(r, n)) for r in range(2, n))
               if model is not Model.GIRG and box.d == 1 else _pair_blocks(n))
-    found = np.stack(_scan(absorb_indices(seed_state(seed), np.arange(n)), blocks,
-                           _coordinate_columns(positions), weights, params, model), axis=1)
+    found = np.stack(_scan(real._states, blocks, real._columns, real.weights, params, model),
+                     axis=1)
     graph = SampledGraph(
         model=model,
-        positions=positions,
-        weights=weights,
+        positions=real.positions,
+        weights=real.weights,
         edges=_pair_set(grid) | _pair_set(found),
         seed=seed,
         params=params,
@@ -428,7 +418,9 @@ class CffpRealization:
     """Complete-graph cost model on the lattice with lazily derived costs.
 
     The cost of pair {u, v} is Exp with rate (w_u w_v)^alpha |u-v|^(-alpha d),
-    computed on demand from the pair's uniform; materializing via
+    computed on demand from the pair's uniform.  `cost_row` reads the cost
+    stream's vertex hash states and the coordinate columns, as the pair scan
+    does; `rate` and `cost` are the scalar reference.  Materializing via
     `sample_cffp_costs` yields the identical values.
     """
 
@@ -459,6 +451,14 @@ class CffpRealization:
     def _w_alpha(self) -> np.ndarray:
         return self.weights**self.params.alpha
 
+    @cached_property
+    def _columns(self) -> tuple:
+        return _coordinate_columns(self.positions)
+
+    @cached_property
+    def _states(self) -> np.ndarray:
+        return absorb_indices(seed_state(self._cost_seed), np.arange(self.n))
+
     def rate(self, u: int, v: int) -> float:
         dist = float(np.linalg.norm(self.positions[u] - self.positions[v]))
         return float(
@@ -473,18 +473,18 @@ class CffpRealization:
 
     def cost_row(self, u: int) -> np.ndarray:
         """Costs from u to every vertex (inf at u itself)."""
-        n = self.n
-        others = np.arange(n)
-        mask = others != u
-        vs = others[mask]
-        diff = self.positions[vs] - self.positions[u]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        rates = self._w_alpha[u] * self._w_alpha[vs] * dist ** (
+        # {u, v} finishes the state of min(u, v) with max(u, v), as edge_uniform does
+        vs, states = np.arange(self.n), self._states
+        after = np.broadcast_to(states[u], (self.n - 1 - u,))
+        u01 = np.concatenate([uniforms_from_states(states[:u], u), [0.0],
+                              uniforms_from_states(after, vs[u + 1:])])
+        dist2 = _squared_distances(self._columns, u, vs)
+        dist2[u] = 1.0  # any positive value; the entry is set to inf below
+        rates = self._w_alpha[u] * self._w_alpha * np.sqrt(dist2) ** (
             -self.params.alpha * self.params.d
         )
-        u01 = edge_uniforms(self._cost_seed, np.full(vs.shape, u), vs)
-        row = np.full(n, np.inf)
-        row[vs] = -np.log1p(-u01) / rates
+        row = -np.log1p(-u01) / rates
+        row[u] = np.inf
         return row
 
 
@@ -505,7 +505,7 @@ class LazyRealization:
 
     def __post_init__(self):
         object.__setattr__(self, "model", Model(self.model))
-        _check_sparse(self.box, self.params, None)
+        _check_sparse(self.box, self.params)
 
     @property
     def n(self) -> int:
@@ -553,22 +553,16 @@ class LazyRealization:
         return np.unique(reached[unvisited[reached]])
 
 
-def sample_cffp_costs(
-    box: BoxSpec,
-    weights: np.ndarray,
-    params: ModelParams,
-    seed: int,
-    budget: int | None = None,
-) -> CostMap:
+def sample_cffp_costs(box: BoxSpec, weights: np.ndarray, params: ModelParams,
+                      seed: int) -> CostMap:
     """Materialize the full quadratic cost map of a CFFP realization."""
-    _check_complete(box, budget)
+    _check_complete(box)
     real = CffpRealization(box=box, weights=np.asarray(weights, dtype=np.float64),
                            params=params, seed=seed)
     costs = {}
     for u in range(real.n - 1):
-        row = real.cost_row(u)
-        for v in range(u + 1, real.n):
-            costs[(u, v)] = float(row[v])
+        costs.update(zip(((u, v) for v in range(u + 1, real.n)),
+                         real.cost_row(u)[u + 1:].tolist()))
     return CostMap(costs=costs, rate_model=RateModel.CFFP_RATE)
 
 

@@ -266,6 +266,38 @@ class TestUsageAndConfig:
         assert captured.out == "" and f"config keys: {next(iter(extra))}\n" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [{"L": 16.5}, {"seed": 7.9}, {"model": "qqq"},
+                                       {"seed": True}],
+                             ids=["float-L", "float-seed", "bad-choice", "bool-seed"])
+    def test_config_values_are_parsed_as_flags(self, tmp_path, capsys, extra):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "g.txt"
+        cfg.write_text(json.dumps({
+            "model": "lrp", "d": 1, "L": 16, "alpha": 1.5, "lambda": 0.0,
+            "seed": 7, "out": str(out), **extra,
+        }))
+        assert main(["generate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [None, "[1]", "{bad"], ids=["missing", "list", "malformed"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, text):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "g.txt"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["generate", "--L", "16", "--alpha", "1.5", "--lambda", "0",
+                     "--seed", "7", "--out", str(out), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
+        assert not out.exists()
+
+    def test_config_supplies_a_required_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "min-exp", "seed": 1}))
+        code, summary = run(capsys, "coupling", "--config", str(cfg))
+        assert code == 0
+        assert summary["result"]["kind"] == "min-exp" and summary["result"]["trials"] == 2601
+
     @pytest.mark.parametrize("command, flags", [
         ("tail", "--source 0 --targets 5 --thresholds 1"),
         ("growth", "--thresholds 1"),

@@ -211,6 +211,20 @@ class TestBlowupLrp:
             flipped += fu > fv
         assert flipped > 0
 
+    def test_witness_is_the_smallest_joining_edge(self):
+        coarse_box = BoxSpec(d=2, side=6, origin=(2, -1))
+        spec = BlowupSpec(r=2, params_small=lrp_small(0.4, d=2))
+        fine, coarse, rep = blowup_lrp(coarse_box, spec, 0.2, 9)
+        cell = {tuple(p): i for i, p in enumerate(coarse_box.lattice_positions().tolist())}
+        box = [cell[tuple(np.floor(p / 2).tolist())] for p in fine.positions]
+        smallest = {}
+        for fu, fv in sorted(fine.edges):
+            cu, cv = box[fu], box[fv]
+            if cu != cv:
+                smallest.setdefault(f"{min(cu, cv)},{max(cu, cv)}",
+                                    [fu, fv] if cu < cv else [fv, fu])
+        assert rep.parameters["witnesses"] == smallest
+
 
 
 class TestStitching:

@@ -2,6 +2,7 @@
 cost laws, and the text serialization round-trip."""
 
 import hashlib
+import json
 import math
 import os
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percolate import (
+    BlowupSpec,
     BoxSpec,
     BudgetError,
     CffpRealization,
@@ -20,6 +22,7 @@ from percolate import (
     Model,
     ModelParams,
     RateModel,
+    blowup_lrp,
     connection_prob,
     edge_uniform,
     load_graph,
@@ -176,11 +179,14 @@ class TestSampleGraph:
         # nothing forces lattice-adjacent indices to be linked
         assert g.weights.min() >= 1.0
 
-    def test_dimension_mismatch_and_budget(self):
+    def test_dimension_mismatch_and_budget(self, monkeypatch):
         with pytest.raises(DomainError):
             sample_graph(BoxSpec(d=2, side=4), lrp(d=1), Model.LRP, 1)
+        # raised before any hashing, which would fail here with a TypeError
+        monkeypatch.setattr(sampler, "absorb_indices", None)
         with pytest.raises(BudgetError):
-            sample_graph(BoxSpec(d=1, side=100), lrp(), Model.LRP, 1, budget=50)
+            sample_graph(BoxSpec(d=1, side=sampler.DEFAULT_SPARSE_BUDGET + 1), lrp(),
+                         Model.LRP, 1)
 
     def test_degree_grows_with_weight(self):
         # E[deg | w] ~ w: check rank correlation on a log-binned split
@@ -266,7 +272,7 @@ class TestCffpCosts:
         target = -math.expm1(-rate * 0.5)
         assert abs(hits / n - target) < 3 * math.sqrt(target * (1 - target) / n)
 
-    def test_materialized_matches_lazy_and_budget(self):
+    def test_materialized_matches_lazy_and_budget(self, monkeypatch):
         box = BoxSpec(d=1, side=10)
         w = sample_weights(10, 4.0, 3)
         cm = sample_cffp_costs(box, w, self.params, 3)
@@ -275,8 +281,11 @@ class TestCffpCosts:
         assert len(cm) == 45
         for (u, v), c in cm.costs.items():
             assert c == pytest.approx(real.cost(u, v), rel=1e-15)
+        # raised before any hashing, which would fail here with a TypeError
+        monkeypatch.setattr(sampler, "absorb_indices", None)
+        n = sampler.DEFAULT_COMPLETE_BUDGET + 1
         with pytest.raises(BudgetError):
-            sample_cffp_costs(BoxSpec(d=1, side=10), w, self.params, 3, budget=5)
+            sample_cffp_costs(BoxSpec(d=1, side=n), np.ones(n), self.params, 3)
 
     def test_lambda_must_be_one(self):
         with pytest.raises(DomainError):
@@ -402,9 +411,22 @@ SEED_FINGERPRINTS = [
      "6fc44840650bb5f798ffadf29e45616fb952ab83fb1911ef8ed0108921da36a8"),
 ]
 
+# (d, side, origin, alpha, tau, seed, SHA-256 of CffpRealization.cost_row(u) for
+# u = 0, 7, 14, ... concatenated as little-endian float64); lambda is 1 and the
+# weights are sample_weights(n, tau, seed).
+CFFP_ROW_FINGERPRINTS = [
+    (1, 200, (-7,), 1.5, 3.5, 41,
+     "9b2bf6cca0993be455ceaa986fb2027cea349bc79c302f3efee7a0dc6d09ccf5"),
+    (2, 15, (3, -4), 1.3, 2.8, 42,
+     "c1492c2f5aa3a0543e55f46489351b6b80bc3fe86c422e8bb5eda09a12527f31"),
+    (3, 6, (1, -2, 5), 1.7, 4.0, 43,
+     "7bb6265fd9c59386931f28c1658e1c021feac458f772fcef1227ac34986426fa"),
+]
+
 
 class TestSeedPromise:
-    """A seed names one realization: edges and FPP costs are pinned bit for bit."""
+    """A seed names one realization: edges, FPP and CFFP costs and blow-up bins
+    are pinned bit for bit."""
 
     @pytest.mark.parametrize("case", SEED_FINGERPRINTS, ids=lambda c: f"{c[0]}-{c[1]}d-{c[8]}")
     def test_edges_and_costs_are_pinned(self, case):
@@ -418,6 +440,35 @@ class TestSeedPromise:
         cm = sample_fpp_costs(g, seed)
         costs = np.array([cm.costs[e] for e in sorted(g.edges)], dtype="<f8")
         assert hashlib.sha256(costs.tobytes()).hexdigest() == costs_sha
+
+    @pytest.mark.parametrize("d, side, origin, alpha, tau, seed, rows_sha", CFFP_ROW_FINGERPRINTS,
+                             ids=["1d", "2d", "3d"])
+    def test_cffp_cost_rows_are_pinned(self, d, side, origin, alpha, tau, seed, rows_sha):
+        box = BoxSpec(d=d, side=side, origin=origin)
+        real = CffpRealization(box=box, weights=sample_weights(box.n_vertices, tau, seed),
+                               params=ModelParams(d=d, alpha=alpha, tau=tau, lam=1.0),
+                               seed=seed)
+        rows = np.concatenate([real.cost_row(u) for u in range(0, real.n, 7)])
+        assert hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest() == rows_sha
+
+    def test_cffp_cost_map_is_pinned(self):
+        box = BoxSpec(d=2, side=6, origin=(2, 3))
+        params = ModelParams(d=2, alpha=1.5, tau=3.0, lam=1.0)
+        cm = sample_cffp_costs(box, sample_weights(36, 3.0, 44), params, 44)
+        assert list(cm.costs) == [(u, v) for u in range(36) for v in range(u + 1, 36)]
+        costs = np.array(list(cm.costs.values()), dtype="<f8")
+        assert hashlib.sha256(costs.tobytes()).hexdigest() == (
+            "67c3691ea48d075851a33216011cd1558ab307f23e9f90a9a2101ce344f0d16a")
+
+    @pytest.mark.parametrize("d, side, origin, r, seed, details_sha", [
+        (1, 40, (3,), 3, 45, "012592c78276e1bde77d8a2a58cb0fa7e62baf8ec1c85edb0b931b79a67132b7"),
+        (2, 8, (1, -2), 2, 46, "88eb7eb5ac4f10c70ea4f9c1f01d38e5a6bb75ece50c1839910b90d1c7e0afed"),
+    ], ids=["1d", "2d"])
+    def test_blowup_bins_are_pinned(self, d, side, origin, r, seed, details_sha):
+        spec = BlowupSpec(r=r, params_small=ModelParams(d=d, alpha=1.5, tau=math.inf, lam=0.05))
+        rep = blowup_lrp(BoxSpec(d=d, side=side, origin=origin), spec, 0.1, seed)[2]
+        text = json.dumps(rep.details, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == details_sha
 
     def test_squared_distances_keep_their_summation_order(self):
         # GIRG coordinates are not integers, so the order in which the squared
