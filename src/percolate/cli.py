@@ -543,12 +543,12 @@ _CONFIG_KEYMAP = {"lambda": "lam", "in": "infile"}
 
 
 def _config_path_from_argv(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+    """The file of the command line's one `--config`, if it has one."""
+    paths = [argv[i + 1] for i, tok in enumerate(argv[:-1]) if tok == "--config"]
+    paths += [tok.split("=", 1)[1] for tok in argv if tok.startswith("--config=")]
+    if len(paths) > 1:
+        raise UsageError(f"--config given more than once: {' and '.join(paths)}")
+    return paths[0] if paths else None
 
 
 def _config_tokens(sp: _Parser, command: str, path: str) -> list[str]:

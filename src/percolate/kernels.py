@@ -104,7 +104,10 @@ def connection_prob(wx, wy, dist, params: ModelParams):
 
     MIN kernel: min{1, lam * (wx*wy / dist^d)^alpha};
     EXP kernel: 1 - exp(-lam * (wx*wy / dist^d)^alpha).
-    LRP is the same kernel with unit weights.  Accepts arrays.
+    LRP is the same kernel with unit weights.  Accepts arrays that
+    broadcast; the checks and dist^d run on the operands as given, so a
+    caller that passes a distance table and weight slices pays for them
+    once per table, not once per pair.
     """
     wx = np.asarray(wx, dtype=np.float64)
     wy = np.asarray(wy, dtype=np.float64)
@@ -113,12 +116,17 @@ def connection_prob(wx, wy, dist, params: ModelParams):
         raise DomainError("connection_prob requires strictly positive distances")
     if np.any(wx < 1) or np.any(wy < 1):
         raise DomainError("weights must be >= 1 (Pareto floor)")
-    arg = params.lam * (wx * wy / dist**params.d) ** params.alpha
+    # lam * (wx * wy / dist^d)^alpha, then the kernel, in one fresh buffer
+    arg = np.asarray(np.divide(wx * wy, dist**params.d))
+    arg **= params.alpha
+    arg *= params.lam
     if params.kernel_variant is KernelVariant.MIN:
-        out = np.minimum(1.0, arg)
+        np.minimum(arg, 1.0, out=arg)
     else:
-        out = -np.expm1(-arg)
-    return float(out) if out.ndim == 0 else out
+        np.negative(arg, out=arg)
+        np.expm1(arg, out=arg)
+        np.negative(arg, out=arg)
+    return float(arg) if arg.ndim == 0 else arg
 
 
 def pareto_quantile(u, tau: float):

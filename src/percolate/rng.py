@@ -99,9 +99,16 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
 
 
 def _absorb_vec(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Absorb w into the states h, into a fresh buffer; h is never written."""
-    z = h + np.uint64(_GOLD)
-    z ^= w
+    """Absorb w into the states h, into a fresh buffer; neither is written.
+
+    h and w may have any shapes that broadcast.  h is offset at its own
+    size, and then XORed with w into the full-size buffer.
+    """
+    z = np.add(h, np.uint64(_GOLD))
+    if z.shape == w.shape or w.ndim == 0:
+        z ^= w
+    else:
+        z = np.bitwise_xor(z, w)
     return _mix64_vec(z)
 
 
@@ -112,17 +119,20 @@ def seed_state(seed: int) -> np.uint64:
 
 def absorb_indices(state: np.uint64, idx: np.ndarray) -> np.ndarray:
     """Absorb one word per element; used to share hash prefixes."""
-    idx = np.asarray(idx, dtype=np.uint64)
-    return _absorb_vec(np.broadcast_to(state, idx.shape), idx)
+    return _absorb_vec(state, np.asarray(idx, dtype=np.uint64))
 
 
 def uniforms_from_states(states: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Finish a hash chain with one more absorbed word, as uniforms."""
+    """Finish a hash chain with one more absorbed word, as uniforms.
+
+    `states` and `words` broadcast against each other; the uniforms come
+    back flat, one per element of the broadcast shape in C order.
+    """
     h = _absorb_vec(states, np.asarray(words, dtype=np.uint64))
     h >>= np.uint64(11)
     u = h.astype(np.float64)
     u *= _INV53
-    return u
+    return u.ravel()
 
 
 def edge_uniforms(seed: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -140,7 +150,7 @@ def edge_uniforms(seed: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 def vertex_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized `vertex_uniform`."""
     idx = np.asarray(indices, dtype=np.uint64)
-    return uniforms_from_states(np.broadcast_to(seed_state(seed), idx.shape), idx)
+    return uniforms_from_states(seed_state(seed), idx)
 
 
 def position_uniforms(seed: int, n: int, d: int) -> np.ndarray:
@@ -163,4 +173,4 @@ def vertex_uniform_each(seeds: np.ndarray, word: int) -> np.ndarray:
     """vertex_uniform(s, word) evaluated for an array of seeds at once."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     h = _mix64_vec(seeds ^ np.uint64(_IV))
-    return uniforms_from_states(h, np.full(seeds.shape, word, dtype=np.uint64))
+    return uniforms_from_states(h, word)

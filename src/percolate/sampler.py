@@ -5,18 +5,29 @@ counter-based uniforms in `rng`, so two parameterizations sampled with the
 same seed share their uniforms edge by edge.  That is what makes the
 couplings in `couplings` exact rather than merely distributional.
 
-The same fact lets a realization be sampled lazily.  `LazyRealization`
-decides a pair only when a search asks for it, which is how the hop
-estimators sample: a k-hop search sees about |B(k-1)| * n pairs, not
-n^2 / 2; `sample_graph` scans all n(n-1)/2 pairs of one.  There is one pair
-engine: a pair's uniform finishes the hash state of its lower vertex with
-its higher one (`uniforms_from_states`), its distance comes from per-axis
-coordinate columns (`_squared_distances`), and its edge probability from
-`_pair_probs`.  So a lazily sampled realization is the scanned one, bit for
-bit, wherever it is observed.  CFFP cost rows read the cost stream's vertex
-states and the same columns; the blow-up bins in `couplings` the same distances.
-`sample_graph` also keeps its edges as the sorted array
-`SampledGraph.edge_array`, which costs, searches and couplings use.
+A pair is decided one way: the hash state of its lower vertex, finished
+with its higher one (`uniforms_from_states`), gives a uniform, and the pair
+is an edge iff that falls below the kernel at the pair's weights and
+distance (`connection_prob`, through `_pair_probs`).  Three walks apply it:
+
+- the slab scan (`_slab_scan`), with which `sample_graph` decides all
+  n(n-1)/2 pairs of a lattice.  Row-major order cuts the box into slabs
+  along axis 0; a block pairs contiguous slab slices, whose states, words
+  and weights broadcast against each other, and reads its distances from
+  one small table per axis-0 offset;
+- the block scan (`_scan` over `_pair_blocks`), with which `sample_graph`
+  decides the pairs of a GIRG, whose distances have no such structure;
+- the lazy rows of `LazyRealization`, which decide a pair only when a
+  search asks for it, as the hop estimators do: a k-hop search sees about
+  |B(k-1)| * n pairs, not n^2 / 2.
+
+All three compute the same floating-point operations on the same
+operands, so a lazily sampled realization is the scanned one, bit for bit,
+wherever it is observed.  CFFP cost rows read the cost stream's vertex
+states and a table of |offset|^(-alpha d); the blow-up bins in `couplings`
+read the block scan's distances.  `sample_graph` keeps its edges as the
+sorted array `SampledGraph.edge_array`, which costs, searches and couplings
+use.
 """
 
 from __future__ import annotations
@@ -249,8 +260,7 @@ def _coordinate_columns(positions: np.ndarray) -> tuple:
 
 
 def _squared_distances(columns: tuple, lo, hi: np.ndarray) -> np.ndarray:
-    """|pos_lo - pos_hi|^2, gathered axis by axis from the coordinate columns;
-    `lo` may be one vertex, as in a CFFP cost row.
+    """|pos_lo - pos_hi|^2, gathered axis by axis from the coordinate columns.
 
     The squares are added in two partial sums, over the even and over the
     odd axes, and then together.  That is the order in which the scan has
@@ -275,9 +285,9 @@ def _squared_distances(columns: tuple, lo, hi: np.ndarray) -> np.ndarray:
 def _pair_probs(lo, hi, columns, weights, params, model) -> np.ndarray:
     """Edge probabilities of the pairs (lo, hi), lo < hi.
 
-    This is the one place where a pair's edge decision is computed; the
-    all-pairs scan and the lazy rows both call it, so they decide every
-    pair identically.  `columns` are the realization's coordinate columns
+    The block scan and the lazy rows call it, and the slab scan repeats its
+    arithmetic on distance tables, so all three decide every pair
+    identically.  `columns` are the realization's coordinate columns
     (`_coordinate_columns`), from which `_squared_distances` gives every
     distance.  Only 1-d LRP, whose probability depends on the offset
     r = hi - lo alone, reads a table instead; its grid pairs (r = 1) keep
@@ -333,6 +343,75 @@ def _scan(states, blocks, columns, weights, params, model):
     return np.concatenate(los), np.concatenate(his)
 
 
+def _slab_blocks(d: int, side: int):
+    """The blocks of the slab scan of a {0..side-1}^d lattice.
+
+    Row-major order cuts the box into `side` slabs of m = side^(d-1)
+    vertices, so the pairs at offset a on axis 0 are slab r x slab r + a.
+    A block is (a, r0, r1, lo, hi, dist2): it pairs the columns `lo` of the
+    slabs r0..r1-1 with the columns `hi` of the slabs a further on, and
+    `dist2`, which broadcasts against it, holds the pairs' squared
+    distances.  At a = 0 the pairs are the c < c' of one slab, as index
+    arrays; at a > 0 they are all (c, c'), as an (m, m) table a^2 + |c - c'|^2
+    cut into rows when m^2 exceeds _BLOCK_PAIRS.  The 1-d offset a = 1 holds
+    only grid pairs and is left out.  A block holds at most
+    max(_BLOCK_PAIRS, m) pairs.
+    """
+    m = side ** (d - 1)
+    sub2 = np.zeros((m, m))
+    for x in np.indices((side,) * (d - 1)).reshape(d - 1, m):
+        sub2 += (x[:, None] - x) ** 2
+    for ci, cj in _pair_blocks(m):
+        step = max(1, _BLOCK_PAIRS // len(ci))
+        dist2 = sub2[ci, cj]
+        for r0 in range(0, side, step):
+            yield 0, r0, min(r0 + step, side), (ci,), (cj,), dist2
+    table_rows = max(1, min(m, _BLOCK_PAIRS // m))
+    for a in range(1 if d > 1 else 2, side):
+        for c0 in range(0, m, table_rows):
+            dist2 = a * a + sub2[c0:c0 + table_rows]
+            step = max(1, _BLOCK_PAIRS // dist2.size)
+            for r0 in range(0, side - a, step):
+                yield (a, r0, min(r0 + step, side - a), (slice(c0, c0 + table_rows), None),
+                       (None, slice(None)), dist2)
+
+
+def _slab_scan(real: LazyRealization):
+    """The pairs (lo, hi) of a lattice realization that are edges, grid pairs
+    aside, as two index arrays.
+
+    Every block of `_slab_blocks` reads contiguous slices of the slabs'
+    states, words and weights, which broadcast against each other, so
+    nothing is gathered but the a = 0 columns.  A pair is decided as
+    `_pair_probs` decides it, with the same floating-point operations; the
+    kernel's checks and dist^d run on the weight slices and the distance
+    table, not per pair.
+    """
+    box, params, model, n = real.box, real.params, real.model, real.n
+    side = box.side
+    vertex = np.arange(n).reshape(side, -1)
+    states = real._states.reshape(side, -1)
+    words = vertex.astype(np.uint64)
+    weights = real.weights.reshape(side, -1)
+    los, his = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for a, r0, r1, lo, hi, dist2 in _slab_blocks(box.d, side):
+        lo, hi = (slice(r0, r1),) + lo, (slice(r0 + a, r1 + a),) + hi
+        states_lo, words_hi = states[lo], words[hi]
+        shape = np.broadcast_shapes(states_lo.shape, words_hi.shape)
+        u = uniforms_from_states(states_lo, words_hi).reshape(shape)
+        if model is Model.LRP and box.d == 1:
+            p = _lrp_offset_probs(n, params)[a]
+        else:
+            w_lo, w_hi = (weights[lo], weights[hi]) if model is Model.SFP else (1.0, 1.0)
+            p = connection_prob(w_lo, w_hi, np.sqrt(dist2), params)
+            if box.d > 1:
+                p[..., dist2 == 1.0] = 0.0  # the grid adds these pairs
+        sel = u < p
+        los.append(np.broadcast_to(vertex[lo], shape)[sel])
+        his.append(np.broadcast_to(vertex[hi], shape)[sel])
+    return np.concatenate(los), np.concatenate(his)
+
+
 def _check_sparse(box: BoxSpec, params: ModelParams) -> None:
     if box.d != params.d:
         raise DomainError(f"box dimension {box.d} != params dimension {params.d}")
@@ -376,12 +455,12 @@ def sample_graph(box: BoxSpec, params: ModelParams, model: Model, seed: int) -> 
     """
     real = LazyRealization(box, params, model, seed)
     model, n = real.model, real.n
-    grid = np.empty((0, 2), dtype=np.int64) if model is Model.GIRG else _grid_pairs(box)
-    # The 1-d lattice is scanned one offset r >= 2 at a time; r = 1 is the grid.
-    blocks = (((np.arange(n - r), np.arange(r, n)) for r in range(2, n))
-              if model is not Model.GIRG and box.d == 1 else _pair_blocks(n))
-    found = np.stack(_scan(real._states, blocks, real._columns, real.weights, params, model),
-                     axis=1)
+    if model is Model.GIRG:
+        grid = np.empty((0, 2), dtype=np.int64)
+        found = _scan(real._states, _pair_blocks(n), real._columns, real.weights, params, model)
+    else:
+        grid, found = _grid_pairs(box), _slab_scan(real)
+    found = np.stack(found, axis=1)
     graph = SampledGraph(
         model=model,
         positions=real.positions,
@@ -452,12 +531,23 @@ class CffpRealization:
         return self.weights**self.params.alpha
 
     @cached_property
-    def _columns(self) -> tuple:
-        return _coordinate_columns(self.positions)
-
-    @cached_property
     def _states(self) -> np.ndarray:
         return absorb_indices(seed_state(self._cost_seed), np.arange(self.n))
+
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """(d, n) integer lattice coordinates of the vertices, origin aside."""
+        return np.indices((self.box.side,) * self.box.d).reshape(self.box.d, self.n)
+
+    @cached_property
+    def _offset_rates(self) -> np.ndarray:
+        """|delta|^(-alpha d) of every lattice offset delta >= 0, at the index
+        sum_j delta_j side^(d-1-j) (entry 0 is 1 and unused)."""
+        dist2 = np.zeros(self.n)
+        for x in self._coords:
+            dist2 += x * x
+        dist2[0] = 1.0
+        return np.sqrt(dist2) ** (-self.params.alpha * self.params.d)
 
     def rate(self, u: int, v: int) -> float:
         dist = float(np.linalg.norm(self.positions[u] - self.positions[v]))
@@ -474,15 +564,15 @@ class CffpRealization:
     def cost_row(self, u: int) -> np.ndarray:
         """Costs from u to every vertex (inf at u itself)."""
         # {u, v} finishes the state of min(u, v) with max(u, v), as edge_uniform does
-        vs, states = np.arange(self.n), self._states
-        after = np.broadcast_to(states[u], (self.n - 1 - u,))
+        states = self._states
         u01 = np.concatenate([uniforms_from_states(states[:u], u), [0.0],
-                              uniforms_from_states(after, vs[u + 1:])])
-        dist2 = _squared_distances(self._columns, u, vs)
-        dist2[u] = 1.0  # any positive value; the entry is set to inf below
-        rates = self._w_alpha[u] * self._w_alpha * np.sqrt(dist2) ** (
-            -self.params.alpha * self.params.d
-        )
+                              uniforms_from_states(states[u:u + 1], np.arange(u + 1, self.n))])
+        first, *rest = self._coords  # the index of |v - u| in _offset_rates, by Horner
+        offset = np.abs(first - first[u])
+        for x in rest:
+            offset *= self.box.side
+            offset += np.abs(x - x[u])
+        rates = self._w_alpha[u] * self._w_alpha * self._offset_rates[offset]
         row = -np.log1p(-u01) / rates
         row[u] = np.inf
         return row

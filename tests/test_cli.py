@@ -280,6 +280,19 @@ class TestUsageAndConfig:
         assert captured.out == "" and captured.err.startswith("usage error: ")
         assert not out.exists()
 
+    def test_repeated_config_is_usage_error(self, tmp_path, capsys):
+        a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "g.txt"
+        a.write_text(json.dumps({"L": 8}))
+        b.write_text(json.dumps({"L": 12}))
+        argv = ["generate", "--alpha", "1.5", "--lambda", "0", "--seed", "1",
+                "--out", str(out), "--config", str(a)]
+        for second in (["--config", str(b)], [f"--config={b}"]):
+            assert main(argv + second) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("usage error: ")
+            assert str(a) in captured.err and str(b) in captured.err
+            assert not out.exists()
+
     @pytest.mark.parametrize("text", [None, "[1]", "{bad"], ids=["missing", "list", "malformed"])
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys, text):
         cfg, out = tmp_path / "cfg.json", tmp_path / "g.txt"

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -481,3 +482,67 @@ class TestSeedPromise:
               for i, j in zip(lo.tolist(), hi.tolist())]
         assert got.tolist() == [(s0 + s2) + s1 for s0, s1, s2 in sq]
         assert any((s0 + s1) + s2 != (s0 + s2) + s1 for s0, s1, s2 in sq)
+
+
+@st.composite
+def lattice_realizations(draw):
+    """A small LRP or SFP lattice realization of dimension 1, 2 or 3."""
+    model = draw(st.sampled_from([Model.LRP, Model.SFP]))
+    d = draw(st.sampled_from([1, 2, 3]))
+    side = draw(st.integers(1, {1: 60, 2: 12, 3: 6}[d]))
+    box = BoxSpec(d=d, side=side,
+                  origin=tuple(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))))
+    params = ModelParams(
+        d=d,
+        alpha=draw(st.floats(1.0, 3.0)),
+        tau=math.inf if model is Model.LRP else draw(st.floats(1.5, 5.0)),
+        lam=draw(st.floats(0.0, 2.0)),
+        kernel_variant=draw(st.sampled_from(list(KernelVariant))),
+    )
+    return box, params, model, draw(st.integers(0, 2**64 - 1))
+
+
+class TestSlabScan:
+    """`sample_graph` scans lattices slab by slab; the block scan over
+    `_pair_blocks`, which GIRG uses, is the reference it must equal."""
+
+    @pytest.mark.parametrize("block_pairs", [sampler._BLOCK_PAIRS, 7, 100])
+    @settings(max_examples=60, deadline=None)
+    @given(case=lattice_realizations())
+    def test_slab_scan_equals_the_block_scan(self, block_pairs, case):
+        box, params, model, seed = case
+        real = sampler.LazyRealization(box, params, model, seed)
+        n = real.n
+        lo, hi = sampler._scan(real._states, sampler._pair_blocks(n), real._columns,
+                               real.weights, params, model)
+        # the block scan may also decide grid pairs, which are edges anyway
+        pairs = np.concatenate([sampler._grid_pairs(box), np.stack([lo, hi], axis=1)])
+        want = np.unique(pairs[:, 0] * n + pairs[:, 1])
+        with mock.patch.object(sampler, "_BLOCK_PAIRS", block_pairs):
+            g = sample_graph(box, params, model, seed)
+        assert g.edge_array.tolist() == [[k // n, k % n] for k in want.tolist()]
+
+    @pytest.mark.parametrize("block_pairs", [4_000_000, 50])
+    @pytest.mark.parametrize("model, d, side", [
+        (Model.LRP, 1, 40), (Model.SFP, 1, 33), (Model.LRP, 2, 9), (Model.SFP, 2, 11),
+        (Model.LRP, 3, 5), (Model.SFP, 3, 4),
+    ])
+    def test_every_pair_is_hashed_once(self, block_pairs, model, d, side):
+        box = BoxSpec(d=d, side=side)
+        params = ModelParams(d=d, alpha=1.5, tau=math.inf if model is Model.LRP else 3.0,
+                             lam=0.5)
+        hashed = []
+
+        def counting(states, words):
+            out = rng.uniforms_from_states(states, words)
+            hashed.append(len(out))
+            return out
+
+        with mock.patch.object(sampler, "uniforms_from_states", counting), \
+                mock.patch.object(sampler, "_BLOCK_PAIRS", block_pairs):
+            sample_graph(box, params, model, 7)
+        n = box.n_vertices
+        grid_offsets = n - 1 if d == 1 else 0  # 1-d offset 1 is all grid pairs
+        assert sum(hashed) == n * (n - 1) // 2 - grid_offsets
+        if block_pairs < n:
+            assert max(hashed) <= max(block_pairs, side ** (d - 1))
