@@ -6,7 +6,9 @@ all randomized subcommands require an explicit --seed, and a one-line JSON
 summary echoing the resolved config is printed to stdout.
 
 Exit codes: 0 success, 1 usage error, 2 budget/resource error,
-3 compliance failure (coupling/bk runs with violations).
+3 compliance failure (coupling/bk runs with violations).  The budgets are the
+sampler's vertex budgets: when PERCOLATE_BUDGET_VERTICES is set, the sampler
+reads its integer value in place of both defaults at every check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -37,7 +38,6 @@ from .sampler import (
     sample_fpp_costs,
     sample_graph,
     save_graph,
-    set_vertex_budgets,
 )
 from .metrics import cost_distance, graph_distance
 from .couplings import (
@@ -66,8 +66,6 @@ from .estimators import (
     write_tail_csv,
 )
 from .rng import trial_seed
-
-BUDGET_ENV = "PERCOLATE_BUDGET_VERTICES"
 
 
 class UsageError(Exception):
@@ -259,6 +257,9 @@ def _cmd_growth(args) -> int:
 
 def _cmd_coupling(args) -> int:
     kind = args.kind
+    needs = {"alpha": "alpha_prime", "weights": "tau_prime"}.get(kind)
+    if needs and getattr(args, needs) is None:
+        raise UsageError(f"--kind {kind} needs --{needs.replace('_', '-')}")
     if kind == "alpha":
         params = ModelParams(d=args.d, alpha=args.alpha, tau=args.tau, lam=args.lam)
         box = BoxSpec(d=args.d, side=args.L)
@@ -580,13 +581,6 @@ def _config_tokens(sp: _Parser, command: str, path: str) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if os.environ.get(BUDGET_ENV):
-        try:
-            limit = int(os.environ[BUDGET_ENV])
-        except ValueError:
-            sys.stderr.write(f"{BUDGET_ENV} must be an integer\n")
-            return 1
-        set_vertex_budgets(sparse=limit, complete=limit)
     parser = build_parser()
     try:
         path = _config_path_from_argv(argv)
@@ -594,6 +588,9 @@ def main(argv=None) -> int:
             # before the command line's own flags, so that those win
             argv[1:1] = _config_tokens(parser.subparsers_by_name[argv[0]], argv[0], path)
         args = parser.parse_args(argv)
+        if args.config != path:
+            # an abbreviation such as --conf, which argparse takes for --config
+            raise UsageError(f"spell --config in full: {args.config} was not applied")
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -24,7 +24,6 @@ from .sampler import (
     CffpRealization,
     LazyRealization,
     Model,
-    _check_complete,
     _weights,
     sample_fpp_costs,
     sample_graph,
@@ -56,13 +55,14 @@ __all__ = [
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise DomainError("successes must lie in [0, trials]")
     p = successes / trials
+    z = _Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
@@ -146,7 +146,6 @@ def _distances_for_trial(
         g = sample_graph(config.box, config.params, config.model, s)
         costs = sample_fpp_costs(g, s)
         return cost_distances_from(g, costs, root, t_max=float(cap)), g.positions
-    _check_complete(config.box)
     weights = _weights(config.box, config.params, config.model, s)
     real = CffpRealization(box=config.box, weights=weights, params=config.params, seed=s)
     return cost_distances_from(real, None, root, t_max=float(cap)), real.positions

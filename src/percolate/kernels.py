@@ -74,7 +74,6 @@ class EnvelopeParams:
     beta_env: float
     lambda_env: float
     c_theta: float
-    big_c: float = 1.0
 
     def __post_init__(self):
         if not 0.5 < self.theta < 1.0:
@@ -85,8 +84,6 @@ class EnvelopeParams:
             raise DomainError("lambda_env must be positive")
         if self.c_theta <= 1:
             raise DomainError(f"c_theta must exceed 1, got {self.c_theta}")
-        if self.big_c <= 0:
-            raise DomainError("big_c must be positive")
 
 
 def delta_exponent(beta: float) -> float:
@@ -280,10 +277,12 @@ def tau_prime_max(tau: float, alpha: float) -> float:
     """Supremum of admissible reduced exponents: tau(1 - a/2) + 3a/2.
 
     Any tau' in (3, tau_prime_max) makes the aggregated blow-up weight
-    dominate Pareto(tau) for large enough blow-up factor.
+    dominate Pareto(tau) for large enough blow-up factor.  tau must be
+    finite: the tail x^(1-tau) of tau = inf is 0 beyond x = 1, which every
+    weight law dominates, so a check against it would pass vacuously.
     """
-    if tau <= 3:
-        raise DomainError(f"tau must exceed 3, got {tau}")
+    if not 3 < tau < math.inf:
+        raise DomainError(f"tau must be finite and exceed 3, got {tau}")
     if not 1 <= alpha < 2:
         raise DomainError(f"alpha must lie in [1, 2), got {alpha}")
     return tau * (1.0 - alpha / 2.0) + 3.0 * alpha / 2.0

@@ -9,9 +9,9 @@ latter: they sample only the pairs between each BFS frontier and the
 unvisited vertices.  Each pair's edge is a pure function of (seed, {u, v}),
 decided by the same arithmetic as the full scan, so the distances equal
 those on `sample_graph`'s realization.  Cost distances on a `SampledGraph`
-come from scipy's Dijkstra on its edge array, weighted from the CostMap;
-on a `CffpRealization`, from a dense Dijkstra over its cost rows.  Both
-read inf beyond `t_max`.
+come from scipy's Dijkstra over the CostMap's pairs: the edge array for FPP
+costs, every stored pair for CFFP costs.  On a `CffpRealization` they come
+from a dense Dijkstra over its cost rows.  Both read inf beyond `t_max`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import BudgetError, DomainError
-from .sampler import CffpRealization, CostMap, LazyRealization, SampledGraph
+from .sampler import CffpRealization, CostMap, LazyRealization, RateModel, SampledGraph
 
 __all__ = [
     "BallKind",
@@ -90,28 +90,31 @@ def graph_distance(graph: SampledGraph, x: int, y: int) -> int | None:
 
 def _sparse_cost_search(graph: SampledGraph, costs: CostMap | None, x: int,
                         t_max: float | None) -> np.ndarray:
-    """scipy's Dijkstra on the graph's edges, weighted by `costs`.
+    """scipy's Dijkstra over the pairs that carry a cost.
 
-    Costs are read from the CostMap's dict for every edge, so a cost map
-    that misses an edge raises DomainError.
+    An FPP map costs the graph's edges: its cost is read for every edge, so
+    a map that misses an edge raises DomainError.  A CFFP map stores the
+    complete graph, whose pairs are its own keys.
     """
     if costs is None:
         raise DomainError("a CostMap is required for sparse graphs")
-    e = graph.edge_array
-    lo, hi = e[:, 0].tolist(), e[:, 1].tolist()
-    try:
-        c = np.fromiter(map(costs.costs.__getitem__, zip(lo, hi)), np.float64, len(e))
-    except KeyError as err:
-        u, v = err.args[0]
-        raise DomainError(f"cost map does not cover edge ({u}, {v})") from None
+    if costs.rate_model is RateModel.CFFP_RATE:
+        e = np.array(list(costs.costs), dtype=np.int64).reshape(-1, 2)
+        c = np.fromiter(costs.costs.values(), np.float64, len(e))
+    else:
+        e = graph.edge_array
+        lo, hi = e[:, 0].tolist(), e[:, 1].tolist()
+        try:
+            c = np.fromiter(map(costs.costs.__getitem__, zip(lo, hi)), np.float64, len(e))
+        except KeyError as err:
+            u, v = err.args[0]
+            raise DomainError(f"cost map does not cover edge ({u}, {v})") from None
     # csgraph keeps an explicit zero entry as an edge of cost 0.
     mat = csr_array((c, (e[:, 0], e[:, 1])), shape=(graph.n, graph.n))
     return dijkstra(mat, directed=False, indices=x, limit=np.inf if t_max is None else t_max)
 
 
-def _dense_cost_search(
-    real: CffpRealization, x: int, target: int | None, t_max: float | None
-) -> np.ndarray:
+def _dense_cost_search(real: CffpRealization, x: int, t_max: float | None) -> np.ndarray:
     n = real.n
     dist = np.full(n, np.inf)
     dist[x] = 0.0
@@ -125,8 +128,6 @@ def _dense_cost_search(
         if t_max is not None and du > t_max:
             break
         done[u] = True
-        if target is not None and u == target:
-            break
         np.minimum(dist, du + real.cost_row(u), out=dist)
     if t_max is not None:
         dist[dist > t_max] = np.inf
@@ -136,17 +137,12 @@ def _dense_cost_search(
 def cost_distance(obj, costs: CostMap | None, x: int, y: int) -> float | None:
     """Minimum path cost between x and y, or None if unreachable.
 
-    `obj` is either a SampledGraph (costs must cover its edges) or a
-    CffpRealization, whose complete-graph costs are derived on demand.
+    `obj` is either a SampledGraph with a CostMap (FPP costs cover its
+    edges, CFFP costs every pair) or a CffpRealization, whose
+    complete-graph costs are derived on demand.
     """
     _check_vertex(obj.n, x, y)
-    if x == y:
-        return 0.0
-    if isinstance(obj, CffpRealization):
-        dist = _dense_cost_search(obj, x, target=y, t_max=None)
-    else:
-        dist = _sparse_cost_search(obj, costs, x, t_max=None)
-    d = float(dist[y])
+    d = float(cost_distances_from(obj, costs, x)[y])
     return d if np.isfinite(d) else None
 
 
@@ -158,7 +154,7 @@ def cost_distances_from(
     if t_max is not None and not t_max >= 0:
         raise DomainError(f"t_max must be a nonnegative number, got {t_max}")
     if isinstance(obj, CffpRealization):
-        return _dense_cost_search(obj, x, target=None, t_max=t_max)
+        return _dense_cost_search(obj, x, t_max=t_max)
     return _sparse_cost_search(obj, costs, x, t_max=t_max)
 
 

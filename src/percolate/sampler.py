@@ -33,6 +33,7 @@ use.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -64,8 +65,6 @@ __all__ = [
     "LazyRealization",
     "DEFAULT_SPARSE_BUDGET",
     "DEFAULT_COMPLETE_BUDGET",
-    "set_vertex_budgets",
-    "vertex_budget",
     "edge_uniform",
     "edge_uniforms",
     "vertex_uniform",
@@ -79,20 +78,8 @@ __all__ = [
 
 DEFAULT_SPARSE_BUDGET = 200_000
 DEFAULT_COMPLETE_BUDGET = 4_000
-
-_budgets = {"sparse": DEFAULT_SPARSE_BUDGET, "complete": DEFAULT_COMPLETE_BUDGET}
-
-
-def set_vertex_budgets(sparse: int | None = None, complete: int | None = None) -> None:
-    """Override the process-wide vertex budgets (the CLI wires an env var here)."""
-    if sparse is not None:
-        _budgets["sparse"] = int(sparse)
-    if complete is not None:
-        _budgets["complete"] = int(complete)
-
-
-def vertex_budget(kind: str) -> int:
-    return _budgets[kind]
+# When set, its integer value replaces both vertex budgets, read at each check.
+BUDGET_ENV = "PERCOLATE_BUDGET_VERTICES"
 
 
 class Model(str, Enum):
@@ -412,16 +399,27 @@ def _slab_scan(real: LazyRealization):
     return np.concatenate(los), np.concatenate(his)
 
 
+def _vertex_budget(default: int) -> int:
+    """The default, or the value of the BUDGET_ENV variable when it is set."""
+    text = os.environ.get(BUDGET_ENV)
+    if not text:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"{BUDGET_ENV} must be an integer, got {text!r}") from None
+
+
 def _check_sparse(box: BoxSpec, params: ModelParams) -> None:
     if box.d != params.d:
         raise DomainError(f"box dimension {box.d} != params dimension {params.d}")
-    limit = vertex_budget("sparse")
+    limit = _vertex_budget(DEFAULT_SPARSE_BUDGET)
     if box.n_vertices > limit:
         raise BudgetError(f"{box.n_vertices} vertices exceed the budget of {limit}")
 
 
 def _check_complete(box: BoxSpec) -> None:
-    limit = vertex_budget("complete")
+    limit = _vertex_budget(DEFAULT_COMPLETE_BUDGET)
     if box.n_vertices > limit:
         raise BudgetError(
             f"{box.n_vertices} vertices exceed the complete-graph budget of {limit}"
@@ -513,6 +511,7 @@ class CffpRealization:
             raise DomainError("weights length must equal the box vertex count")
         if self.params.lam != 1.0:
             raise DomainError("CFFP is normalized to lambda = 1")
+        _check_complete(self.box)
 
     @property
     def n(self) -> int:
@@ -646,7 +645,6 @@ class LazyRealization:
 def sample_cffp_costs(box: BoxSpec, weights: np.ndarray, params: ModelParams,
                       seed: int) -> CostMap:
     """Materialize the full quadratic cost map of a CFFP realization."""
-    _check_complete(box)
     real = CffpRealization(box=box, weights=np.asarray(weights, dtype=np.float64),
                            params=params, seed=seed)
     costs = {}

@@ -1,11 +1,14 @@
-"""CLI contract: subcommands, exit codes, determinism, config files."""
+"""CLI contract: subcommands, exit codes, determinism, config files, and the
+bytes of a fixed set of runs."""
 
+import hashlib
 import json
 
 import pytest
 
-from percolate import BoxSpec, ModelParams, couple_alpha
+from percolate import BoxSpec, CffpRealization, ModelParams, cost_distance, couple_alpha
 from percolate.cli import main
+from percolate.sampler import load_graph
 from percolate.rng import trial_seed
 
 
@@ -46,14 +49,23 @@ class TestGenerate:
                      "--alpha", "1.5", "--lambda", "0", "--seed", "1",
                      "--out", str(tmp_path / "x.txt")])
         assert code == 2
-        # restore default budgets for the rest of the suite
+
+    def test_budget_env_is_read_at_each_run(self, tmp_path, capsys, monkeypatch):
+        argv = ["generate", "--model", "lrp", "--d", "1", "--L", "16", "--alpha", "1.5",
+                "--lambda", "0", "--seed", "1", "--out", str(tmp_path / "x.txt")]
+        monkeypatch.setenv("PERCOLATE_BUDGET_VERTICES", "10")
+        assert main(argv) == 2
         monkeypatch.delenv("PERCOLATE_BUDGET_VERTICES")
-        from percolate.sampler import (
-            DEFAULT_COMPLETE_BUDGET,
-            DEFAULT_SPARSE_BUDGET,
-            set_vertex_budgets,
-        )
-        set_vertex_budgets(DEFAULT_SPARSE_BUDGET, DEFAULT_COMPLETE_BUDGET)
+        assert main(argv) == 0
+
+    def test_malformed_budget_env_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PERCOLATE_BUDGET_VERTICES", "ten")
+        out = tmp_path / "x.txt"
+        assert main(["generate", "--model", "lrp", "--d", "1", "--L", "16", "--alpha", "1.5",
+                     "--lambda", "0", "--seed", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "PERCOLATE_BUDGET_VERTICES" in captured.err
+        assert not out.exists()
 
     def test_fpp_costs_written(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
@@ -80,6 +92,19 @@ class TestDistance:
         code, summary = run(capsys, "distance", "--in", str(out),
                             "--source", "0", "--target", "7", "--cost")
         assert code == 0 and summary["result"]["distance"] > 0
+
+    def test_cffp_costs_are_searched_as_the_complete_graph(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        run(capsys, "generate", "--model", "sfp", "--d", "1", "--L", "40", "--alpha", "1.5",
+            "--tau", "6", "--lambda", "1", "--seed", "3", "--costs", "cffp", "--out", str(out))
+        code, summary = run(capsys, "distance", "--in", str(out),
+                            "--source", "0", "--target", "39", "--cost")
+        g, costs = load_graph(out)
+        assert len(costs) == 40 * 39 // 2 > len(g.edges)
+        real = CffpRealization(g.box, g.weights, g.params, g.seed)
+        assert code == 0
+        assert summary["result"]["distance"] == cost_distance(real, None, 0, 39)
+        assert summary["result"]["distance"] == 1.5446905891725746
 
 
 class TestBk:
@@ -172,6 +197,19 @@ class TestCoupling:
                             "--out", str(out))
         assert code == 0
         assert coupling_report(summary, out)["kind"] == "FppCffp"
+
+    @pytest.mark.parametrize("kind, flag", [("alpha", "--alpha-prime"),
+                                            ("weights", "--tau-prime")])
+    def test_kind_without_its_flag_is_usage_error(self, capsys, kind, flag):
+        assert main(["coupling", "--kind", kind, "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"usage error: --kind {kind} needs {flag}\n"
+
+    def test_weights_with_infinite_tau_is_rejected(self, capsys):
+        # x^(1 - tau) is 0 beyond x = 1 at tau = inf, so no shortfall could be flagged
+        assert main(["coupling", "--kind", "weights", "--tau-prime", "3.5", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("invalid arguments: ")
 
 
 class TestTailGrowthShapeFit:
@@ -293,6 +331,20 @@ class TestUsageAndConfig:
             assert str(a) in captured.err and str(b) in captured.err
             assert not out.exists()
 
+    def test_abbreviated_config_is_usage_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "a.json", tmp_path / "g.txt"
+        cfg.write_text(json.dumps({"L": 8}))
+        argv = ["generate", "--L", "16", "--alpha", "1.5", "--lambda", "0", "--seed", "1",
+                "--out", str(out)]
+        for conf in (["--conf", str(cfg)], [f"--con={cfg}"]):
+            assert main(argv + conf) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("usage error: ")
+            assert str(cfg) in captured.err and not out.exists()
+        # abbreviations of the other flags still parse
+        code, summary = run(capsys, *argv[:-2], "--ou", str(out))
+        assert code == 0 and summary["result"]["vertices"] == 16
+
     @pytest.mark.parametrize("text", [None, "[1]", "{bad"], ids=["missing", "list", "malformed"])
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys, text):
         cfg, out = tmp_path / "cfg.json", tmp_path / "g.txt"
@@ -325,3 +377,87 @@ class TestUsageAndConfig:
         assert main(argv + ["--threads", "2"]) == 1
         assert capsys.readouterr().out == ""
         assert main(argv) == 0
+
+
+# The graph files that the `distance` runs below read, as `generate` writes them.
+_GRAPHS = {
+    "lrp": "generate --model lrp --d 1 --L 64 --alpha 1.5 --lambda 0.3 --seed 7",
+    "fpp": "generate --model sfp --d 2 --L 8 --alpha 2 --tau 3.5 --lambda 1 --seed 5 --costs fpp",
+    "cffp": "generate --model sfp --d 1 --L 40 --alpha 1.5 --tau 6 --lambda 1 --seed 3 "
+            "--costs cffp",
+}
+
+# (id, command line, exit code, SHA-256 of the summary line without its paths,
+#  SHA-256 of the file written to {out}, or None)
+CLI_PINS = [
+    ("generate-lrp", _GRAPHS["lrp"] + " --out {out}",
+     0, "927c91a3fe82abaa3495926064ffe49b9dc0dd13fc356246cdfacba567bd8b4a",
+     "9ff8d3f3c4aad70d51a0a3d114f08d44485041117df36d3747fcbd665f044637"),
+    ("generate-sfp-fpp", _GRAPHS["fpp"] + " --out {out}",
+     0, "e06bc82fca0e3e9c5352ca879ef97ceea95002bd0b0b17baae8f3644ca3c0cc4",
+     "5e625cca33b1eca077cd9815dcc12028010ed7ab20ea87c8d6256b1fd1a493c4"),
+    ("generate-sfp-cffp", _GRAPHS["cffp"] + " --out {out}",
+     0, "0497189c63afc841640dccf75b68bb3d74f70ace61140014bcf22a5433665dc7",
+     "7610153e5d2b5772ab65d85d471361cdf0968117c02f87b7cc1734f6f46ff56b"),
+    ("generate-girg", "generate --model girg --d 2 --L 6 --alpha 2 --tau 3.5 --lambda 1 "
+     "--seed 9 --out {out}",
+     0, "a0b26029843b0ffce99aa3e203fadd2c76faa01a8e4eb671214461d91a316f49",
+     "f29e4b372a3c198c09a22d6e0d7d6354bf08f1f257b01e6933dc4644b25b57ea"),
+    ("distance-hop", "distance --in {lrp} --source 0 --target 63",
+     0, "e4ab4f58488166bac666688a91844637d993d5241644266410158a66e540fccb", None),
+    ("distance-fpp", "distance --in {fpp} --source 0 --target 63 --cost",
+     0, "e2d01c4cad709fea70f34dec06ec0ffd9dc0ffe58e45a50bf6c91b872cf5b312", None),
+    ("distance-cffp", "distance --in {cffp} --source 0 --target 39 --cost",
+     0, "20db53edd4fb5e6628cfd01a7eaaebdcdd910b2b272df521ded171ff0971738a", None),
+    ("tail-lrp-bound", "tail --model lrp --d 1 --L 65 --alpha 1.5 --lambda 0.05 --source 16 "
+     "--targets 24,48 --thresholds 1,2,3 --trials 50 --seed 6 --bound lrp --out {out}",
+     0, "c5d4902de57cbee8d48ddda302b43d4d4599d2f7176ad9f5e6c0e95c4c05a1df",
+     "b7d6890df648e5fbe37fae885ff541cbbcbecdda9ffbc22d58825d88cc4b274a"),
+    ("growth-fpp", "growth --metric fpp --model sfp --d 2 --L 8 --alpha 2 --tau 3.5 --lambda 1 "
+     "--thresholds 0.2,0.4,0.6 --trials 5 --seed 3 --out {out}",
+     0, "ef5b38e863334304bbd435cbda998313ad7e7a7b9335b1e9f1bee8833d8336a3",
+     "e4e3d2cd1fd69317d9f934789fefd0d92ad309e4584a1e1a5f1bb8abd0c1f524"),
+    ("growth-cffp", "growth --metric cffp --model sfp --d 1 --L 21 --alpha 1.5 --tau 4 "
+     "--lambda 1 --thresholds 0.1,0.2,0.3,0.4 --trials 10 --seed 3 --h-t 0.3 --selfbound "
+     "--out {out}",
+     0, "82ef4d94a50394a5fd800aae029baac62f3555ef2bb89c0a493ea4532acd2a93",
+     "12dc20df068fce4cce0a14733292163c0608a815552bb0d5df8a92af2bdf88c1"),
+    ("shape", "shape --model lrp --d 1 --L 129 --alpha 1.2 --lambda 0.05 --ks 2,3 --trials 20 "
+     "--seed 5 --fit-trials 20 --out {out}",
+     0, "886007020cf727824a2265e9deaff9bdb833c94efa8abc881568e17a916a0b3f",
+     "8cf2ddac1ae5c08648ed932a80cb33996018926774a0fd47f973f56cae67bace"),
+    ("coupling-alpha", "coupling --kind alpha --d 1 --L 32 --alpha 1.8 --alpha-prime 1.5 "
+     "--tau 4 --lambda 0.3 --seeds 2 --seed 2 --out {out}",
+     0, "1eadaa7e0dd74e7d30521e3cc796fb9ca486089b4e4ef5fddbe5e42c3e4a99c4",
+     "212c08e22bb7ac352f2b21621a9a025abd056cb4fc7fc9a2a159260f95df78ca"),
+    ("coupling-blowup-lrp", "coupling --kind blowup-lrp --d 1 --L 16 --r 2 --alpha 1.5 "
+     "--lambda-small 0.05 --lambda-goal 0.1 --seeds 2 --seed 3 --out {out}",
+     0, "86765655183ecd20d712f89d119ce813d46338f31bf4a5b4b73fffa1134241a8",
+     "355b2f4fa6a045479895e58bd72f57dafd9e7b34ee2142c4c3312d3dac4c5e27"),
+    ("coupling-min-exp", "coupling --kind min-exp --seed 1 --out {out}",
+     0, "618dfc0bb2313a4030c5cc66e8c8236ab2d4be6122b795b01edf09b43abd98cf",
+     "f162fd0446cf250110f165b4ba4b7c6acc8202e38a95db7e55f64a360d68f224"),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name, line, code, summary_sha, file_sha", CLI_PINS,
+                         ids=[case[0] for case in CLI_PINS])
+def test_cli_bytes_are_pinned(tmp_path, capsys, name, line, code, summary_sha, file_sha):
+    """Stdout and written files of fixed runs, byte for byte."""
+    files = {key: tmp_path / f"{key}.txt" for key in _GRAPHS}
+    for key, gen in _GRAPHS.items():
+        if "{%s}" % key in line:
+            assert main([*gen.split(), "--out", str(files[key])]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(line.format(out=out, **files).split()) == code
+    summary = json.loads(capsys.readouterr().out)
+    summary["config"].pop("out", None)
+    summary["config"].pop("infile", None)
+    summary["result"].pop("out", None)
+    assert _sha(json.dumps(summary, sort_keys=True).encode()) == summary_sha
+    assert (_sha(out.read_bytes()) if out.exists() else None) == file_sha

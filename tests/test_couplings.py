@@ -312,6 +312,8 @@ class TestWeightDominance:
             weight_dominance_test(4.0, 3.6, 1.0, 8, 1, 1.0, 100, 5)
         with pytest.raises(DomainError):
             weight_dominance_test(4.0, 3.0, 1.0, 8, 1, 1.0, 100, 5)
+        with pytest.raises(DomainError):
+            weight_dominance_test(math.inf, 3.5, 1.0, 8, 1, 1.0, 100, 5)
 
     def test_passes_for_large_r(self):
         rep = weight_dominance_test(4.0, 3.2, 1.0, 16, 1, 1.0, 4000, 9)

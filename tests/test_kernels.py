@@ -286,6 +286,9 @@ class TestTauPrimeMax:
             tau_prime_max(3.0, 1.5)
         with pytest.raises(DomainError):
             tau_prime_max(4.0, 2.0)
+        # x^(1 - tau) vanishes beyond x = 1 at tau = inf: nothing could fall short of it
+        with pytest.raises(DomainError):
+            tau_prime_max(math.inf, 1.5)
 
 
 class TestModelParamsValidation:

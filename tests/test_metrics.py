@@ -212,6 +212,16 @@ class TestCostSearch:
         assert np.array_equal(cut[inside], full[inside])
         assert np.all(cut[~inside] == np.inf)
 
+    def test_cffp_cost_map_is_searched_over_all_its_pairs(self):
+        box, params = BoxSpec(d=1, side=40), ModelParams(d=1, alpha=1.5, tau=6.0, lam=1.0)
+        w = sampler.sample_weights(40, 6.0, 3)
+        g = sample_graph(box, params, Model.SFP, 3)
+        cm = sampler.sample_cffp_costs(box, w, params, 3)
+        real = CffpRealization(box=box, weights=w, params=params, seed=3)
+        want = cost_distances_from(real, None, 0)
+        assert np.array_equal(cost_distances_from(g, cm, 0), want)
+        assert cost_distance(g, cm, 0, 39) == want[39]
+
     def test_t_max_must_be_a_nonnegative_number(self):
         g = make_graph(4, {(0, 1), (1, 2)})
         cm = CostMap({(0, 1): 1.0, (1, 2): 0.5}, RateModel.UNIT_RATE)

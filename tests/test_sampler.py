@@ -189,6 +189,20 @@ class TestSampleGraph:
             sample_graph(BoxSpec(d=1, side=sampler.DEFAULT_SPARSE_BUDGET + 1), lrp(),
                          Model.LRP, 1)
 
+    def test_budget_env_applies_to_library_calls(self, monkeypatch):
+        box, params = BoxSpec(d=1, side=16), ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0)
+        monkeypatch.setenv("PERCOLATE_BUDGET_VERTICES", "10")
+        with pytest.raises(BudgetError):
+            sample_graph(box, params, Model.SFP, 1)
+        with pytest.raises(BudgetError):
+            CffpRealization(box=box, weights=np.ones(16), params=params, seed=1)
+        monkeypatch.setenv("PERCOLATE_BUDGET_VERTICES", "16")
+        sample_graph(box, params, Model.SFP, 1)
+        CffpRealization(box=box, weights=np.ones(16), params=params, seed=1)
+        monkeypatch.setenv("PERCOLATE_BUDGET_VERTICES", "1e3")
+        with pytest.raises(DomainError, match="PERCOLATE_BUDGET_VERTICES"):
+            sample_graph(box, params, Model.SFP, 1)
+
     def test_degree_grows_with_weight(self):
         # E[deg | w] ~ w: check rank correlation on a log-binned split
         params = ModelParams(d=1, alpha=1.2, tau=3.0, lam=1.0)
