@@ -33,6 +33,7 @@ from .kernels import (
 from .sampler import (
     BoxSpec,
     Model,
+    _write_csv,
     load_graph,
     sample_cffp_costs,
     sample_fpp_costs,
@@ -188,10 +189,7 @@ def _cmd_tail(args) -> int:
             lambda k, dist, eps: tail_bound_lrp(int(k), dist, eps, params),
             grid.tolist(),
         )
-        result["compliant"] = report.compliant
         result["best_eps"] = report.best_constants
-        result["margin"] = report.margin
-        result["margin_upper"] = report.margin_upper
     elif args.bound == "sfp":
         grid = [
             BoundConstants(c1=c1, c2=c2, beta_exp=b)
@@ -204,14 +202,14 @@ def _cmd_tail(args) -> int:
             lambda k, dist, bc: tail_bound_sfp(int(k), dist, bc, params),
             grid,
         )
-        result["compliant"] = report.compliant
         result["best_constants"] = {
             "c1": report.best_constants.c1,
             "c2": report.best_constants.c2,
             "beta": report.best_constants.beta_exp,
         }
-        result["margin"] = report.margin
-        result["margin_upper"] = report.margin_upper
+    if args.bound:
+        result.update(compliant=report.compliant, margin=report.margin,
+                      margin_upper=report.margin_upper)
     _emit("tail", args, result)
     return 0
 
@@ -415,13 +413,8 @@ def _cmd_shape(args) -> int:
     rows = shape_containment(config, root, ks, lambda k: math.exp(c * k ** (1.0 / delta)),
                              args.trials, args.seed)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("k,radius,trials,contained,frequency\n")
-            for r in rows:
-                fh.write(
-                    f"{r['k']},{format(r['radius'], '.17g')},{r['trials']},"
-                    f"{r['contained']},{format(r['frequency'], '.17g')}\n"
-                )
+        columns = ("k", "radius", "trials", "contained", "frequency")
+        _write_csv(args.out, columns, ([r[c] for c in columns] for r in rows))
     _emit("shape", args, {
         "c": c,
         "delta": delta,
@@ -543,10 +536,20 @@ def build_parser() -> _Parser:
 _CONFIG_KEYMAP = {"lambda": "lam", "in": "infile"}
 
 
-def _config_path_from_argv(argv: list[str]) -> str | None:
-    """The file of the command line's one `--config`, if it has one."""
-    paths = [argv[i + 1] for i, tok in enumerate(argv[:-1]) if tok == "--config"]
-    paths += [tok.split("=", 1)[1] for tok in argv if tok.startswith("--config=")]
+def _config_path_from_argv(sp: _Parser, argv: list[str]) -> str | None:
+    """The file of the subcommand's one `--config`, if it has one.  A proper
+    prefix of --config that no other flag of the subcommand begins with is
+    refused, as argparse would take it for --config."""
+    others = [o for o in sp._option_string_actions if o != "--config"]
+    paths = []
+    for tok, following in zip(argv, argv[1:] + [""]):
+        flag, eq, value = tok.partition("=")
+        if (len(flag) > 2 and "--config".startswith(flag)
+                and not any(o.startswith(flag) for o in others)):
+            path = value if eq else following
+            if flag != "--config":
+                raise UsageError(f"spell --config in full, not {flag}: {path} was not applied")
+            paths.append(path)
     if len(paths) > 1:
         raise UsageError(f"--config given more than once: {' and '.join(paths)}")
     return paths[0] if paths else None
@@ -583,13 +586,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        path = _config_path_from_argv(argv)
-        if path and argv[0] in parser.subparsers_by_name:
+        sp = parser.subparsers_by_name.get(argv[0]) if argv else None
+        path = _config_path_from_argv(sp, argv[1:]) if sp else None
+        if path:
             # before the command line's own flags, so that those win
-            argv[1:1] = _config_tokens(parser.subparsers_by_name[argv[0]], argv[0], path)
+            argv[1:1] = _config_tokens(sp, argv[0], path)
         args = parser.parse_args(argv)
         if args.config != path:
-            # an abbreviation such as --conf, which argparse takes for --config
+            # a spelling that argparse takes for --config but the check above missed
             raise UsageError(f"spell --config in full: {args.config} was not applied")
         return args.func(args)
     except UsageError as exc:

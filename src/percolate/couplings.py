@@ -25,8 +25,7 @@ from .kernels import (
     tau_prime_max,
 )
 from .rng import trial_seed, trial_seeds, vertex_uniform_each, vertex_uniforms
-from .sampler import (BoxSpec, Model, SampledGraph, _coordinate_columns, _pair_blocks,
-                      _squared_distances, sample_graph)
+from .sampler import BoxSpec, Model, SampledGraph, sample_graph
 
 __all__ = [
     "CouplingKind",
@@ -268,20 +267,20 @@ def blowup_lrp(
     lo, hi = np.minimum(cu, cv), np.maximum(cu, cv)
     _, first = np.unique(lo * coarse_box.n_vertices + hi, return_index=True)
     fe[cu > cv] = fe[cu > cv][:, ::-1]
-    witnesses = {f"{a},{b}": w for a, b, w in
-                 zip(lo[first].tolist(), hi[first].tolist(), fe[first].tolist())}
+    pairs = np.stack([lo[first], hi[first]], axis=1)
+    witnesses = {f"{a},{b}": w for (a, b), w in zip(pairs.tolist(), fe[first].tolist())}
 
     coarse = SampledGraph(
         model=Model.LRP,
         positions=coarse_box.lattice_positions(),
         weights=np.ones(coarse_box.n_vertices),
-        edges=frozenset(zip(lo.tolist(), hi.tolist())),
+        edges=frozenset(zip(*pairs.T.tolist())),
         seed=seed,
         params=params,
         box=coarse_box,
     )
 
-    report = _blowup_report(_distance_bins(coarse), {
+    report = _blowup_report(_distance_bins(coarse_box, pairs), {
         "r": r, "alpha": params.alpha, "d": params.d, "lambda_small": params.lam,
         "lambda_goal": lambda_goal,
     })
@@ -289,21 +288,29 @@ def blowup_lrp(
     return fine, coarse, report
 
 
-def _distance_bins(graph: SampledGraph) -> dict:
-    """{round(dist, 9): [pairs, edges]} over all vertex pairs of the graph."""
-    columns = _coordinate_columns(graph.positions)
+def _distance_bins(box: BoxSpec, edges: np.ndarray) -> dict:
+    """{round(dist, 9): [pairs, edges]} over all pairs of a lattice box, with
+    (lo, hi) rows `edges`.  The pairs at axis offsets delta >= 0, delta != 0
+    number prod_j (side - delta_j) * 2^(nonzero axes - 1)."""
+    shape = (box.side,) * box.d
+    coords = np.indices(shape).reshape(box.d, -1)  # column i: vertex i, and offset i
+    pairs = np.prod(box.side - coords, axis=0) << np.count_nonzero(coords, axis=0) >> 1
+    offsets = np.abs(coords[:, edges[:, 0]] - coords[:, edges[:, 1]])
+    hits = np.bincount(np.ravel_multi_index(tuple(offsets), shape), minlength=box.n_vertices)
     bins: dict = {}
-
-    def add(lo, hi, slot):
-        dists = np.sqrt(_squared_distances(columns, lo, hi))
-        values, counts = np.unique(dists, return_counts=True)
-        for dist, count in zip(values.tolist(), counts.tolist()):
-            bins.setdefault(round(dist, 9), [0, 0])[slot] += count
-
-    for lo, hi in _pair_blocks(graph.n):
-        add(lo, hi, 0)
-    add(graph.edge_array[:, 0], graph.edge_array[:, 1], 1)
+    for dist2, npairs, nedges in zip((coords**2).sum(axis=0).tolist()[1:], pairs.tolist()[1:],
+                                     hits.tolist()[1:]):
+        cnt = bins.setdefault(round(math.sqrt(dist2), 9), [0, 0])
+        cnt[0] += npairs
+        cnt[1] += nedges
     return bins
+
+
+def _shortfall(freq: float, target: float, n: int) -> tuple[float, bool]:
+    """The binomial standard error sigma at `target` over n trials, and
+    whether `freq` falls more than 3 sigma short of `target`."""
+    sigma = math.sqrt(target * (1.0 - target) / n)
+    return sigma, freq + 3.0 * sigma < target
 
 
 def _blowup_report(bins: dict, parameters: dict) -> CouplingReport:
@@ -319,8 +326,7 @@ def _blowup_report(bins: dict, parameters: dict) -> CouplingReport:
         total_pairs += npairs
         target = min(1.0, lambda_goal * dist ** (-ad))
         freq = hits / npairs
-        sigma = math.sqrt(target * (1.0 - target) / npairs)
-        flagged = freq + 3.0 * sigma < target
+        sigma, flagged = _shortfall(freq, target, npairs)
         violations += int(flagged)
         details.append(
             {
@@ -474,8 +480,7 @@ def weight_dominance_test(
     for x in xs:
         emp = float(np.mean(samples >= x))
         target = float(x ** (1.0 - tau))
-        sigma = math.sqrt(target * (1.0 - target) / trials)
-        flagged = emp + 3.0 * sigma < target
+        sigma, flagged = _shortfall(emp, target, trials)
         violations += int(flagged)
         details.append(
             {"x": float(x), "empirical": emp, "target": target,

@@ -17,7 +17,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import BudgetError, DomainError
 from .kernels import ModelParams, delta_exponent, pareto_quantile
-from .metrics import cost_distances_from, hop_distances_from
+from .metrics import _ball_profile, cost_distances_from, hop_distances_from
 from .rng import trial_seed, trial_seeds, vertex_uniform_each
 from .sampler import (
     BoxSpec,
@@ -25,6 +25,7 @@ from .sampler import (
     LazyRealization,
     Model,
     _weights,
+    _write_csv,
     sample_fpp_costs,
     sample_graph,
 )
@@ -99,14 +100,8 @@ class TailEstimate:
 
 
 def write_tail_csv(estimates, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("dist,threshold,trials,successes,p_hat,ci_low,ci_high\n")
-        for e in estimates:
-            fh.write(
-                f"{format(e.dist, '.17g')},{format(float(e.threshold), '.17g')},"
-                f"{e.trials},{e.successes},{format(e.p_hat, '.17g')},"
-                f"{format(e.ci_low, '.17g')},{format(e.ci_high, '.17g')}\n"
-            )
+    columns = ("dist", "threshold", "trials", "successes", "p_hat", "ci_low", "ci_high")
+    _write_csv(path, columns, ([getattr(e, c) for c in columns] for e in estimates))
 
 
 @dataclass(frozen=True)
@@ -339,10 +334,7 @@ class GrowthSeries:
     stretched: StretchedFit
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("threshold,mean_size\n")
-            for t, s in zip(self.thresholds, self.mean_sizes):
-                fh.write(f"{format(float(t), '.17g')},{format(float(s), '.17g')}\n")
+        _write_csv(path, ("threshold", "mean_size"), zip(self.thresholds, self.mean_sizes))
 
 
 def mc_ball_growth(
@@ -372,8 +364,8 @@ def mc_ball_growth(
 
     sizes = np.empty((trials, len(thresholds)))
     for i in range(trials):
-        dist, _ = _distances_for_trial(config, root, trial_seed(seed, i), cap)
-        sizes[i] = [np.count_nonzero(dist <= thr) for thr in thresholds]
+        dist, pos = _distances_for_trial(config, root, trial_seed(seed, i), cap)
+        sizes[i] = _ball_profile(dist, pos, root, thresholds)[0]
     mean_sizes = sizes.mean(axis=0)
     logg = np.log(mean_sizes)
     unsaturated = np.all(sizes < config.box.n_vertices, axis=0)
@@ -469,7 +461,7 @@ def sum_exp_tail(
 # Events are predicates over the tuple of edge states.  For monotone
 # (increasing) events, A box B holds at an outcome iff the open coordinates
 # can be split into disjoint witness sets certifying A and B; that split
-# search is run exactly for every outcome via a ranked subset convolution.
+# search is run exactly for every outcome by `_disjoint_occurrence`.
 # Non-monotone events are rejected.
 # ---------------------------------------------------------------------------
 
@@ -498,31 +490,20 @@ def _check_monotone(tab: np.ndarray, n: int, name: str) -> None:
             raise DomainError(f"event {name} is not monotone increasing")
 
 
-def _subset_convolve_indicator(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Boolean table of {exists partition s, mask\\s with a[s] and b[mask\\s]}."""
-    size = 1 << n
-    pop = np.array([bin(m).count("1") for m in range(size)])
-    ahat = np.zeros((n + 1, size), dtype=np.int64)
-    bhat = np.zeros((n + 1, size), dtype=np.int64)
-    for r in range(n + 1):
-        ahat[r][pop == r] = a[pop == r]
-        bhat[r][pop == r] = b[pop == r]
-    for mat in (ahat, bhat):
-        for bit in range(n):
-            step = 1 << bit
-            lower = np.nonzero(np.arange(size) & step == 0)[0]
-            mat[:, lower + step] += mat[:, lower]
-    out = np.zeros(size, dtype=bool)
-    for r in range(n + 1):
-        chat = np.zeros(size, dtype=np.int64)
-        for i in range(r + 1):
-            chat += ahat[i] * bhat[r - i]
-        # Moebius transform back to the partition count at rank r.
-        for bit in range(n):
-            step = 1 << bit
-            lower = np.nonzero(np.arange(size) & step == 0)[0]
-            chat[lower + step] -= chat[lower]
-        out[pop == r] |= chat[pop == r] > 0
+def _disjoint_occurrence(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Boolean table of {exists s within mask with a[s] and b[mask \\ s]}.
+
+    For each s where one table is true, the other table at mask \\ s is
+    ORed into every superset mask of s; A box B is symmetric, so the loop
+    runs over the table with fewer true entries.
+    """
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    masks = np.arange(1 << n)
+    out = np.zeros(1 << n, dtype=bool)
+    for s in np.flatnonzero(a).tolist():
+        supersets = masks[masks & s == s]
+        out[supersets] |= b[supersets ^ s]
     return out
 
 
@@ -542,8 +523,7 @@ def bk_brute_force(n_edges: int, probs, event_a, event_b) -> tuple[float, float]
     monotone increasing.  The disjoint-occurrence probability never exceeds
     the product.
     """
-    p_disjoint, p_product = bk_brute_force_k(n_edges, probs, [event_a, event_b])
-    return p_disjoint, p_product
+    return bk_brute_force_k(n_edges, probs, [event_a, event_b])
 
 
 def bk_brute_force_k(n_edges: int, probs, events) -> tuple[float, float]:
@@ -569,7 +549,7 @@ def bk_brute_force_k(n_edges: int, probs, events) -> tuple[float, float]:
 
     disjoint = tabs[0]
     for tab in tabs[1:]:
-        disjoint = _subset_convolve_indicator(disjoint, tab, n_edges)
+        disjoint = _disjoint_occurrence(disjoint, tab, n_edges)
 
     w = _outcome_probs(n_edges, probs)
     p_disjoint = float(w[disjoint].sum())
@@ -578,11 +558,7 @@ def bk_brute_force_k(n_edges: int, probs, events) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class DistanceExponentFit:
-    slope: float
-    intercept: float
-    r2: float
-    residuals: tuple
+class DistanceExponentFit(LogLinearFit):
     reference_delta: float | None
 
 
@@ -597,8 +573,6 @@ def fit_distance_exponent(
     """
     samples = [(float(a), float(b)) for a, b in samples]
     dists = sorted({a for a, _ in samples})
-    if len(dists) < 2 or dists[0] == dists[-1]:
-        raise DomainError("degenerate regressor: need distinct distances")
     if len(dists) < 4:
         raise DomainError("need at least 4 distinct distances")
     if dists[-1] / dists[0] < 100:
@@ -606,21 +580,12 @@ def fit_distance_exponent(
     if any(a <= 1 or b <= 0 for a, b in samples):
         raise DomainError("need dist > 1 and positive medians")
 
-    x = np.log(np.log([a for a, _ in samples]))
-    y = np.log([b for _, b in samples])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = intercept + slope * x
+    line = _fit_loglinear(np.log(np.log([a for a, _ in samples])),
+                          np.log([b for _, b in samples]))
     ref = None
     if params is not None:
         ref = delta_exponent(min(params.alpha, params.tau - 2))
-    fit = DistanceExponentFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r2=_r2(y, fitted),
-        residuals=tuple((y - fitted).tolist()),
-        reference_delta=ref,
-    )
-    return float(slope), fit
+    return line.slope, DistanceExponentFit(**vars(line), reference_delta=ref)
 
 
 def _hop_ball_radii(config: ModelConfig, root: int, ks, trials: int, seed: int) -> np.ndarray:
@@ -631,8 +596,7 @@ def _hop_ball_radii(config: ModelConfig, root: int, ks, trials: int, seed: int) 
     radii = np.empty((trials, len(ks)))
     for i in range(trials):
         dist, pos = _distances_for_trial(config, root, trial_seed(seed, i), cap)
-        geo = np.linalg.norm(pos - pos[root], axis=1)
-        radii[i] = [geo[dist <= k].max() for k in ks]
+        radii[i] = _ball_profile(dist, pos, root, ks)[1]
     return radii
 
 

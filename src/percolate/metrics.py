@@ -25,7 +25,8 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import BudgetError, DomainError
-from .sampler import CffpRealization, CostMap, LazyRealization, RateModel, SampledGraph
+from .sampler import (CffpRealization, CostMap, LazyRealization, RateModel, SampledGraph,
+                      _write_csv)
 
 __all__ = [
     "BallKind",
@@ -185,10 +186,18 @@ class BallSeries:
     max_geo_radius: tuple
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("threshold,size,max_geo_radius\n")
-            for t, s, r in zip(self.thresholds, self.sizes, self.max_geo_radius):
-                fh.write(f"{format(float(t), '.17g')},{s},{format(float(r), '.17g')}\n")
+        _write_csv(path, ("threshold", "size", "max_geo_radius"),
+                   zip(self.thresholds, self.sizes, self.max_geo_radius))
+
+
+def _ball_profile(dist: np.ndarray, positions: np.ndarray, x: int,
+                  thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes and maximal Euclidean radii of the balls {v : dist[v] <= t}
+    around x, one of each per threshold t."""
+    geo = np.linalg.norm(positions - positions[x], axis=1)
+    members = [dist <= thr for thr in thresholds]
+    return (np.array([np.count_nonzero(m) for m in members], dtype=np.int64),
+            np.array([geo[m].max() for m in members], dtype=np.float64))
 
 
 def ball_series(obj, x: int, thresholds, costs: CostMap | None = None) -> BallSeries:
@@ -212,18 +221,13 @@ def ball_series(obj, x: int, thresholds, costs: CostMap | None = None) -> BallSe
         dist[dist < 0] = np.inf
         kind = BallKind.HOP
 
-    geo = np.linalg.norm(obj.positions - obj.positions[x], axis=1)
-    sizes, radii = [], []
-    for thr in thresholds:
-        member = dist <= thr
-        sizes.append(int(member.sum()))
-        radii.append(float(geo[member].max()))
+    sizes, radii = _ball_profile(dist, obj.positions, x, thresholds)
     return BallSeries(
         root=x,
         radii_kind=kind,
         thresholds=tuple(thresholds),
-        sizes=tuple(sizes),
-        max_geo_radius=tuple(radii),
+        sizes=tuple(sizes.tolist()),
+        max_geo_radius=tuple(radii.tolist()),
     )
 
 

@@ -8,7 +8,8 @@ couplings in `couplings` exact rather than merely distributional.
 A pair is decided one way: the hash state of its lower vertex, finished
 with its higher one (`uniforms_from_states`), gives a uniform, and the pair
 is an edge iff that falls below the kernel at the pair's weights and
-distance (`connection_prob`, through `_pair_probs`).  Three walks apply it:
+distance (`connection_prob`, through `_kernel_step`; 1-d LRP reads its
+kernel per offset from `_lrp_offset_probs`).  Three walks apply it:
 
 - the slab scan (`_slab_scan`), with which `sample_graph` decides all
   n(n-1)/2 pairs of a lattice.  Row-major order cuts the box into slabs
@@ -21,13 +22,13 @@ distance (`connection_prob`, through `_pair_probs`).  Three walks apply it:
   search asks for it, as the hop estimators do: a k-hop search sees about
   |B(k-1)| * n pairs, not n^2 / 2.
 
-All three compute the same floating-point operations on the same
-operands, so a lazily sampled realization is the scanned one, bit for bit,
+The block scan and the lazy rows get their probabilities from
+`_pair_probs`, the slab scan from the same `_kernel_step` on its distance
+tables, so a lazily sampled realization is the scanned one, bit for bit,
 wherever it is observed.  CFFP cost rows read the cost stream's vertex
-states and a table of |offset|^(-alpha d); the blow-up bins in `couplings`
-read the block scan's distances.  `sample_graph` keeps its edges as the
-sorted array `SampledGraph.edge_array`, which costs, searches and couplings
-use.
+states and a table of |offset|^(-alpha d).  `sample_graph` keeps its edges
+as the sorted array `SampledGraph.edge_array`, which costs, searches and
+couplings use.
 """
 
 from __future__ import annotations
@@ -206,21 +207,6 @@ def sample_weights(n: int, tau: float, seed: int) -> np.ndarray:
     return np.asarray(pareto_quantile(u, tau), dtype=np.float64)
 
 
-def _kernel_probs(w_u, w_v, dist, params: ModelParams) -> np.ndarray:
-    """Vectorized kernel with the dist -> 0 limit pinned to probability 1."""
-    dist = np.asarray(dist, dtype=np.float64)
-    out = np.empty(dist.shape, dtype=np.float64)
-    zero = dist == 0.0
-    if np.any(zero):
-        out[zero] = 1.0
-        pos = ~zero
-        out[pos] = connection_prob(
-            np.asarray(w_u)[pos], np.asarray(w_v)[pos], dist[pos], params
-        )
-        return out
-    return np.asarray(connection_prob(w_u, w_v, dist, params), dtype=np.float64)
-
-
 # Pairs per block of the all-pairs scan and of the lazy rows.
 _BLOCK_PAIRS = 4_000_000
 
@@ -269,26 +255,30 @@ def _squared_distances(columns: tuple, lo, hi: np.ndarray) -> np.ndarray:
     return partial[0]
 
 
+def _kernel_step(w_lo, w_hi, dist2, params, model) -> np.ndarray:
+    """`connection_prob` at distance sqrt(dist2), which the weights broadcast
+    against, and 0 at the lattice pairs at distance 1, which the grid adds."""
+    p = connection_prob(w_lo, w_hi, np.sqrt(dist2), params)
+    if model is not Model.GIRG:
+        p[..., dist2 == 1.0] = 0.0
+    return p
+
+
 def _pair_probs(lo, hi, columns, weights, params, model) -> np.ndarray:
     """Edge probabilities of the pairs (lo, hi), lo < hi.
 
-    The block scan and the lazy rows call it, and the slab scan repeats its
-    arithmetic on distance tables, so all three decide every pair
+    The block scan and the lazy rows call it, and the slab scan calls its
+    `_kernel_step` on distance tables, so all three decide every pair
     identically.  `columns` are the realization's coordinate columns
     (`_coordinate_columns`), from which `_squared_distances` gives every
     distance.  Only 1-d LRP, whose probability depends on the offset
     r = hi - lo alone, reads a table instead; its grid pairs (r = 1) keep
     their kernel value, as grid edges exist whichever way they are decided.
-    Other lattices give probability 0 to pairs at distance 1, which the
-    grid adds; GIRG has no grid.
     """
     if model is Model.LRP and params.d == 1:
         return _lrp_offset_probs(len(weights), params)[hi - lo]
-    dist2 = _squared_distances(columns, lo, hi)
-    p = _kernel_probs(weights[lo], weights[hi], np.sqrt(dist2), params)
-    if model is not Model.GIRG:
-        p[dist2 == 1.0] = 0.0
-    return p
+    return _kernel_step(weights[lo], weights[hi], _squared_distances(columns, lo, hi),
+                        params, model)
 
 
 def _pair_blocks(n: int):
@@ -369,10 +359,9 @@ def _slab_scan(real: LazyRealization):
 
     Every block of `_slab_blocks` reads contiguous slices of the slabs'
     states, words and weights, which broadcast against each other, so
-    nothing is gathered but the a = 0 columns.  A pair is decided as
-    `_pair_probs` decides it, with the same floating-point operations; the
-    kernel's checks and dist^d run on the weight slices and the distance
-    table, not per pair.
+    nothing is gathered but the a = 0 columns.  A pair is decided by the
+    same `_kernel_step` as in `_pair_probs`; the kernel's checks and dist^d
+    run on the weight slices and the distance table, not per pair.
     """
     box, params, model, n = real.box, real.params, real.model, real.n
     side = box.side
@@ -390,9 +379,7 @@ def _slab_scan(real: LazyRealization):
             p = _lrp_offset_probs(n, params)[a]
         else:
             w_lo, w_hi = (weights[lo], weights[hi]) if model is Model.SFP else (1.0, 1.0)
-            p = connection_prob(w_lo, w_hi, np.sqrt(dist2), params)
-            if box.d > 1:
-                p[..., dist2 == 1.0] = 0.0  # the grid adds these pairs
+            p = _kernel_step(w_lo, w_hi, dist2, params, model)
         sel = u < p
         los.append(np.broadcast_to(vertex[lo], shape)[sel])
         his.append(np.broadcast_to(vertex[hi], shape)[sel])
@@ -458,20 +445,20 @@ def sample_graph(box: BoxSpec, params: ModelParams, model: Model, seed: int) -> 
         found = _scan(real._states, _pair_blocks(n), real._columns, real.weights, params, model)
     else:
         grid, found = _grid_pairs(box), _slab_scan(real)
-    found = np.stack(found, axis=1)
+    # The scan's pairs are disjoint from the grid's, so sorting their keys
+    # gives `edge_array` without sorting the edge tuples.
+    pairs = np.concatenate([grid, np.stack(found, axis=1)])
+    pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
     graph = SampledGraph(
         model=model,
         positions=real.positions,
         weights=real.weights,
-        edges=_pair_set(grid) | _pair_set(found),
+        edges=_pair_set(pairs),
         seed=seed,
         params=params,
         box=box,
     )
-    # The scan's pairs are disjoint from the grid's, so sorting their keys
-    # gives `edge_array` without sorting the edge tuples.
-    pairs = np.concatenate([grid, found])
-    graph.__dict__["edge_array"] = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
+    graph.__dict__["edge_array"] = pairs
     return graph
 
 
@@ -658,11 +645,21 @@ def sample_cffp_costs(box: BoxSpec, weights: np.ndarray, params: ModelParams,
 # Text serialization: header `model d L alpha tau lambda seed kernel
 # origin_1 .. origin_d`, one `w <index> <weight>` line per vertex, `e <u> <v>`
 # per edge, and optional `c <u> <v> <cost>` lines.  Reals use 17
-# significant digits so doubles round-trip exactly.
+# significant digits so doubles round-trip exactly, in these files and in
+# the CSV files of `_write_csv`.
 # ---------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _write_csv(path, columns, rows) -> None:
+    """A CSV file of the named columns: ints as they are, reals by `_fmt`."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(x) if isinstance(x, (int, np.integer)) else _fmt(x)
+                              for x in row) + "\n")
 
 
 def save_graph(graph: SampledGraph, path, costs: CostMap | None = None) -> None:
@@ -685,45 +682,69 @@ def save_graph(graph: SampledGraph, path, costs: CostMap | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_RECORD_FIELDS = {"w": 3, "e": 3, "c": 4}  # of each body record, its kind included
+
+
 def load_graph(path) -> tuple[SampledGraph, CostMap | None]:
     """Read a graph (and costs, if present) written by `save_graph`.
 
+    A file that breaks the format raises DomainError naming the line: a
+    malformed header, a record with the wrong number of fields or a number
+    that does not parse, a vertex id outside [0, n), a self-pair, or a
+    second weight for a vertex.  Every vertex needs its one `w` record.
     GIRG positions are not part of the format; they are regenerated from
     the stored seed and box, as `sample_graph` drew them.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split()
-    if len(header) < 8 or len(header) != 8 + int(header[1]):
-        raise DomainError(f"malformed graph header {lines[0]!r}")
-    model_s, d_s, side_s, alpha_s, tau_s, lam_s, seed_s, kernel_s = header[:8]
-    model = Model(model_s)
-    d, side, seed = int(d_s), int(side_s), int(seed_s)
-    params = ModelParams(d=d, alpha=float(alpha_s), tau=float(tau_s), lam=float(lam_s),
-                         kernel_variant=KernelVariant(kernel_s))
-    box = BoxSpec(d=d, side=side, origin=tuple(int(o) for o in header[8:]))
+        lines = fh.readlines()
+    # split lazily: a list of all split lines would be rescanned by the garbage collector
+    records = ((i, ln.split()) for i, ln in enumerate(lines, 1) if ln.strip())
+    line, header = next(records, (0, None))
+    if header is None:
+        raise DomainError(f"{path}: empty graph file")
+    try:
+        model_s, d_s, side_s, alpha_s, tau_s, lam_s, seed_s, kernel_s, *origin = header
+        d = int(d_s)
+        model, seed = Model(model_s), int(seed_s)
+        params = ModelParams(d=d, alpha=float(alpha_s), tau=float(tau_s), lam=float(lam_s),
+                             kernel_variant=KernelVariant(kernel_s))
+        box = BoxSpec(d=d, side=int(side_s), origin=tuple(int(o) for o in origin))
+    except ValueError as exc:  # DomainError included
+        raise DomainError(f"{path}, line {line}: malformed graph header ({exc})") from None
     n = box.n_vertices
 
-    weights = np.ones(n, dtype=np.float64)
+    weights = {}
     edges = set()
     costs = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "w":
-            weights[int(parts[1])] = float(parts[2])
-        elif parts[0] == "e":
-            u, v = int(parts[1]), int(parts[2])
-            edges.add((min(u, v), max(u, v)))
-        elif parts[0] == "c":
-            u, v = int(parts[1]), int(parts[2])
-            costs[(min(u, v), max(u, v))] = float(parts[3])
-        else:
-            raise DomainError(f"unrecognized record {parts[0]!r}")
+    for line, parts in records:
+        kind = parts[0]
+        try:
+            if len(parts) != _RECORD_FIELDS.get(kind):
+                raise ValueError(f"malformed record {' '.join(parts)!r}")
+            u = int(parts[1])
+            v = u if kind == "w" else int(parts[2])
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"vertex id outside [0, {n})")
+            if kind == "w":
+                if u in weights:
+                    raise ValueError(f"a second weight for vertex {u}")
+                weights[u] = float(parts[2])
+            elif u == v:
+                raise ValueError(f"self-pair ({u}, {v})")
+            elif kind == "e":
+                edges.add((u, v) if u < v else (v, u))
+            else:
+                costs[(u, v) if u < v else (v, u)] = float(parts[3])
+        except ValueError as exc:
+            raise DomainError(f"{path}, line {line}: {exc}") from None
+    if len(weights) < n:
+        missing = next(v for v in range(n) if v not in weights)
+        raise DomainError(f"{path}: no weight record for vertex {missing}")
 
     graph = SampledGraph(
         model=model,
         positions=_positions(box, model, seed),
-        weights=weights,
+        weights=np.array([weights[v] for v in range(n)], dtype=np.float64),
         edges=frozenset(edges),
         seed=seed,
         params=params,

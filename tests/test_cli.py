@@ -93,6 +93,18 @@ class TestDistance:
                             "--source", "0", "--target", "7", "--cost")
         assert code == 0 and summary["result"]["distance"] > 0
 
+    def test_malformed_graph_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        assert main(["generate", "--L", "8", "--alpha", "1.5", "--lambda", "0.3", "--seed", "7",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        with open(path, "a") as fh:
+            fh.write("e 0 999\n")
+        assert main(["distance", "--in", str(path), "--source", "0", "--target", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid arguments: ") and "vertex id" in captured.err
+
     def test_cffp_costs_are_searched_as_the_complete_graph(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
         run(capsys, "generate", "--model", "sfp", "--d", "1", "--L", "40", "--alpha", "1.5",
@@ -345,6 +357,20 @@ class TestUsageAndConfig:
         code, summary = run(capsys, *argv[:-2], "--ou", str(out))
         assert code == 0 and summary["result"]["vertices"] == 16
 
+    def test_abbreviated_config_with_a_flag_left_to_the_file(self, tmp_path, capsys):
+        cfg, out = tmp_path / "a.json", tmp_path / "g.txt"
+        cfg.write_text(json.dumps({"L": 8}))
+        argv = ["generate", "--alpha", "1.5", "--lambda", "0", "--seed", "1", "--out", str(out)]
+        for conf in (["--conf", str(cfg)], [f"--con={cfg}"]):
+            assert main(argv + conf) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("usage error: ")
+            assert conf[0].split("=")[0] in captured.err and str(cfg) in captured.err
+            assert "--L" not in captured.err and not out.exists()
+        # a prefix that another flag of the subcommand also begins with is left to argparse
+        assert main(["shape", "--c", "1", "--L", "8", "--alpha", "1.5", "--lambda", "0",
+                     "--ks", "1", "--trials", "1", "--seed", "1"]) == 0
+
     @pytest.mark.parametrize("text", [None, "[1]", "{bad"], ids=["missing", "list", "malformed"])
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys, text):
         cfg, out = tmp_path / "cfg.json", tmp_path / "g.txt"
@@ -437,6 +463,25 @@ CLI_PINS = [
     ("coupling-min-exp", "coupling --kind min-exp --seed 1 --out {out}",
      0, "618dfc0bb2313a4030c5cc66e8c8236ab2d4be6122b795b01edf09b43abd98cf",
      "f162fd0446cf250110f165b4ba4b7c6acc8202e38a95db7e55f64a360d68f224"),
+    ("coupling-blowup-lrp-flagged", "coupling --kind blowup-lrp --d 2 --L 5 --r 2 --alpha 1.5 "
+     "--lambda-small 0.02 --lambda-goal 3 --seeds 2 --seed 3 --out {out}",
+     3, "a13eca98c6f2a695988b2954f127dde304217dd2497780f1473446a8ef99d7de",
+     "3d2fc5f14e83e27456ec4d9fcfdeb95f7ed78874a69dbe9cb37588d08209b78a"),
+    ("coupling-weights", "coupling --kind weights --tau 4 --tau-prime 3.3 --alpha 1 --r 2 "
+     "--d 1 --c-agg 0.3 --trials 2000 --seed 4 --out {out}",
+     3, "c8c051d4d4d108f9b3a2fd9d7b1e4fb324a77c2d83db14414ade4dfe82e17893",
+     "65a247567d3a7e7c5e4d4a1312c7cafc217cea4fd541d8bbd6877e52b8a39ad3"),
+    ("coupling-fpp-cffp", "coupling --kind fpp-cffp --wu 1 --wv 1 --dist 2 --t 1 --alpha 1 "
+     "--lambda 1 --trials 20000 --seed 8 --out {out}",
+     0, "5009ed34927efb88fafdf353cd5001f84e58f15b13610501bfbfee95ea99070a",
+     "f6983f028856c4dc6657058a7a5da3abe594bfe06b847afc785f901b5c66be7c"),
+    ("bk-two-events", "bk --n 5 --p 0.3,0.5,0.7,0.2,0.6 --eventA any:1,2,3 --eventB count>=2",
+     0, "1969d0e717cf228aae494857e5b00c2b44859e4a4dcd535155ebbed7f863d1dc", None),
+    ("bk-three-events", "bk --n 4 --p 0.4 --eventA any:1,2 --eventB open:3 --eventC count>=1",
+     0, "cee5236c081fe4077d0415adff8ff78747043d18b22a4dd85881863bfe3a384a", None),
+    ("fit-samples", "fit --samples 10:5,30:11,100:22,1000:45,10000:90,100000:120 "
+     "--alpha 1.5 --tau 4",
+     0, "d32c1a52cb2c4f9904de9478cb81ea1dfb39d433c01e183a67e7cb1464997ea0", None),
 ]
 
 

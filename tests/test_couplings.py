@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percolate import (
     BlowupSpec,
@@ -21,7 +23,9 @@ from percolate import (
     path_stitch_bound,
     weight_dominance_test,
 )
+from percolate import sampler
 from percolate.couplings import (
+    _distance_bins,
     aggregate_weight_floor,
     combine_blowup_reports,
     stitch_fine_path,
@@ -224,6 +228,45 @@ class TestBlowupLrp:
                 smallest.setdefault(f"{min(cu, cv)},{max(cu, cv)}",
                                     [fu, fv] if cu < cv else [fv, fu])
         assert rep.parameters["witnesses"] == smallest
+
+
+def _walked_distance_bins(box: BoxSpec, edges: np.ndarray) -> dict:
+    """The reference bins: every pair of the box walked by `_pair_blocks`."""
+    columns = sampler._coordinate_columns(box.lattice_positions())
+    bins: dict = {}
+
+    def add(lo, hi, slot):
+        dists = np.sqrt(sampler._squared_distances(columns, lo, hi))
+        values, counts = np.unique(dists, return_counts=True)
+        for dist, count in zip(values.tolist(), counts.tolist()):
+            bins.setdefault(round(dist, 9), [0, 0])[slot] += count
+
+    for lo, hi in sampler._pair_blocks(box.n_vertices):
+        add(lo, hi, 0)
+    add(edges[:, 0], edges[:, 1], 1)
+    return bins
+
+
+@st.composite
+def boxes_with_edges(draw):
+    """A lattice box of dimension 1, 2 or 3 and a random set of its pairs."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    side = draw(st.integers(1, {1: 80, 2: 14, 3: 7}[d]))
+    box = BoxSpec(d=d, side=side,
+                  origin=tuple(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))))
+    n = box.n_vertices
+    lo, hi = np.triu_indices(n, 1)
+    keep = np.random.default_rng(draw(st.integers(0, 2**32))).random(len(lo)) < draw(
+        st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    return box, np.stack([lo[keep], hi[keep]], axis=1).astype(np.int64)
+
+
+class TestDistanceBins:
+    @settings(max_examples=80, deadline=None)
+    @given(case=boxes_with_edges())
+    def test_counted_bins_equal_the_walked_bins(self, case):
+        box, edges = case
+        assert _distance_bins(box, edges) == _walked_distance_bins(box, edges)
 
 
 

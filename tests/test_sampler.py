@@ -378,6 +378,42 @@ class TestSerialization:
         assert g2.params.tau == params.tau
         assert g2.params.lam == params.lam
 
+    # A saved 1-d LRP graph on L = 8 has its header on line 1, the weights of
+    # vertices 0..7 on lines 2..9 and its edges from line 10; "+" appends a line.
+    @pytest.mark.parametrize("change, where", [
+        ("+e -1 2", "last"), ("+e 0 999", "last"), ("+e 3 3", "last"), ("+c 2 2 0.5", "last"),
+        ("+w 2", "last"), ("+w 2 1.0", "last"), ("+e 1 x", "last"), ("+e 1 2 3", "last"),
+        ("+x 1 2", "last"), ("+w 2.0 1.0", "last"),
+        ("header 1.5", 1), ("header short", 1), ("header model", 1), ("header alpha", 1),
+        ("drop w 3", None), ("empty", None),
+    ])
+    def test_malformed_file_is_rejected(self, tmp_path, change, where):
+        g = sample_graph(BoxSpec(d=1, side=8), ModelParams(d=1, alpha=1.5, tau=math.inf,
+                                                           lam=0.3), Model.LRP, 7)
+        path = tmp_path / "g.txt"
+        save_graph(g, path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split()
+        if change.startswith("+"):
+            lines.append(change[1:])
+        elif change == "header 1.5":
+            lines[0] = " ".join(header[:1] + ["1.5"] + header[2:])
+        elif change == "header short":
+            lines[0] = " ".join(header[:-1])
+        elif change == "header model":
+            lines[0] = " ".join(["tree"] + header[1:])
+        elif change == "header alpha":
+            lines[0] = " ".join(header[:3] + ["0.5"] + header[4:])
+        elif change == "drop w 3":
+            lines.remove(next(ln for ln in lines if ln.startswith("w 3 ")))
+        else:
+            lines = []
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError) as err:
+            load_graph(path)
+        if where is not None:
+            assert f"line {len(lines) if where == 'last' else where}:" in str(err.value)
+
 
 MIN, EXP = KernelVariant.MIN, KernelVariant.EXP
 
