@@ -5,10 +5,11 @@ file's values are parsed as flags given before the command line's, which win;
 all randomized subcommands require an explicit --seed, and a one-line JSON
 summary echoing the resolved config is printed to stdout.
 
-Exit codes: 0 success, 1 usage error, 2 budget/resource error,
-3 compliance failure (coupling/bk runs with violations).  The budgets are the
-sampler's vertex budgets: when PERCOLATE_BUDGET_VERTICES is set, the sampler
-reads its integer value in place of both defaults at every check.
+Exit codes: 0 success, 1 usage error or a file that cannot be read or
+written, 2 budget/resource error, 3 compliance failure (coupling/bk runs with
+violations).  The budgets are the sampler's vertex budgets: when
+PERCOLATE_BUDGET_VERTICES is set, the sampler reads its integer value in place
+of both defaults at every check.
 """
 
 from __future__ import annotations
@@ -78,12 +79,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _number(flag: str, token: str, kind=float):
+    """`kind(token)`, or a UsageError naming the flag and the token."""
+    try:
+        return kind(token)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise UsageError(f"{flag}: {token.strip()!r} is not {noun}") from None
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _numbers(flag: str, text: str, kind=float) -> list:
+    """The comma-separated numbers of a flag's value; empty items are skipped."""
+    return [_number(flag, x, kind) for x in text.split(",") if x.strip()]
+
+
+def _pair(flag: str, text: str, sep: str) -> tuple[float, float]:
+    """Two numbers joined by `sep`."""
+    a, found, b = text.partition(sep)
+    if not found:
+        raise UsageError(f"{flag}: {text.strip()!r} is not two numbers joined by {sep!r}")
+    return _number(flag, a), _number(flag, b)
 
 
 def _add_model_args(sp):
@@ -170,11 +185,11 @@ def _cmd_tail(args) -> int:
     box = BoxSpec(d=args.d, side=args.L)
     config = ModelConfig(box=box, params=params, model=Model(args.model),
                          metric=args.metric)
-    thresholds = _floats(args.thresholds)
+    thresholds = _numbers("--thresholds", args.thresholds)
     if args.metric == "hop":
         thresholds = [int(t) for t in thresholds]
-    estimates = mc_tail_grid(config, args.source, _ints(args.targets), thresholds,
-                             args.trials, args.seed)
+    estimates = mc_tail_grid(config, args.source, _numbers("--targets", args.targets, int),
+                             thresholds, args.trials, args.seed)
     if args.out:
         write_tail_csv(estimates, args.out)
     result = {
@@ -182,8 +197,11 @@ def _cmd_tail(args) -> int:
         "out": args.out,
     }
     if args.bound == "lrp":
-        lo, hi, count = (float(x) for x in args.eps_grid.split(":"))
-        grid = np.linspace(lo, hi, int(count))
+        try:
+            lo, hi, count = (float(x) for x in args.eps_grid.split(":"))
+            grid = np.linspace(lo, hi, int(count))
+        except (ValueError, OverflowError):
+            raise UsageError(f"--eps-grid: {args.eps_grid!r} is not lo:hi:count") from None
         report = bound_compliance(
             estimates,
             lambda k, dist, eps: tail_bound_lrp(int(k), dist, eps, params),
@@ -193,9 +211,9 @@ def _cmd_tail(args) -> int:
     elif args.bound == "sfp":
         grid = [
             BoundConstants(c1=c1, c2=c2, beta_exp=b)
-            for c1 in _floats(args.c1_grid)
-            for c2 in _floats(args.c2_grid)
-            for b in _floats(args.beta_grid)
+            for c1 in _numbers("--c1-grid", args.c1_grid)
+            for c2 in _numbers("--c2-grid", args.c2_grid)
+            for b in _numbers("--beta-grid", args.beta_grid)
         ]
         report = bound_compliance(
             estimates,
@@ -222,7 +240,7 @@ def _cmd_growth(args) -> int:
     config = ModelConfig(box=box, params=params, model=Model(args.model),
                          metric=args.metric)
     root = args.root if args.root is not None else box.n_vertices // 2
-    series = mc_ball_growth(config, root, _floats(args.thresholds),
+    series = mc_ball_growth(config, root, _numbers("--thresholds", args.thresholds),
                             args.trials, args.seed)
     if args.out:
         series.to_csv(args.out)
@@ -319,19 +337,19 @@ def _cmd_coupling(args) -> int:
 
 # --------------------------------------------------------------------- bk
 
-def _parse_event(spec: str, n: int):
+def _parse_event(flag: str, spec: str, n: int):
     spec = spec.strip()
     if spec == "full":
         return lambda s: True
     if spec.startswith("open:"):
-        idx = [int(x) - 1 for x in spec[5:].split(",")]
+        idx = [_number(flag, x, int) - 1 for x in spec[5:].split(",")]
     elif spec.startswith("any:"):
-        idx = [int(x) - 1 for x in spec[4:].split(",")]
+        idx = [_number(flag, x, int) - 1 for x in spec[4:].split(",")]
         if any(i < 0 or i >= n for i in idx):
             raise UsageError(f"event index out of range in {spec!r}")
         return lambda s, idx=tuple(idx): any(s[i] for i in idx)
     elif spec.startswith("count>="):
-        m = int(spec[7:])
+        m = _number(flag, spec[7:], int)
         return lambda s, m=m: sum(s) >= m
     else:
         raise UsageError(f"unrecognized event spec {spec!r}")
@@ -341,13 +359,13 @@ def _parse_event(spec: str, n: int):
 
 
 def _cmd_bk(args) -> int:
-    probs = _floats(args.p)
+    probs = _numbers("--p", args.p)
     if len(probs) == 1:
         probs = probs * args.n
-    ev_a = _parse_event(args.eventA, args.n)
-    ev_b = _parse_event(args.eventB, args.n)
+    ev_a = _parse_event("--eventA", args.eventA, args.n)
+    ev_b = _parse_event("--eventB", args.eventB, args.n)
     if args.eventC:
-        ev_c = _parse_event(args.eventC, args.n)
+        ev_c = _parse_event("--eventC", args.eventC, args.n)
         p_disjoint, p_product = bk_brute_force_k(args.n, probs, [ev_a, ev_b, ev_c])
     else:
         p_disjoint, p_product = bk_brute_force(args.n, probs, ev_a, ev_b)
@@ -364,19 +382,12 @@ def _cmd_bk(args) -> int:
 
 def _cmd_fit(args) -> int:
     if args.infile:
-        samples = []
         with open(args.infile) as fh:
-            header = fh.readline()
-            del header
-            for line in fh:
-                if line.strip():
-                    a, b = line.split(",")
-                    samples.append((float(a), float(b)))
+            fh.readline()  # the header
+            samples = [_pair(f"--in {args.infile}, line {i}", line, ",")
+                       for i, line in enumerate(fh, 2) if line.strip()]
     elif args.samples:
-        samples = []
-        for chunk in args.samples.split(","):
-            a, b = chunk.split(":")
-            samples.append((float(a), float(b)))
+        samples = [_pair("--samples", chunk, ":") for chunk in args.samples.split(",")]
     else:
         raise UsageError("fit needs --in or --samples")
     params = None
@@ -403,7 +414,7 @@ def _cmd_shape(args) -> int:
     delta = args.delta
     if delta is None:
         delta = delta_exponent(min(params.alpha, params.tau - 2))
-    ks = _ints(args.ks)
+    ks = _numbers("--ks", args.ks, int)
     if args.c is not None:
         c = args.c
     else:
@@ -605,6 +616,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 2
+    except OSError as exc:
+        sys.stderr.write(f"file error: {exc}\n")
+        return 1
 
 
 def entrypoint() -> None:

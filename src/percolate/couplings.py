@@ -24,7 +24,7 @@ from .kernels import (
     pareto_quantile,
     tau_prime_max,
 )
-from .rng import trial_seed, trial_seeds, vertex_uniform_each, vertex_uniforms
+from .rng import trial_seeds, vertex_uniform_each
 from .sampler import BoxSpec, Model, SampledGraph, sample_graph
 
 __all__ = [
@@ -214,12 +214,8 @@ def blowup_box_map(u, r: int, d: int) -> set[tuple[int, ...]]:
     """
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
-    coord = _as_coord(u, d)
-    offsets = np.stack(
-        np.unravel_index(np.arange(r**d), (r,) * d), axis=1
-    )
-    base = np.asarray(coord) * r
-    return {tuple(int(c) for c in base + off) for off in offsets}
+    base = np.asarray(_as_coord(u, d)) * r
+    return {tuple(int(c) for c in base + off) for off in BoxSpec(d=d, side=r).coords.T}
 
 
 def path_stitch_bound(r: int, d: int, k: int) -> int:
@@ -259,8 +255,7 @@ def blowup_lrp(
     # Map fine edges to coarse pairs; the witness of a coarse pair is the
     # smallest (lo, hi) fine edge joining its boxes, oriented from the lower
     # coarse vertex.
-    cells = fine.positions.astype(np.int64) // r - np.asarray(coarse_box.origin)
-    cell = np.ravel_multi_index(tuple(cells.T), (coarse_box.side,) * coarse_box.d)
+    cell = coarse_box.index(fine_box.coords // r)
     fe = fine.edge_array
     fe = fe[cell[fe[:, 0]] != cell[fe[:, 1]]]
     cu, cv = cell[fe[:, 0]], cell[fe[:, 1]]
@@ -292,14 +287,13 @@ def _distance_bins(box: BoxSpec, edges: np.ndarray) -> dict:
     """{round(dist, 9): [pairs, edges]} over all pairs of a lattice box, with
     (lo, hi) rows `edges`.  The pairs at axis offsets delta >= 0, delta != 0
     number prod_j (side - delta_j) * 2^(nonzero axes - 1)."""
-    shape = (box.side,) * box.d
-    coords = np.indices(shape).reshape(box.d, -1)  # column i: vertex i, and offset i
+    coords = box.coords  # column i: vertex i, and offset i
     pairs = np.prod(box.side - coords, axis=0) << np.count_nonzero(coords, axis=0) >> 1
-    offsets = np.abs(coords[:, edges[:, 0]] - coords[:, edges[:, 1]])
-    hits = np.bincount(np.ravel_multi_index(tuple(offsets), shape), minlength=box.n_vertices)
+    hits = np.bincount(box.offset_index(edges[:, 0], edges[:, 1])[0],
+                       minlength=box.n_vertices)
     bins: dict = {}
-    for dist2, npairs, nedges in zip((coords**2).sum(axis=0).tolist()[1:], pairs.tolist()[1:],
-                                     hits.tolist()[1:]):
+    for dist2, npairs, nedges in zip(box.offset_index(0, slice(None))[1].tolist()[1:],
+                                     pairs.tolist()[1:], hits.tolist()[1:]):
         cnt = bins.setdefault(round(math.sqrt(dist2), 9), [0, 0])
         cnt[0] += npairs
         cnt[1] += nedges
@@ -393,8 +387,7 @@ def stitch_fine_path(
         raise DomainError("coarse path needs at least two vertices")
 
     def fine_index(coord: np.ndarray) -> int:
-        rel = tuple(int(c) - o for c, o in zip(coord, fine_box.origin))
-        return int(np.ravel_multi_index(rel, (fine_box.side,) * fine_box.d))
+        return int(fine_box.index(coord - np.asarray(fine_box.origin)))
 
     path: list[int] = []
     cur: np.ndarray | None = None
@@ -419,21 +412,24 @@ def stitch_fine_path(
 
 def aggregate_weight(
     box_weights, alpha: float, r: int, d: int, c_agg: float = 1.0
-) -> float:
+) -> float | np.ndarray:
     """Aggregated box weight c * (sum w_i^alpha)^(1/alpha) / r^(d/2).
 
-    Deterministically at least c * n^(1/alpha - 1/2) with n = r^d, because
-    every constituent weight is at least 1.
+    `box_weights` is one box of r^d weights, or an array (..., r^d) of
+    boxes, reduced over its last axis.  Deterministically at least
+    c * n^(1/alpha - 1/2) with n = r^d, because every constituent weight
+    is at least 1.
     """
     w = np.asarray(box_weights, dtype=np.float64)
     n = r**d
-    if len(w) != n:
-        raise DomainError(f"expected r^d = {n} weights, got {len(w)}")
+    if w.ndim < 1 or w.shape[-1] != n:
+        raise DomainError(f"expected r^d = {n} weights, got {w.shape[-1:] or 'a scalar'}")
     if np.any(w < 1):
         raise DomainError("weights must be >= 1")
     if alpha <= 0 or c_agg <= 0:
         raise DomainError("alpha and c_agg must be positive")
-    return float(c_agg * (w**alpha).sum() ** (1.0 / alpha) / r ** (d / 2.0))
+    out = c_agg * (w**alpha).sum(axis=-1) ** (1.0 / alpha) / r ** (d / 2.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def aggregate_weight_floor(alpha: float, r: int, d: int, c_agg: float = 1.0) -> float:
@@ -465,14 +461,20 @@ def weight_dominance_test(
         raise DomainError(f"tau' must lie in (3, {hi}), got {tau_prime}")
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if r < 1 or d < 1:
+        raise DomainError("r and d must be positive integers")
     n = r**d
     floor = aggregate_weight_floor(alpha, r, d, c_agg)
 
-    samples = np.empty(trials)
-    for i in range(trials):
-        u = vertex_uniforms(trial_seed(seed, i), np.arange(n))
-        w = np.asarray(pareto_quantile(u, tau_prime))
-        samples[i] = c_agg * (w**alpha).sum() ** (1.0 / alpha) / r ** (d / 2.0)
+    # trial i's box holds vertex_uniform(trial_seed(seed, i), j), j < n, drawn
+    # in blocks of at most about 10^6 weights
+    seeds = trial_seeds(seed, trials)[:, None]
+    step = max(1, 1_000_000 // n)
+    samples = np.concatenate([
+        aggregate_weight(pareto_quantile(
+            vertex_uniform_each(seeds[i:i + step], np.arange(n)).reshape(-1, n), tau_prime),
+            alpha, r, d, c_agg)
+        for i in range(0, trials, step)])
 
     xs = np.geomspace(1.0, floor * 1e3, 40)
     details = []

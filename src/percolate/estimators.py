@@ -5,6 +5,12 @@ Binomial point estimates carry 95% Wilson score intervals, which behave
 sensibly near p = 0 where the interesting tail probabilities live.  Trial
 seeds are a stateless mix of (master seed, trial index), so rerunning a grid
 with more thresholds reuses the identical realizations.
+
+The tail grid, the ball growth and the shape check share one per-trial
+pipeline, `_trial_rows`.  It checks the trial count, the root and the
+thresholds once, searches each trial's realization up to the largest
+threshold (`_distances_for_trial`) and stacks one row per trial: the
+distances to the targets, the ball sizes or the ball radii.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import BudgetError, DomainError
 from .kernels import ModelParams, delta_exponent, pareto_quantile
-from .metrics import _ball_profile, cost_distances_from, hop_distances_from
+from .metrics import _ball_profile, _check_vertex, cost_distances_from, hop_distances_from
 from .rng import trial_seed, trial_seeds, vertex_uniform_each
 from .sampler import (
     BoxSpec,
@@ -146,11 +152,29 @@ def _distances_for_trial(
     return cost_distances_from(real, None, root, t_max=float(cap)), real.positions
 
 
+def _trial_rows(config: ModelConfig, root: int, thresholds, trials: int, seed: int,
+                row) -> np.ndarray:
+    """(trials, ...) float array of row(dist, positions), one row per trial.
+
+    Trial i searches the realization of the i-th trial seed of `seed` from
+    `root`, with its distances cut off at the largest threshold.
+    """
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    _check_vertex(config.box.n_vertices, root)
+    if not thresholds:
+        raise DomainError("need at least one threshold")
+    if not all(t >= 0 for t in thresholds):
+        raise DomainError(f"thresholds must be nonnegative numbers, got {thresholds}")
+    cap = max(thresholds)
+    return np.array([row(*_distances_for_trial(config, root, trial_seed(seed, i), cap))
+                     for i in range(trials)], dtype=np.float64)
+
+
 def interior_vertices(box: BoxSpec) -> np.ndarray:
     """Vertex ids at L-inf distance >= side/4 from the box boundary."""
-    pos = box.lattice_positions() - np.asarray(box.origin, dtype=np.float64)
     margin = box.side / 4.0
-    ok = np.all((pos >= margin) & (pos <= box.side - 1 - margin), axis=1)
+    ok = np.all((box.coords >= margin) & (box.coords <= box.side - 1 - margin), axis=0)
     return np.nonzero(ok)[0]
 
 
@@ -179,28 +203,23 @@ def mc_tail_grid(
     All cells of one trial share the same realization (seed mixed with the
     trial index), so estimates are monotone in the threshold by construction.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     ys = [int(y) for y in ys]
+    if not ys:
+        raise DomainError("need at least one target")
+    _check_vertex(config.box.n_vertices, *ys)
     thresholds = list(thresholds)
-    if not ys or not thresholds:
-        raise DomainError("need at least one target and one threshold")
-    cap = max(thresholds)
-
-    rows = np.array([_distances_for_trial(config, x, trial_seed(seed, i), cap)[0][ys]
-                     for i in range(trials)])
+    rows = _trial_rows(config, x, thresholds, trials, seed, lambda dist, _: dist[ys])
     if config.model is Model.GIRG:
         # GIRG positions are re-drawn per trial; no fixed geometric distance.
-        geo = {y: float("nan") for y in ys}
+        geo = np.full(len(ys), np.nan)
     else:
-        geo_pos = config.box.lattice_positions()
-        geo = {y: float(np.linalg.norm(geo_pos[y] - geo_pos[x])) for y in ys}
+        geo = np.sqrt(config.box.offset_index(x, ys)[1])
 
     out = []
-    for j, y in enumerate(ys):
+    for j, dist in enumerate(geo):
         for thr in thresholds:
             successes = int(np.count_nonzero(rows[:, j] <= thr))
-            out.append(TailEstimate.from_counts(geo[y], thr, trials, successes))
+            out.append(TailEstimate.from_counts(dist, thr, trials, successes))
     return out
 
 
@@ -358,14 +377,8 @@ def mc_ball_growth(
     thresholds = list(thresholds)
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise DomainError("thresholds must be strictly increasing")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    cap = max(thresholds)
-
-    sizes = np.empty((trials, len(thresholds)))
-    for i in range(trials):
-        dist, pos = _distances_for_trial(config, root, trial_seed(seed, i), cap)
-        sizes[i] = _ball_profile(dist, pos, root, thresholds)[0]
+    sizes = _trial_rows(config, root, thresholds, trials, seed,
+                        lambda dist, pos: _ball_profile(dist, pos, root, thresholds)[0])
     mean_sizes = sizes.mean(axis=0)
     logg = np.log(mean_sizes)
     unsaturated = np.all(sizes < config.box.n_vertices, axis=0)
@@ -592,12 +605,8 @@ def _hop_ball_radii(config: ModelConfig, root: int, ks, trials: int, seed: int) 
     """(trials, len(ks)) max Euclidean radius of the hop ball B(root, k)."""
     if config.metric != "hop":
         raise DomainError("shape containment is a hop-ball check")
-    cap = max(ks)
-    radii = np.empty((trials, len(ks)))
-    for i in range(trials):
-        dist, pos = _distances_for_trial(config, root, trial_seed(seed, i), cap)
-        radii[i] = _ball_profile(dist, pos, root, ks)[1]
-    return radii
+    return _trial_rows(config, root, ks, trials, seed,
+                       lambda dist, pos: _ball_profile(dist, pos, root, ks)[1])
 
 
 def shape_containment(
@@ -610,8 +619,6 @@ def shape_containment(
 ) -> list[dict]:
     """Per-k frequency of max geo radius of B(root, k) staying within r(k)."""
     ks = [int(k) for k in ks]
-    if not ks:
-        raise DomainError("need at least one k")
     radii = _hop_ball_radii(config, root, ks, trials, seed)
     out = []
     for j, k in enumerate(ks):
@@ -647,6 +654,17 @@ def fit_shape_constant(
     return math.log(q) / k0 ** (1.0 / delta)
 
 
+def _pinned_at_zero(g_hat: GrowthSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The series' thresholds and mean sizes, with g(0) = 1 put first when
+    the grid starts above 0."""
+    ts = np.asarray(g_hat.thresholds, dtype=np.float64)
+    gs = np.asarray(g_hat.mean_sizes, dtype=np.float64)
+    if ts[0] > 0:
+        ts = np.concatenate([[0.0], ts])
+        gs = np.concatenate([[1.0], gs])
+    return ts, gs
+
+
 def fkt_h_functional(
     g_hat: GrowthSeries, t: float, alpha: float, d: int, delta_rate: float
 ) -> float:
@@ -657,13 +675,9 @@ def fkt_h_functional(
     """
     if t < 0:
         raise DomainError("t must be nonnegative")
-    ts = np.asarray(g_hat.thresholds, dtype=np.float64)
-    gs = np.asarray(g_hat.mean_sizes, dtype=np.float64)
+    ts, gs = _pinned_at_zero(g_hat)
     if t > ts[-1]:
         raise DomainError(f"t={t} outside the series range [0, {ts[-1]}]")
-    if ts[0] > 0:
-        ts = np.concatenate([[0.0], ts])
-        gs = np.concatenate([[1.0], gs])
     if t == 0:
         return 1.0
 
@@ -676,11 +690,7 @@ def fkt_h_functional(
 
 def fit_selfbound_constant(g_hat: GrowthSeries, alpha: float, d: int) -> float:
     """Smallest c with g(t)^alpha <= c (t^(alpha d) int g(t-y)g(y) dy + 1)."""
-    ts = np.asarray(g_hat.thresholds, dtype=np.float64)
-    gs = np.asarray(g_hat.mean_sizes, dtype=np.float64)
-    if ts[0] > 0:
-        ts = np.concatenate([[0.0], ts])
-        gs = np.concatenate([[1.0], gs])
+    ts, gs = _pinned_at_zero(g_hat)
     worst = 1.0
     for t, g_t in zip(ts, gs):
         if t == 0:

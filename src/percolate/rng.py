@@ -169,8 +169,12 @@ def trial_seeds(seed: int, n: int) -> np.ndarray:
     return _absorb_vec(np.broadcast_to(h1, (n,)), np.arange(n, dtype=np.uint64))
 
 
-def vertex_uniform_each(seeds: np.ndarray, word: int) -> np.ndarray:
-    """vertex_uniform(s, word) evaluated for an array of seeds at once."""
+def vertex_uniform_each(seeds: np.ndarray, word) -> np.ndarray:
+    """vertex_uniform(s, word) evaluated for an array of seeds at once.
+
+    `word` may be an array of words that broadcasts against `seeds`; the
+    uniforms come back flat, as from `uniforms_from_states`.
+    """
     seeds = np.asarray(seeds, dtype=np.uint64)
     h = _mix64_vec(seeds ^ np.uint64(_IV))
     return uniforms_from_states(h, word)

@@ -29,6 +29,13 @@ wherever it is observed.  CFFP cost rows read the cost stream's vertex
 states and a table of |offset|^(-alpha d).  `sample_graph` keeps its edges
 as the sorted array `SampledGraph.edge_array`, which costs, searches and
 couplings use.
+
+`BoxSpec` holds the lattice's one layout: vertex i is the point origin +
+`coords[:, i]`, in row-major order.  `index` gives the vertex of lattice
+coordinates, and `offset_index` the vertex id and squared length of the
+offset between two vertices.  The grid pairs, the lazy rows' grid
+neighbours, the CFFP rows, the blow-up map and its bins all read these;
+only the slab scan builds its own (m, m) distance table.
 """
 
 from __future__ import annotations
@@ -116,13 +123,35 @@ class BoxSpec:
     def n_vertices(self) -> int:
         return self.side**self.d
 
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """(d, n) int array of the vertices' lattice coordinates, origin aside:
+        column i holds vertex i, in row-major order.  Read-only, as it is shared."""
+        coords = np.stack(np.unravel_index(np.arange(self.n_vertices), (self.side,) * self.d))
+        coords.setflags(write=False)
+        return coords
+
+    def index(self, coords) -> np.ndarray:
+        """The vertex ids of lattice coordinates (d, ...), origin aside."""
+        return np.ravel_multi_index(tuple(coords), (self.side,) * self.d)
+
+    def offset_index(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """The vertex id of the offset |x_lo - x_hi| of vertices lo and hi, and
+        its squared length.  lo and hi index the vertices and broadcast."""
+        first, *rest = self.coords
+        delta = np.abs(first[lo] - first[hi])
+        index, dist2 = delta, delta * delta
+        for x in rest:  # Horner, in place
+            delta = np.abs(x[lo] - x[hi])
+            index *= self.side
+            index += delta
+            dist2 += delta * delta
+        return index, dist2
+
     def lattice_positions(self) -> np.ndarray:
         """(n, d) float array of lattice points in row-major vertex order."""
-        n = self.n_vertices
-        coords = np.stack(
-            np.unravel_index(np.arange(n), (self.side,) * self.d), axis=1
-        ).astype(np.float64)
-        return coords + np.asarray(self.origin, dtype=np.float64)
+        origin = np.asarray(self.origin, dtype=np.float64)
+        return self.coords.T.astype(np.float64, order="C") + origin
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,15 +207,10 @@ class CostMap:
 
 def _grid_pairs(box: BoxSpec) -> np.ndarray:
     """(m, 2) array of the nearest-neighbour lattice pairs (lo, hi), axis by axis."""
-    n = box.n_vertices
-    d, side = box.d, box.side
-    idx = np.arange(n)
-    coords = np.stack(np.unravel_index(idx, (side,) * d), axis=1)
     pairs = []
-    for axis in range(d):
-        stride = side ** (d - 1 - axis)
-        us = idx[coords[:, axis] < side - 1]
-        pairs.append(np.stack([us, us + stride], axis=1))
+    for axis, x in enumerate(box.coords):
+        us = np.flatnonzero(x < box.side - 1)
+        pairs.append(np.stack([us, us + box.side ** (box.d - 1 - axis)], axis=1))
     return np.concatenate(pairs, axis=0)
 
 
@@ -521,17 +545,10 @@ class CffpRealization:
         return absorb_indices(seed_state(self._cost_seed), np.arange(self.n))
 
     @cached_property
-    def _coords(self) -> np.ndarray:
-        """(d, n) integer lattice coordinates of the vertices, origin aside."""
-        return np.indices((self.box.side,) * self.box.d).reshape(self.box.d, self.n)
-
-    @cached_property
     def _offset_rates(self) -> np.ndarray:
-        """|delta|^(-alpha d) of every lattice offset delta >= 0, at the index
-        sum_j delta_j side^(d-1-j) (entry 0 is 1 and unused)."""
-        dist2 = np.zeros(self.n)
-        for x in self._coords:
-            dist2 += x * x
+        """|delta|^(-alpha d) of every lattice offset delta >= 0, at its vertex
+        id `BoxSpec.offset_index` (entry 0 is 1 and unused)."""
+        dist2 = self.box.offset_index(0, slice(None))[1].astype(np.float64)
         dist2[0] = 1.0
         return np.sqrt(dist2) ** (-self.params.alpha * self.params.d)
 
@@ -553,13 +570,10 @@ class CffpRealization:
         states = self._states
         u01 = np.concatenate([uniforms_from_states(states[:u], u), [0.0],
                               uniforms_from_states(states[u:u + 1], np.arange(u + 1, self.n))])
-        first, *rest = self._coords  # the index of |v - u| in _offset_rates, by Horner
-        offset = np.abs(first - first[u])
-        for x in rest:
-            offset *= self.box.side
-            offset += np.abs(x - x[u])
-        rates = self._w_alpha[u] * self._w_alpha * self._offset_rates[offset]
-        row = -np.log1p(-u01) / rates
+        rates = self._w_alpha[u] * self._w_alpha
+        rates *= self._offset_rates[self.box.offset_index(u, slice(None))[0]]
+        row = np.negative(np.log1p(np.negative(u01, out=u01), out=u01), out=u01)
+        row /= rates  # -log1p(-u01) / rates, in place
         row[u] = np.inf
         return row
 
@@ -608,9 +622,8 @@ class LazyRealization:
             return np.empty(0, dtype=np.int64)
         side, d = self.box.side, self.box.d
         out = []
-        for axis in range(d):
-            stride = side ** (d - 1 - axis)
-            coord = frontier // stride % side
+        for axis, x in enumerate(self.box.coords):
+            stride, coord = side ** (d - 1 - axis), x[frontier]
             out += [frontier[coord > 0] - stride, frontier[coord < side - 1] + stride]
         return np.concatenate(out)
 

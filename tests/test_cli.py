@@ -405,6 +405,70 @@ class TestUsageAndConfig:
         assert main(argv) == 0
 
 
+_LRP = "--model lrp --d 1 --L 33 --alpha 1.5 --lambda 0.1"
+_TAIL = f"tail {_LRP} --source 16 --trials 2 --seed 1"
+
+# Vacuous or out-of-range inputs of the Monte Carlo estimators.
+ESTIMATOR_INPUTS = [
+    ("shape-trials-0", f"shape {_LRP} --ks 2 --trials 0 --seed 1 --c 1"),
+    ("shape-fit-trials-0", f"shape {_LRP} --ks 2 --trials 2 --seed 1 --fit-trials 0"),
+    ("shape-negative-k", f"shape {_LRP} --ks=-1 --trials 2 --seed 1 --c 1"),
+    ("tail-target-99", f"{_TAIL} --targets 99 --thresholds 1"),
+    ("tail-target-minus-1", f"{_TAIL} --targets=-1 --thresholds 1"),
+    ("tail-negative-threshold", f"{_TAIL} --targets 20 --thresholds=-1"),
+    ("growth-no-threshold", f"growth {_LRP} --thresholds , --trials 2 --seed 1"),
+    ("growth-negative-threshold", f"growth {_LRP} --thresholds=-1,1 --trials 2 --seed 1"),
+    ("growth-nan-threshold", f"growth {_LRP} --thresholds nan,1 --trials 2 --seed 1"),
+]
+
+
+@pytest.mark.parametrize("name, line", ESTIMATOR_INPUTS, ids=[c[0] for c in ESTIMATOR_INPUTS])
+def test_estimator_inputs_are_invalid_arguments(capsys, name, line):
+    assert main(line.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invalid arguments:") and err.count("\n") == 1
+
+
+# Malformed flag values and files: (command line, flag, bad token).  {bad} is a
+# fit input whose one sample line is not a pair, {missing} a path in no directory.
+PARSE_ERRORS = [
+    ("fit --samples 10:5,abc", "--samples", "'abc'"),
+    (f"{_TAIL} --targets 20 --thresholds 1,x", "--thresholds", "'x'"),
+    (f"{_TAIL} --targets 2,y --thresholds 1", "--targets", "'y'"),
+    (f"{_TAIL} --targets 20 --thresholds 1 --bound lrp --eps-grid 0.1:0.2", "--eps-grid",
+     "'0.1:0.2'"),
+    (f"shape {_LRP} --ks 1,q --trials 2 --seed 1 --c 1", "--ks", "'q'"),
+    ("bk --n 2 --p 0.5 --eventA open:1,z --eventB open:2", "--eventA", "'z'"),
+    ("bk --n 2 --p 0.5,w --eventA open:1 --eventB count>=v", "--p", "'w'"),
+    ("bk --n 2 --p 0.5 --eventA open:1 --eventB count>=v", "--eventB", "'v'"),
+    ("fit --in {bad}", "--in", "'abc'"),
+]
+
+
+@pytest.mark.parametrize("line, flag, token", PARSE_ERRORS, ids=[c[1] for c in PARSE_ERRORS])
+def test_malformed_values_are_usage_errors(tmp_path, capsys, line, flag, token):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("dist,median\nabc\n")
+    assert main(line.format(bad=bad).split()) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error:") and err.count("\n") == 1
+    assert flag in err and token in err
+
+
+@pytest.mark.parametrize("line", [
+    "fit --in {missing}",
+    "distance --in {missing} --source 0 --target 1",
+    "generate --model lrp --d 1 --L 8 --alpha 1.5 --lambda 0.1 --seed 1 --out {missing}",
+    f"{_TAIL} --targets 20 --thresholds 1 --out {{missing}}",
+], ids=["fit-in", "distance-in", "generate-out", "tail-out"])
+def test_unusable_files_are_one_line_errors(tmp_path, capsys, line):
+    missing = tmp_path / "no-such-dir" / "f.txt"
+    assert main(line.format(missing=missing).split()) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("file error:") and err.count("\n") == 1
+    assert str(missing) in err
+
+
 # The graph files that the `distance` runs below read, as `generate` writes them.
 _GRAPHS = {
     "lrp": "generate --model lrp --d 1 --L 64 --alpha 1.5 --lambda 0.3 --seed 7",

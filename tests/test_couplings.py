@@ -31,7 +31,8 @@ from percolate.couplings import (
     stitch_fine_path,
 )
 from percolate.metrics import hop_distances_from
-from percolate.rng import trial_seed
+from percolate.kernels import pareto_quantile
+from percolate.rng import trial_seed, vertex_uniforms
 from percolate.sampler import grid_edges
 
 
@@ -338,6 +339,15 @@ class TestAggregateWeight:
         with pytest.raises(DomainError):
             aggregate_weight(np.ones(5), 1.0, 2, 2, 1.0)
 
+    def test_boxes_reduce_over_the_last_axis(self):
+        w = 1.0 + np.random.default_rng(3).pareto(2.5, (4, 3, 9))
+        got = aggregate_weight(w, 1.5, 3, 2, 0.7)
+        assert got.shape == (4, 3)
+        want = [[aggregate_weight(box, 1.5, 3, 2, 0.7) for box in row] for row in w]
+        np.testing.assert_allclose(got, want, rtol=4e-16)
+        with pytest.raises(DomainError):
+            aggregate_weight(np.ones((9, 4)), 1.5, 3, 2, 0.7)
+
 
 class TestWeightDominance:
     def test_valid_configuration_accepted(self):
@@ -361,3 +371,20 @@ class TestWeightDominance:
     def test_passes_for_large_r(self):
         rep = weight_dominance_test(4.0, 3.2, 1.0, 16, 1, 1.0, 4000, 9)
         assert rep.violations == 0
+
+    def test_blocks_equal_the_per_trial_loop(self):
+        """Three blocks of 1000-weight boxes against one box per trial, as
+        trial_seed draws them; the array pow may move a sample by one ulp."""
+        tau_prime, alpha, r, d, c_agg, trials, seed = 3.2, 1.5, 10, 3, 0.7, 2500, 11
+        samples = np.array([
+            c_agg * (pareto_quantile(vertex_uniforms(trial_seed(seed, i), np.arange(r**d)),
+                                     tau_prime) ** alpha).sum() ** (1.0 / alpha) / r ** (d / 2)
+            for i in range(trials)])
+        rep = weight_dominance_test(4.0, tau_prime, alpha, r, d, c_agg, trials, seed)
+        assert [rec["empirical"] for rec in rep.details] == [
+            float(np.mean(samples >= rec["x"])) for rec in rep.details]
+
+    @pytest.mark.parametrize("r, d", [(0, 1), (-2, 1), (2, 0)])
+    def test_box_shape_must_be_positive(self, r, d):
+        with pytest.raises(DomainError):
+            weight_dominance_test(4.0, 3.4, 1.0, r, d, 1.0, 100, 5)

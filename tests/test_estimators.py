@@ -109,6 +109,30 @@ class TestMcTail:
         assert len(lines) == 3
 
 
+def _unit_radius(k):
+    return 1.0
+
+
+# Vacuous or out-of-range inputs of the Monte Carlo estimators, on 1-d LRP, L = 33.
+ESTIMATOR_INPUTS = [
+    ("shape-trials-0", lambda c: shape_containment(c, 16, [2], _unit_radius, 0, 1)),
+    ("shape-fit-trials-0", lambda c: fit_shape_constant(c, 16, 2, 1.5, 0, 1)),
+    ("shape-negative-k", lambda c: shape_containment(c, 16, [-1], _unit_radius, 2, 1)),
+    ("tail-target-99", lambda c: mc_tail_grid(c, 16, [99], [1], 2, 1)),
+    ("tail-target-minus-1", lambda c: mc_tail_grid(c, 16, [-1], [1], 2, 1)),
+    ("tail-negative-threshold", lambda c: mc_tail_grid(c, 16, [20], [-1], 2, 1)),
+    ("growth-no-threshold", lambda c: mc_ball_growth(c, 16, [], 2, 1)),
+    ("growth-negative-threshold", lambda c: mc_ball_growth(c, 16, [-1, 1], 2, 1)),
+    ("growth-nan-threshold", lambda c: mc_ball_growth(c, 16, [math.nan, 1], 2, 1)),
+]
+
+
+@pytest.mark.parametrize("name, call", ESTIMATOR_INPUTS, ids=[c[0] for c in ESTIMATOR_INPUTS])
+def test_estimator_inputs_are_checked(name, call):
+    with pytest.raises(DomainError):
+        call(lrp_config(33, 0.1))
+
+
 class TestBoundCompliance:
     def lrp_bound(self, params):
         return lambda k, dist, eps: tail_bound_lrp(int(k), dist, eps, params)

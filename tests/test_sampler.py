@@ -596,3 +596,37 @@ class TestSlabScan:
         assert sum(hashed) == n * (n - 1) // 2 - grid_offsets
         if block_pairs < n:
             assert max(hashed) <= max(block_pairs, side ** (d - 1))
+
+
+@st.composite
+def boxes(draw):
+    """A lattice box of dimension 1, 2 or 3 with a random side and origin."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    side = draw(st.integers(1, {1: 60, 2: 12, 3: 6}[d]))
+    origin = tuple(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)))
+    return BoxSpec(d=d, side=side, origin=origin)
+
+
+class TestBoxLayout:
+    """`BoxSpec` holds the lattice's row-major layout for every module."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(box=boxes(), data=st.data())
+    def test_layout_equals_numpy_row_major_order(self, box, data):
+        shape, n = (box.side,) * box.d, box.n_vertices
+        coords = np.stack(np.unravel_index(np.arange(n), shape))
+        assert np.array_equal(box.coords, coords)
+        assert not box.coords.flags.writeable
+        assert np.array_equal(box.index(coords), np.ravel_multi_index(tuple(coords), shape))
+        assert np.array_equal(box.lattice_positions(), coords.T + np.asarray(box.origin))
+        lo, hi = (np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=5, max_size=5)))
+                  for _ in range(2))
+        offsets = np.abs(coords[:, lo] - coords[:, hi])
+        index, dist2 = box.offset_index(lo, hi)
+        assert np.array_equal(index, np.ravel_multi_index(tuple(offsets), shape))
+        assert np.array_equal(dist2, (offsets**2).sum(axis=0))
+        u = data.draw(st.integers(0, n - 1))
+        index, dist2 = box.offset_index(u, slice(None))
+        offsets = np.abs(coords - coords[:, [u]])
+        assert np.array_equal(index, np.ravel_multi_index(tuple(offsets), shape))
+        assert np.array_equal(dist2, (offsets**2).sum(axis=0))

@@ -3,11 +3,13 @@ modules; a renamed or no longer imported name must fail here, not in a traced
 benchmark run."""
 
 import importlib
+import math
 from pathlib import Path
 
 import numpy as np
 
-from percolate import BoxSpec, CffpRealization, ModelParams, rng, sampler
+from percolate import (BoxSpec, CffpRealization, Model, ModelConfig, ModelParams, estimators,
+                       rng, sampler)
 
 
 def test_tracer_installs_and_uninstalls(monkeypatch):
@@ -29,3 +31,34 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
                  if name.startswith("rng."))
     assert hashed == 3 * 9
     assert sampler.uniforms_from_states is rng.uniforms_from_states
+
+
+def test_estimator_trials_reach_the_traced_layers(monkeypatch):
+    """A traced tail grid and two traced growth series record every layer that
+    the benchmark's per-trial metrics read."""
+    trials = 3
+    lrp = ModelConfig(box=BoxSpec(d=1, side=33), model=Model.LRP,
+                      params=ModelParams(d=1, alpha=1.5, tau=math.inf, lam=0.2))
+    sfp = ModelParams(d=1, alpha=1.5, tau=6.0, lam=1.0)
+    fpp, cffp = (ModelConfig(box=BoxSpec(d=1, side=21), params=sfp, model=Model.SFP,
+                             metric=metric) for metric in ("fpp", "cffp"))
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer_module = importlib.import_module("tracer")
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        estimators.mc_tail_grid(lrp, 16, [20, 24], [1, 2, 3], trials, 5)
+        estimators.mc_ball_growth(fpp, 10, [0.2, 0.4], trials, 5)
+        estimators.mc_ball_growth(cffp, 10, [0.2, 0.4], trials, 5)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert totals["metrics.hop_distances_from"]["calls"] == trials
+    assert totals["metrics.cost_distances_from"]["calls"] == 2 * trials
+    assert totals["sampler.sample_graph"]["calls"] == trials
+    assert totals["sampler.sample_fpp_costs"]["calls"] == trials
+    assert totals["sampler.cost_row"]["calls"] >= trials
+    layers = tracer_module.layer_metrics(totals, 3 * trials, 0.0)
+    for name in ("rng.pairs_hashed", "sampler.cost_rows", "metrics.vertices_settled",
+                 "metrics.search_s", "estimators.self_s"):
+        assert layers[name][0] > 0, name
