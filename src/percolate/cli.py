@@ -187,7 +187,8 @@ def _cmd_tail(args) -> int:
                          metric=args.metric)
     thresholds = _numbers("--thresholds", args.thresholds)
     if args.metric == "hop":
-        thresholds = [int(t) for t in thresholds]
+        # whole hop counts; mc_tail_grid rejects the thresholds that are not finite
+        thresholds = [int(t) if math.isfinite(t) else t for t in thresholds]
     estimates = mc_tail_grid(config, args.source, _numbers("--targets", args.targets, int),
                              thresholds, args.trials, args.seed)
     if args.out:
@@ -414,6 +415,8 @@ def _cmd_shape(args) -> int:
     delta = args.delta
     if delta is None:
         delta = delta_exponent(min(params.alpha, params.tau - 2))
+    if not delta > 0:  # r(k) = exp(c k^(1/delta))
+        raise DomainError(f"delta must be positive, got {delta}")
     ks = _numbers("--ks", args.ks, int)
     if args.c is not None:
         c = args.c

@@ -289,10 +289,9 @@ def _distance_bins(box: BoxSpec, edges: np.ndarray) -> dict:
     number prod_j (side - delta_j) * 2^(nonzero axes - 1)."""
     coords = box.coords  # column i: vertex i, and offset i
     pairs = np.prod(box.side - coords, axis=0) << np.count_nonzero(coords, axis=0) >> 1
-    hits = np.bincount(box.offset_index(edges[:, 0], edges[:, 1])[0],
-                       minlength=box.n_vertices)
+    hits = np.bincount(box.offset_index(edges[:, 0], edges[:, 1]), minlength=box.n_vertices)
     bins: dict = {}
-    for dist2, npairs, nedges in zip(box.offset_index(0, slice(None))[1].tolist()[1:],
+    for dist2, npairs, nedges in zip(box.offset_dist2.tolist()[1:],
                                      pairs.tolist()[1:], hits.tolist()[1:]):
         cnt = bins.setdefault(round(math.sqrt(dist2), 9), [0, 0])
         cnt[0] += npairs

@@ -164,6 +164,9 @@ def _trial_rows(config: ModelConfig, root: int, thresholds, trials: int, seed: i
     _check_vertex(config.box.n_vertices, root)
     if not thresholds:
         raise DomainError("need at least one threshold")
+    if config.metric == "hop" and not all(math.isfinite(t) for t in thresholds):
+        raise DomainError("hop thresholds must be finite, got "
+                          + ", ".join(str(t) for t in thresholds if not math.isfinite(t)))
     if not all(t >= 0 for t in thresholds):
         raise DomainError(f"thresholds must be nonnegative numbers, got {thresholds}")
     cap = max(thresholds)
@@ -213,7 +216,7 @@ def mc_tail_grid(
         # GIRG positions are re-drawn per trial; no fixed geometric distance.
         geo = np.full(len(ys), np.nan)
     else:
-        geo = np.sqrt(config.box.offset_index(x, ys)[1])
+        geo = np.sqrt(config.box.offset_dist2[config.box.offset_index(x, ys)])
 
     out = []
     for j, dist in enumerate(geo):
@@ -647,6 +650,10 @@ def fit_shape_constant(
     """Fit c in r(k) = exp(c k^(1/delta)) to a quantile of the k0-ball radius."""
     if not 0 < quantile < 1:
         raise DomainError("quantile must lie in (0, 1)")
+    if k0 < 1:
+        raise DomainError(f"k0 must be >= 1, got {k0}")
+    if not delta > 0:
+        raise DomainError(f"delta must be positive, got {delta}")
     radii = _hop_ball_radii(config, root, [k0], trials, seed)[:, 0]
     q = float(np.quantile(radii, quantile))
     if q < 1:

@@ -32,10 +32,11 @@ couplings use.
 
 `BoxSpec` holds the lattice's one layout: vertex i is the point origin +
 `coords[:, i]`, in row-major order.  `index` gives the vertex of lattice
-coordinates, and `offset_index` the vertex id and squared length of the
-offset between two vertices.  The grid pairs, the lazy rows' grid
-neighbours, the CFFP rows, the blow-up map and its bins all read these;
-only the slab scan builds its own (m, m) distance table.
+coordinates, `offset_index` the vertex id of the offset between two
+vertices, and `offset_dist2` each offset's squared length, by that id.
+The grid pairs, the lazy rows' grid neighbours, the CFFP rows, the blow-up
+map and its bins all read these; only the slab scan builds its own (m, m)
+distance table.
 """
 
 from __future__ import annotations
@@ -135,18 +136,23 @@ class BoxSpec:
         """The vertex ids of lattice coordinates (d, ...), origin aside."""
         return np.ravel_multi_index(tuple(coords), (self.side,) * self.d)
 
-    def offset_index(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """The vertex id of the offset |x_lo - x_hi| of vertices lo and hi, and
-        its squared length.  lo and hi index the vertices and broadcast."""
+    def offset_index(self, lo, hi) -> np.ndarray:
+        """The vertex id of the offset |x_lo - x_hi| of vertices lo and hi.
+        lo and hi index the vertices and broadcast."""
         first, *rest = self.coords
-        delta = np.abs(first[lo] - first[hi])
-        index, dist2 = delta, delta * delta
+        index = np.abs(first[lo] - first[hi])
         for x in rest:  # Horner, in place
-            delta = np.abs(x[lo] - x[hi])
             index *= self.side
-            index += delta
-            dist2 += delta * delta
-        return index, dist2
+            index += np.abs(x[lo] - x[hi])
+        return index
+
+    @cached_property
+    def offset_dist2(self) -> np.ndarray:
+        """(n,) int array of the squared length of every offset, at its id
+        `offset_index`.  Read-only, as it is shared."""
+        dist2 = (self.coords**2).sum(axis=0)
+        dist2.setflags(write=False)
+        return dist2
 
     def lattice_positions(self) -> np.ndarray:
         """(n, d) float array of lattice points in row-major vertex order."""
@@ -506,10 +512,14 @@ class CffpRealization:
     """Complete-graph cost model on the lattice with lazily derived costs.
 
     The cost of pair {u, v} is Exp with rate (w_u w_v)^alpha |u-v|^(-alpha d),
-    computed on demand from the pair's uniform.  `cost_row` reads the cost
-    stream's vertex hash states and the coordinate columns, as the pair scan
-    does; `rate` and `cost` are the scalar reference.  Materializing via
-    `sample_cffp_costs` yields the identical values.
+    computed on demand from the pair's uniform.  `cost_row` gives the costs
+    from one vertex, or from each of B vertices as one (B, n) array whose
+    rows equal the one-vertex rows bit for bit.  It hashes the n - 1 pairs of
+    each row from the cost stream's vertex states, as the pair scan does, and
+    reads |offset|^(-alpha d) from a table per lattice offset.  One row is
+    bound by per-call overhead, so the dense Dijkstra of `metrics` fetches
+    its rows in batches.  `rate` and `cost` are the scalar reference.
+    Materializing via `sample_cffp_costs` yields the identical values.
     """
 
     box: BoxSpec
@@ -548,7 +558,7 @@ class CffpRealization:
     def _offset_rates(self) -> np.ndarray:
         """|delta|^(-alpha d) of every lattice offset delta >= 0, at its vertex
         id `BoxSpec.offset_index` (entry 0 is 1 and unused)."""
-        dist2 = self.box.offset_index(0, slice(None))[1].astype(np.float64)
+        dist2 = self.box.offset_dist2.astype(np.float64)
         dist2[0] = 1.0
         return np.sqrt(dist2) ** (-self.params.alpha * self.params.d)
 
@@ -564,18 +574,23 @@ class CffpRealization:
         u01 = edge_uniform(self._cost_seed, u, v)
         return -math.log1p(-u01) / self.rate(u, v)
 
-    def cost_row(self, u: int) -> np.ndarray:
-        """Costs from u to every vertex (inf at u itself)."""
-        # {u, v} finishes the state of min(u, v) with max(u, v), as edge_uniform does
-        states = self._states
-        u01 = np.concatenate([uniforms_from_states(states[:u], u), [0.0],
-                              uniforms_from_states(states[u:u + 1], np.arange(u + 1, self.n))])
-        rates = self._w_alpha[u] * self._w_alpha
-        rates *= self._offset_rates[self.box.offset_index(u, slice(None))[0]]
-        row = np.negative(np.log1p(np.negative(u01, out=u01), out=u01), out=u01)
-        row /= rates  # -log1p(-u01) / rates, in place
-        row[u] = np.inf
-        return row
+    def cost_row(self, u) -> np.ndarray:
+        """Costs from vertex u to every vertex, inf at u itself.  For a 1-d int
+        array u of B vertices, the (B, n) array whose row b is cost_row(u[b])."""
+        us = np.asarray(u, dtype=np.int64)
+        rows = us.reshape(-1, 1)
+        # {u, v} finishes the state of min(u, v) with max(u, v), as edge_uniform
+        # does; the diagonal is no pair and is not hashed
+        lo, hi = np.minimum(rows, np.arange(self.n)), np.maximum(rows, np.arange(self.n))
+        pair = lo != hi
+        u01 = np.zeros(lo.shape)
+        u01[pair] = uniforms_from_states(self._states[lo[pair]], hi[pair])
+        rates = self._w_alpha[rows] * self._w_alpha
+        rates *= self._offset_rates[self.box.offset_index(rows, slice(None))]
+        out = np.negative(np.log1p(np.negative(u01, out=u01), out=u01), out=u01)
+        out /= rates  # -log1p(-u01) / rates, in place
+        out[~pair] = np.inf
+        return out.reshape(us.shape + (self.n,))
 
 
 @dataclass(frozen=True, eq=False)

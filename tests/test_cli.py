@@ -416,6 +416,11 @@ ESTIMATOR_INPUTS = [
     ("tail-target-99", f"{_TAIL} --targets 99 --thresholds 1"),
     ("tail-target-minus-1", f"{_TAIL} --targets=-1 --thresholds 1"),
     ("tail-negative-threshold", f"{_TAIL} --targets 20 --thresholds=-1"),
+    ("tail-inf-threshold", f"{_TAIL} --targets 20 --thresholds inf"),
+    ("tail-nan-threshold", f"{_TAIL} --targets 20 --thresholds 1,nan"),
+    ("shape-fit-k-0", f"shape {_LRP} --ks 2 --trials 2 --seed 1 --fit-trials 2 --fit-k 0"),
+    ("shape-delta-0", f"shape {_LRP} --ks 2 --trials 2 --seed 1 --fit-trials 2 --delta 0"),
+    ("shape-delta-0-given-c", f"shape {_LRP} --ks 2 --trials 2 --seed 1 --c 1 --delta 0"),
     ("growth-no-threshold", f"growth {_LRP} --thresholds , --trials 2 --seed 1"),
     ("growth-negative-threshold", f"growth {_LRP} --thresholds=-1,1 --trials 2 --seed 1"),
     ("growth-nan-threshold", f"growth {_LRP} --thresholds nan,1 --trials 2 --seed 1"),

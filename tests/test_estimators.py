@@ -124,6 +124,10 @@ ESTIMATOR_INPUTS = [
     ("growth-no-threshold", lambda c: mc_ball_growth(c, 16, [], 2, 1)),
     ("growth-negative-threshold", lambda c: mc_ball_growth(c, 16, [-1, 1], 2, 1)),
     ("growth-nan-threshold", lambda c: mc_ball_growth(c, 16, [math.nan, 1], 2, 1)),
+    ("tail-inf-threshold", lambda c: mc_tail_grid(c, 16, [20], [1, math.inf], 2, 1)),
+    ("growth-inf-threshold", lambda c: mc_ball_growth(c, 16, [1, math.inf], 2, 1)),
+    ("shape-fit-k-0", lambda c: fit_shape_constant(c, 16, 0, 1.5, 2, 1)),
+    ("shape-fit-delta-0", lambda c: fit_shape_constant(c, 16, 2, 0.0, 2, 1)),
 ]
 
 
@@ -131,6 +135,11 @@ ESTIMATOR_INPUTS = [
 def test_estimator_inputs_are_checked(name, call):
     with pytest.raises(DomainError):
         call(lrp_config(33, 0.1))
+
+
+def test_hop_thresholds_that_are_not_finite_are_named():
+    with pytest.raises(DomainError, match="finite, got inf, nan$"):
+        mc_tail_grid(lrp_config(33, 0.1), 16, [20], [1, math.inf, math.nan], 2, 1)
 
 
 class TestBoundCompliance:

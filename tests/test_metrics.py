@@ -30,8 +30,8 @@ from percolate import (
     sample_graph,
     t_ball,
 )
-from percolate import rng, sampler
-from percolate.metrics import cost_distances_from, hop_distances_from
+from percolate import metrics, rng, sampler
+from percolate.metrics import _dense_cost_search, cost_distances_from, hop_distances_from
 
 
 def lrp(alpha=1.5, lam=0.0, d=1):
@@ -232,6 +232,97 @@ class TestCostSearch:
                 with pytest.raises(DomainError):
                     cost_distances_from(obj, costs, 0, t_max=bad)
             assert cost_distances_from(obj, costs, 0, t_max=0.0)[0] == 0.0
+
+
+def per_row_search(real, x, t_max):
+    """The dense search with one cost row per settled vertex, fetched when it
+    settles: the reference for the batched search.  Returns the distances and
+    the settled vertices."""
+    dist = np.full(real.n, np.inf)
+    dist[x] = 0.0
+    done = np.zeros(real.n, dtype=bool)
+    settled = []
+    for _ in range(real.n):
+        masked = np.where(done, np.inf, dist)
+        u = int(np.argmin(masked))
+        du = masked[u]
+        if not np.isfinite(du) or (t_max is not None and du > t_max):
+            break
+        done[u] = True
+        settled.append(u)
+        np.minimum(dist, du + real.cost_row(u), out=dist)
+    if t_max is not None:
+        dist[dist > t_max] = np.inf
+    return dist, settled
+
+
+def recorded_search(real, x, t_max):
+    """`_dense_cost_search`, with the vertices of each cost_row call."""
+    calls = []
+    row = CffpRealization.cost_row
+
+    def recording(self, u):
+        calls.append(np.atleast_1d(u).tolist())
+        return row(self, u)
+
+    with mock.patch.object(CffpRealization, "cost_row", recording):
+        return _dense_cost_search(real, x, t_max), calls
+
+
+@st.composite
+def cffp_searches(draw):
+    """A CFFP realization in d = 1..3, a root, a t_max or None, and a
+    pairs-per-call constant that may batch fewer rows than the box has."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    box = BoxSpec(d=d, side=draw(st.integers(1, {1: 80, 2: 9, 3: 5}[d])))
+    tau = draw(st.floats(2.05, 8.0))
+    seed = draw(st.integers(0, 2**64 - 1))
+    real = CffpRealization(box=box, seed=seed,
+                           weights=sampler.sample_weights(box.n_vertices, tau, seed),
+                           params=ModelParams(d=d, alpha=draw(st.floats(1.0, 3.0)), tau=tau,
+                                              lam=1.0))
+    root = draw(st.integers(0, box.n_vertices - 1))
+    t_max = draw(st.none() | st.floats(0.0, 3.0, allow_subnormal=False))
+    pairs = draw(st.sampled_from([1, 3 * box.n_vertices, metrics._ROW_BATCH_PAIRS]))
+    return real, root, t_max, pairs
+
+
+class TestBatchedDenseSearch:
+    """The dense search fetches cost rows in batches ahead of settling them,
+    and is the per-row search bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cffp_searches())
+    def test_batched_search_equals_the_per_row_search(self, case):
+        real, root, t_max, pairs = case
+        want, settled = per_row_search(real, root, t_max)
+        with mock.patch.object(metrics, "_ROW_BATCH_PAIRS", pairs):
+            dist, calls = recorded_search(real, root, t_max)
+        assert dist.tobytes() == want.tobytes()
+        fetched = [u for call in calls for u in call]
+        assert sorted(fetched) == sorted(settled)
+        assert all(1 <= len(call) <= max(1, pairs // real.n) for call in calls)
+
+    @pytest.mark.parametrize("t_max", [0.3, None])
+    def test_rows_fetched_are_the_vertices_settled(self, t_max):
+        params = ModelParams(d=1, alpha=1.5, tau=6.0, lam=1.0)
+        real = CffpRealization(box=BoxSpec(d=1, side=301), params=params, seed=3,
+                               weights=sampler.sample_weights(301, 6.0, 3))
+        hashed = []
+
+        def counting(states, words):
+            out = rng.uniforms_from_states(states, words)
+            hashed.append(len(out))
+            return out
+
+        with mock.patch.object(sampler, "uniforms_from_states", counting):
+            dist, calls = recorded_search(real, 150, t_max)
+        fetched = [u for call in calls for u in call]
+        settled = np.flatnonzero(np.isfinite(dist))
+        assert sorted(fetched) == settled.tolist()
+        assert sum(hashed) == len(settled) * (real.n - 1)
+        assert calls[0] == [150]
+        assert 2 < len(calls) < len(settled)
 
 
 class TestBalls:

@@ -255,6 +255,31 @@ class TestCffpCosts:
         z = np.concatenate(normalized)
         assert abs(z.mean() - 1.0) < 3.0 / math.sqrt(len(z))
 
+    @pytest.mark.parametrize("d, side", [(1, 40), (2, 7), (3, 4)])
+    def test_batched_rows_equal_stacked_rows_and_hash_each_pair_once(self, d, side):
+        params = ModelParams(d=d, alpha=1.5, tau=4.0, lam=1.0)
+        box = BoxSpec(d=d, side=side)
+        real = CffpRealization(box=box, weights=sample_weights(box.n_vertices, 4.0, 5),
+                               params=params, seed=5)
+        us = np.array([3, 0, box.n_vertices - 1, 3, 11])
+        hashed = []
+
+        def counting(states, words):
+            out = rng.uniforms_from_states(states, words)
+            hashed.append(len(out))
+            return out
+
+        with mock.patch.object(sampler, "uniforms_from_states", counting):
+            rows = real.cost_row(us)
+            assert hashed == [len(us) * (box.n_vertices - 1)]
+            one = real.cost_row(np.int64(7))
+        assert hashed[1:] == [box.n_vertices - 1]
+        assert one.shape == (box.n_vertices,)
+        assert rows.shape == (len(us), box.n_vertices)
+        stacked = np.stack([real.cost_row(int(u)) for u in us])
+        assert rows.tobytes() == stacked.tobytes()
+        assert np.all(rows[np.arange(len(us)), us] == np.inf)
+
     def test_weight_doubling_quarters_mean_cost(self):
         # alpha=1, d=1: doubling both endpoint weights scales the rate by 4
         p1 = ModelParams(d=1, alpha=1.0, tau=4.0, lam=1.0)
@@ -622,11 +647,16 @@ class TestBoxLayout:
         lo, hi = (np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=5, max_size=5)))
                   for _ in range(2))
         offsets = np.abs(coords[:, lo] - coords[:, hi])
-        index, dist2 = box.offset_index(lo, hi)
+        index = box.offset_index(lo, hi)
+        dist2 = box.offset_dist2[index]
         assert np.array_equal(index, np.ravel_multi_index(tuple(offsets), shape))
         assert np.array_equal(dist2, (offsets**2).sum(axis=0))
         u = data.draw(st.integers(0, n - 1))
-        index, dist2 = box.offset_index(u, slice(None))
+        index = box.offset_index(u, slice(None))
+        dist2 = box.offset_dist2[index]
         offsets = np.abs(coords - coords[:, [u]])
         assert np.array_equal(index, np.ravel_multi_index(tuple(offsets), shape))
         assert np.array_equal(dist2, (offsets**2).sum(axis=0))
+
+    def test_offset_lengths_are_read_only(self):
+        assert not BoxSpec(d=2, side=5).offset_dist2.flags.writeable
