@@ -76,6 +76,12 @@ def _next_level(graph, frontier: np.ndarray, unvisited: np.ndarray) -> np.ndarra
     return np.unique(reached[unvisited[reached]])
 
 
+def _check_depth(name: str, k) -> None:
+    """A hop depth is a nonnegative integer, a numpy one included."""
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {k!r}")
+
+
 def hop_distances_from(graph, x: int, max_depth: int | None = None) -> np.ndarray:
     """BFS hop distances from x; -1 marks vertices beyond reach/depth.
 
@@ -83,6 +89,8 @@ def hop_distances_from(graph, x: int, max_depth: int | None = None) -> np.ndarra
     sampled only between each BFS level and the unvisited vertices.
     """
     _check_vertex(graph.n, x)
+    if max_depth is not None:
+        _check_depth("max_depth", max_depth)
     dist = np.full(graph.n, -1, dtype=np.int64)
     dist[x] = 0
     frontier = np.array([x], dtype=np.int64)
@@ -190,8 +198,7 @@ def cost_distances_from(
 
 def k_ball(graph: SampledGraph, x: int, k: int) -> set[int]:
     """All vertices within hop distance k of x (contains x)."""
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k}")
+    _check_depth("k", k)
     dist = hop_distances_from(graph, x, max_depth=k)
     return {int(v) for v in np.nonzero(dist >= 0)[0]}
 
@@ -240,6 +247,8 @@ def ball_series(obj, x: int, thresholds, costs: CostMap | None = None) -> BallSe
         raise DomainError("thresholds must be strictly increasing")
     if not thresholds:
         raise DomainError("need at least one threshold")
+    if not all(t >= 0 for t in thresholds):
+        raise DomainError(f"thresholds must be nonnegative, got {thresholds}")
 
     cost_mode = isinstance(obj, CffpRealization) or costs is not None
     if cost_mode:

@@ -8,14 +8,15 @@ couplings in `couplings` exact rather than merely distributional.
 A pair is decided one way: the hash state of its lower vertex, finished
 with its higher one (`uniforms_from_states`), gives a uniform, and the pair
 is an edge iff that falls below the kernel at the pair's weights and
-distance (`connection_prob`, through `_kernel_step`; 1-d LRP reads its
-kernel per offset from `_lrp_offset_probs`).  Three walks apply it:
+distance (`connection_prob`, through `_kernel_step`; LRP, in every d, reads
+it per lattice offset from the one table `_lrp_probs`).  Three walks apply
+it:
 
 - the slab scan (`_slab_scan`), with which `sample_graph` decides all
   n(n-1)/2 pairs of a lattice.  Row-major order cuts the box into slabs
   along axis 0; a block pairs contiguous slab slices, whose states, words
-  and weights broadcast against each other, and reads its distances from
-  one small table per axis-0 offset;
+  and weights broadcast against each other, and reads its pairs' offset
+  ids from one small table per axis-0 offset;
 - the block scan (`_scan` over `_pair_blocks`), with which `sample_graph`
   decides the pairs of a GIRG, whose distances have no such structure;
 - the lazy rows of `LazyRealization`, which decide a pair only when a
@@ -23,9 +24,9 @@ kernel per offset from `_lrp_offset_probs`).  Three walks apply it:
   |B(k-1)| * n pairs, not n^2 / 2.
 
 The block scan and the lazy rows get their probabilities from
-`_pair_probs`, the slab scan from the same `_kernel_step` on its distance
-tables, so a lazily sampled realization is the scanned one, bit for bit,
-wherever it is observed.  CFFP cost rows read the cost stream's vertex
+`_pair_probs`, the slab scan from the same `_lrp_probs` and `_kernel_step`
+at its offset ids, so a lazily sampled realization is the scanned one, bit
+for bit, wherever it is observed.  CFFP cost rows read the cost stream's vertex
 states and a table of |offset|^(-alpha d).  `sample_graph` keeps its edges
 as the sorted array `SampledGraph.edge_array`, which costs, searches and
 couplings use.
@@ -34,9 +35,9 @@ couplings use.
 `coords[:, i]`, in row-major order.  `index` gives the vertex of lattice
 coordinates, `offset_index` the vertex id of the offset between two
 vertices, and `offset_dist2` each offset's squared length, by that id.
-The grid pairs, the lazy rows' grid neighbours, the CFFP rows, the blow-up
-map and its bins all read these; only the slab scan builds its own (m, m)
-distance table.
+The grid pairs, the lazy rows' grid neighbours, the slab scan's offset
+ids, the LRP table, the CFFP rows, the blow-up map and its bins all read
+these.
 """
 
 from __future__ import annotations
@@ -140,10 +141,12 @@ class BoxSpec:
         """The vertex id of the offset |x_lo - x_hi| of vertices lo and hi.
         lo and hi index the vertices and broadcast."""
         first, *rest = self.coords
-        index = np.abs(first[lo] - first[hi])
+        index = np.asarray(first[lo] - first[hi])  # an array even for two vertices
+        np.abs(index, out=index)
         for x in rest:  # Horner, in place
             index *= self.side
-            index += np.abs(x[lo] - x[hi])
+            step = np.asarray(x[lo] - x[hi])
+            index += np.abs(step, out=step)
         return index
 
     @cached_property
@@ -241,29 +244,14 @@ def sample_weights(n: int, tau: float, seed: int) -> np.ndarray:
 _BLOCK_PAIRS = 4_000_000
 
 
-@lru_cache(maxsize=32)
-def _lrp_offset_probs(n: int, params: ModelParams) -> np.ndarray:
-    """p[r] of two LRP vertices at 1-d lattice offset r, for r < n (p[0] unused).
-
-    Scalar arithmetic, one offset at a time; read-only, as it is shared.
-    """
-    alpha, lam, d = params.alpha, params.lam, params.d
-    exp_kernel = params.kernel_variant is KernelVariant.EXP
-    p = np.zeros(n, dtype=np.float64)
-    for r in range(1, n):
-        arg = lam * float(r) ** (-alpha * d)
-        p[r] = 1.0 - math.exp(-arg) if exp_kernel else min(1.0, arg)
-    p.setflags(write=False)
-    return p
-
-
 def _coordinate_columns(positions: np.ndarray) -> tuple:
     """One contiguous 1-d coordinate array per axis of an (n, d) position array."""
     return tuple(np.ascontiguousarray(positions[:, k]) for k in range(positions.shape[1]))
 
 
-def _squared_distances(columns: tuple, lo, hi: np.ndarray) -> np.ndarray:
-    """|pos_lo - pos_hi|^2, gathered axis by axis from the coordinate columns.
+def _squared_distances(columns: tuple, x, y: np.ndarray) -> np.ndarray:
+    """|pos_x - pos_y|^2 of the vertex index arrays x and y, which broadcast,
+    gathered axis by axis from the coordinate columns.
 
     The squares are added in two partial sums, over the even and over the
     odd axes, and then together.  That is the order in which the scan has
@@ -273,8 +261,7 @@ def _squared_distances(columns: tuple, lo, hi: np.ndarray) -> np.ndarray:
     """
     partial = []
     for k, col in enumerate(columns):
-        sq = col[lo]
-        sq -= col[hi]
+        sq = col[x] - col[y]
         sq *= sq
         if k < 2:
             partial.append(sq)
@@ -294,21 +281,29 @@ def _kernel_step(w_lo, w_hi, dist2, params, model) -> np.ndarray:
     return p
 
 
-def _pair_probs(lo, hi, columns, weights, params, model) -> np.ndarray:
-    """Edge probabilities of the pairs (lo, hi), lo < hi.
+@lru_cache(maxsize=32)
+def _lrp_probs(box: BoxSpec, params: ModelParams) -> np.ndarray:
+    """The LRP edge probability of every lattice offset of the box, at its id
+    `BoxSpec.offset_index`: `_kernel_step` at unit weights, so offset 0 and
+    the grid's offsets at distance 1 read 0.  Read-only, as it is shared."""
+    dist2 = box.offset_dist2.astype(np.float64)
+    dist2[0] = 1.0
+    p = _kernel_step(1.0, 1.0, dist2, params, Model.LRP)
+    p.setflags(write=False)
+    return p
 
-    The block scan and the lazy rows call it, and the slab scan calls its
-    `_kernel_step` on distance tables, so all three decide every pair
-    identically.  `columns` are the realization's coordinate columns
-    (`_coordinate_columns`), from which `_squared_distances` gives every
-    distance.  Only 1-d LRP, whose probability depends on the offset
-    r = hi - lo alone, reads a table instead; its grid pairs (r = 1) keep
-    their kernel value, as grid edges exist whichever way they are decided.
+
+def _pair_probs(real: LazyRealization, x, y) -> np.ndarray:
+    """Edge probabilities of the pairs {x, y} of vertex index arrays that
+    broadcast: for a column against a row, it gathers per vertex, not per pair.
+
+    LRP reads `_lrp_probs` at the pairs' offset ids, as the slab scan does;
+    SFP and GIRG apply `_kernel_step` to the weights and `_squared_distances`.
     """
-    if model is Model.LRP and params.d == 1:
-        return _lrp_offset_probs(len(weights), params)[hi - lo]
-    return _kernel_step(weights[lo], weights[hi], _squared_distances(columns, lo, hi),
-                        params, model)
+    if real.model is Model.LRP:
+        return _lrp_probs(real.box, real.params)[real.box.offset_index(x, y)]
+    return _kernel_step(real.weights[x], real.weights[y],
+                        _squared_distances(real._columns, x, y), real.params, real.model)
 
 
 def _pair_blocks(n: int):
@@ -321,66 +316,60 @@ def _pair_blocks(n: int):
 
 
 def _cross_blocks(rows: np.ndarray, others: np.ndarray):
-    """The pairs rows x others as (lo, hi), in blocks of about _BLOCK_PAIRS."""
-    m = len(others)
-    step = max(1, _BLOCK_PAIRS // max(m, 1))
+    """The pairs rows x others, in blocks of about _BLOCK_PAIRS, as a column
+    of rows and the row of others, which broadcast."""
+    step = max(1, _BLOCK_PAIRS // max(len(others), 1))
     for i0 in range(0, len(rows), step):
-        block = rows[i0:i0 + step]
-        hi = np.repeat(block, m)
-        other = np.tile(others, len(block))
-        lo = np.minimum(hi, other)
-        np.maximum(hi, other, out=hi)
-        del other  # a block holds up to _BLOCK_PAIRS pairs
-        yield lo, hi
+        yield rows[i0:i0 + step, None], others
 
 
-def _scan(states, blocks, columns, weights, params, model):
-    """The pairs (lo, hi) of `blocks` that are edges, as two index arrays.
+def _scan(real: LazyRealization, blocks):
+    """The edges among the pairs of `blocks`, as two index arrays (lo, hi), lo < hi.
 
-    `states` are the vertices' hash states for the seed (`absorb_indices`);
-    a pair is an edge iff lo's state finished with hi, as a uniform, falls
-    below the pair's edge probability.
-    """
+    A block is two vertex index arrays that broadcast.  A pair is an edge iff
+    lo's hash state finished with hi, as a uniform, falls below `_pair_probs`."""
     los, his = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo, hi in blocks:
-        sel = uniforms_from_states(states[lo], hi) < _pair_probs(lo, hi, columns, weights,
-                                                                 params, model)
+    for x, y in blocks:
+        p = _pair_probs(real, x, y).ravel()
+        lo, hi = np.minimum(x, y).ravel(), np.maximum(x, y).ravel()
+        del x, y  # a block holds up to _BLOCK_PAIRS pairs
+        # the hash reads its words as uint64: a view of hi, not a copy
+        sel = uniforms_from_states(real._states[lo], hi.view(np.uint64)) < p
         los.append(lo[sel])
         his.append(hi[sel])
     return np.concatenate(los), np.concatenate(his)
 
 
-def _slab_blocks(d: int, side: int):
-    """The blocks of the slab scan of a {0..side-1}^d lattice.
+def _slab_blocks(box: BoxSpec):
+    """The blocks of the slab scan of a lattice box.
 
     Row-major order cuts the box into `side` slabs of m = side^(d-1)
     vertices, so the pairs at offset a on axis 0 are slab r x slab r + a.
-    A block is (a, r0, r1, lo, hi, dist2): it pairs the columns `lo` of the
+    A block is (a, r0, r1, lo, hi, ids): it pairs the columns `lo` of the
     slabs r0..r1-1 with the columns `hi` of the slabs a further on, and
-    `dist2`, which broadcasts against it, holds the pairs' squared
-    distances.  At a = 0 the pairs are the c < c' of one slab, as index
-    arrays; at a > 0 they are all (c, c'), as an (m, m) table a^2 + |c - c'|^2
-    cut into rows when m^2 exceeds _BLOCK_PAIRS.  The 1-d offset a = 1 holds
-    only grid pairs and is left out.  A block holds at most
-    max(_BLOCK_PAIRS, m) pairs.
+    `ids`, which broadcasts against it, holds the pairs' offset ids
+    (`BoxSpec.offset_index`), a * m + the id of their columns' offset.  At
+    a = 0 the pairs are the c < c' of one slab, as index arrays; at a > 0
+    they are all (c, c'), with the (m, m) id table cut into rows when m^2
+    exceeds _BLOCK_PAIRS.  The 1-d offset a = 1 holds only grid pairs and
+    is left out.  A block holds at most max(_BLOCK_PAIRS, m) pairs.
     """
-    m = side ** (d - 1)
-    sub2 = np.zeros((m, m))
-    for x in np.indices((side,) * (d - 1)).reshape(d - 1, m):
-        sub2 += (x[:, None] - x) ** 2
+    side = box.side
+    m = box.n_vertices // side
+    column_ids = box.offset_index(np.arange(m)[:, None], np.arange(m))
     for ci, cj in _pair_blocks(m):
         step = max(1, _BLOCK_PAIRS // len(ci))
-        dist2 = sub2[ci, cj]
+        ids = column_ids[ci, cj]
         for r0 in range(0, side, step):
-            yield 0, r0, min(r0 + step, side), (ci,), (cj,), dist2
+            yield 0, r0, min(r0 + step, side), (ci,), (cj,), ids
     table_rows = max(1, min(m, _BLOCK_PAIRS // m))
-    for a in range(1 if d > 1 else 2, side):
+    for a in range(1 if box.d > 1 else 2, side):
         for c0 in range(0, m, table_rows):
-            dist2 = a * a + sub2[c0:c0 + table_rows]
-            step = max(1, _BLOCK_PAIRS // dist2.size)
+            ids = a * m + column_ids[c0:c0 + table_rows]
+            step = max(1, _BLOCK_PAIRS // ids.size)
             for r0 in range(0, side - a, step):
                 yield (a, r0, min(r0 + step, side - a), (slice(c0, c0 + table_rows), None),
-                       (None, slice(None)), dist2)
+                       (None, slice(None)), ids)
 
 
 def _slab_scan(real: LazyRealization):
@@ -389,9 +378,10 @@ def _slab_scan(real: LazyRealization):
 
     Every block of `_slab_blocks` reads contiguous slices of the slabs'
     states, words and weights, which broadcast against each other, so
-    nothing is gathered but the a = 0 columns.  A pair is decided by the
-    same `_kernel_step` as in `_pair_probs`; the kernel's checks and dist^d
-    run on the weight slices and the distance table, not per pair.
+    nothing is gathered but the a = 0 columns and the block's offset ids.
+    LRP reads `_lrp_probs` and SFP `_kernel_step` at those ids, as in
+    `_pair_probs`; the kernel's checks and dist^d run on the weight slices
+    and the gathered squared lengths, not per pair.
     """
     box, params, model, n = real.box, real.params, real.model, real.n
     side = box.side
@@ -400,16 +390,15 @@ def _slab_scan(real: LazyRealization):
     words = vertex.astype(np.uint64)
     weights = real.weights.reshape(side, -1)
     los, his = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for a, r0, r1, lo, hi, dist2 in _slab_blocks(box.d, side):
+    for a, r0, r1, lo, hi, ids in _slab_blocks(box):
         lo, hi = (slice(r0, r1),) + lo, (slice(r0 + a, r1 + a),) + hi
         states_lo, words_hi = states[lo], words[hi]
         shape = np.broadcast_shapes(states_lo.shape, words_hi.shape)
         u = uniforms_from_states(states_lo, words_hi).reshape(shape)
-        if model is Model.LRP and box.d == 1:
-            p = _lrp_offset_probs(n, params)[a]
+        if model is Model.LRP:
+            p = _lrp_probs(box, params)[ids]
         else:
-            w_lo, w_hi = (weights[lo], weights[hi]) if model is Model.SFP else (1.0, 1.0)
-            p = _kernel_step(w_lo, w_hi, dist2, params, model)
+            p = _kernel_step(weights[lo], weights[hi], box.offset_dist2[ids], params, model)
         sel = u < p
         los.append(np.broadcast_to(vertex[lo], shape)[sel])
         his.append(np.broadcast_to(vertex[hi], shape)[sel])
@@ -472,7 +461,7 @@ def sample_graph(box: BoxSpec, params: ModelParams, model: Model, seed: int) -> 
     model, n = real.model, real.n
     if model is Model.GIRG:
         grid = np.empty((0, 2), dtype=np.int64)
-        found = _scan(real._states, _pair_blocks(n), real._columns, real.weights, params, model)
+        found = _scan(real, _pair_blocks(n))
     else:
         grid, found = _grid_pairs(box), _slab_scan(real)
     # The scan's pairs are disjoint from the grid's, so sorting their keys
@@ -651,8 +640,7 @@ class LazyRealization:
         at most once.
         """
         frontier = np.asarray(frontier, dtype=np.int64)
-        lo, hi = _scan(self._states, _cross_blocks(frontier, np.flatnonzero(unvisited)),
-                       self._columns, self.weights, self.params, self.model)
+        lo, hi = _scan(self, _cross_blocks(frontier, np.flatnonzero(unvisited)))
         reached = np.concatenate([self._grid_neighbors(frontier), lo, hi])
         return np.unique(reached[unvisited[reached]])
 

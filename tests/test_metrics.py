@@ -342,6 +342,28 @@ class TestBalls:
                 int(v) for v in np.nonzero((dist >= 0) & (dist <= k))[0]
             }
 
+    @pytest.mark.parametrize("depth", [1.5, 3.0, -1, "2", None])
+    def test_k_ball_needs_a_nonnegative_integer_depth(self, depth):
+        g = sample_graph(BoxSpec(d=1, side=21), lrp(), Model.LRP, 2)
+        with pytest.raises(DomainError, match="k must be a nonnegative integer"):
+            k_ball(g, 10, depth)
+
+    @pytest.mark.parametrize("depth", [1.5, -1, np.int64(-2), np.float64(2.0)])
+    def test_hop_depth_must_be_a_nonnegative_integer(self, depth):
+        g = sample_graph(BoxSpec(d=1, side=21), lrp(), Model.LRP, 2)
+        with pytest.raises(DomainError, match="max_depth must be a nonnegative integer"):
+            hop_distances_from(g, 10, max_depth=depth)
+        with pytest.raises(DomainError, match="max_depth"):
+            hop_distances_from(LazyRealization(g.box, g.params, g.model, 2), 10,
+                               max_depth=depth)
+
+    def test_numpy_integer_depths_are_depths(self):
+        g = sample_graph(BoxSpec(d=1, side=21), lrp(), Model.LRP, 2)
+        assert k_ball(g, 10, np.int64(3)) == set(range(7, 14))
+        assert k_ball(g, 10, np.uint8(0)) == {10}
+        assert np.array_equal(hop_distances_from(g, 10, max_depth=np.int32(2)),
+                              hop_distances_from(g, 10, max_depth=2))
+
     def test_t_ball_trivia_and_membership(self):
         box = BoxSpec(d=1, side=12)
         params = ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0)
@@ -406,6 +428,16 @@ class TestBallSeries:
         g = sample_graph(BoxSpec(d=1, side=9), lrp(), Model.LRP, 1)
         with pytest.raises(DomainError):
             ball_series(g, 4, [2, 1])
+
+    @pytest.mark.parametrize("thresholds", [[-1], [-0.5, 2], [-3, -1], [math.nan, 1]])
+    def test_negative_thresholds_are_rejected(self, thresholds):
+        g = sample_graph(BoxSpec(d=1, side=9), lrp(), Model.LRP, 1)
+        with pytest.raises(DomainError, match="nonnegative"):
+            ball_series(g, 4, thresholds)
+        real = CffpRealization(box=g.box, weights=np.ones(9),
+                               params=ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0), seed=1)
+        with pytest.raises(DomainError, match="nonnegative"):
+            ball_series(real, 4, thresholds)
 
 
 class TestBruteForce:

@@ -588,8 +588,7 @@ class TestSlabScan:
         box, params, model, seed = case
         real = sampler.LazyRealization(box, params, model, seed)
         n = real.n
-        lo, hi = sampler._scan(real._states, sampler._pair_blocks(n), real._columns,
-                               real.weights, params, model)
+        lo, hi = sampler._scan(real, sampler._pair_blocks(n))
         # the block scan may also decide grid pairs, which are edges anyway
         pairs = np.concatenate([sampler._grid_pairs(box), np.stack([lo, hi], axis=1)])
         want = np.unique(pairs[:, 0] * n + pairs[:, 1])
@@ -623,6 +622,29 @@ class TestSlabScan:
             assert max(hashed) <= max(block_pairs, side ** (d - 1))
 
 
+class TestLrpKernel:
+    """Every LRP pair, in every d, reads one table: `connection_prob` at unit
+    weights and the length of the pair's offset."""
+
+    @pytest.mark.parametrize("kernel", list(KernelVariant))
+    @pytest.mark.parametrize("lam", [0.05, 3.0])
+    @pytest.mark.parametrize("d, side", [(1, 2049), (2, 23), (3, 9)])
+    def test_offset_probs_are_connection_prob(self, d, side, lam, kernel):
+        box = BoxSpec(d=d, side=side)
+        params = ModelParams(d=d, alpha=1.5 if kernel is KernelVariant.MIN else 2.5,
+                             tau=math.inf, lam=lam, kernel_variant=kernel)
+        dist2 = box.offset_dist2
+        far = dist2 > 1  # offset 0 is no pair, and the grid decides distance 1
+        want = np.zeros(box.n_vertices)
+        want[far] = connection_prob(1.0, 1.0, np.sqrt(dist2[far]), params)
+        table = sampler._lrp_probs(box, params)
+        assert np.array_equal(table, want)
+        assert not table.flags.writeable
+        # the offset from vertex 0 to vertex v has the id v
+        real = sampler.LazyRealization(box, params, Model.LRP, 1)
+        assert np.array_equal(sampler._pair_probs(real, 0, np.arange(box.n_vertices)), want)
+
+
 @st.composite
 def boxes(draw):
     """A lattice box of dimension 1, 2 or 3 with a random side and origin."""
@@ -651,7 +673,9 @@ class TestBoxLayout:
         dist2 = box.offset_dist2[index]
         assert np.array_equal(index, np.ravel_multi_index(tuple(offsets), shape))
         assert np.array_equal(dist2, (offsets**2).sum(axis=0))
-        u = data.draw(st.integers(0, n - 1))
+        u, v = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        assert box.offset_index(u, v) == np.ravel_multi_index(
+            tuple(np.abs(coords[:, u] - coords[:, v])), shape)
         index = box.offset_index(u, slice(None))
         dist2 = box.offset_dist2[index]
         offsets = np.abs(coords - coords[:, [u]])
