@@ -28,6 +28,7 @@ and Sanders, J. Algorithms 49, 2003).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -255,6 +256,8 @@ def ball_series(obj, x: int, thresholds, costs: CostMap | None = None) -> BallSe
         dist = cost_distances_from(obj, costs, x, t_max=float(thresholds[-1]))
         kind = BallKind.COST
     else:
+        if not all(math.isfinite(t) for t in thresholds):
+            raise DomainError(f"hop thresholds must be finite, got {thresholds}")
         dist = hop_distances_from(obj, x, max_depth=int(thresholds[-1])).astype(float)
         dist[dist < 0] = np.inf
         kind = BallKind.HOP

@@ -16,7 +16,9 @@ it:
   n(n-1)/2 pairs of a lattice.  Row-major order cuts the box into slabs
   along axis 0; a block pairs contiguous slab slices, whose states, words
   and weights broadcast against each other, and reads its pairs' offset
-  ids from one small table per axis-0 offset;
+  ids from one small table per axis-0 offset.  The blocks run on the CPUs
+  the process may use, a bounded number in flight, and their edges are
+  joined in block order, so the scan's result does not depend on the CPUs;
 - the block scan (`_scan` over `_pair_blocks`), with which `sample_graph`
   decides the pairs of a GIRG, whose distances have no such structure;
 - the lazy rows of `LazyRealization`, which decide a pair only when a
@@ -43,10 +45,13 @@ these.
 from __future__ import annotations
 
 import math
+import operator
 import os
+from collections import deque
+from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -112,14 +117,23 @@ class BoxSpec:
     origin: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.d}")
-        if self.side < 1:
-            raise DomainError(f"side must be >= 1, got {self.side}")
-        if self.origin is None:
-            object.__setattr__(self, "origin", (0,) * self.d)
-        elif len(self.origin) != self.d:
+        # integers of any kind, numpy's included, kept as Python ints: a
+        # fractional origin would not survive the text format
+        try:
+            d, side = operator.index(self.d), operator.index(self.side)
+            origin = ((0,) * d if self.origin is None
+                      else tuple(operator.index(o) for o in self.origin))
+        except TypeError:
+            raise DomainError("d, side and origin must be integers, got "
+                              f"{self.d!r}, {self.side!r}, {self.origin!r}") from None
+        if d < 1:
+            raise DomainError(f"dimension must be >= 1, got {d}")
+        if side < 1:
+            raise DomainError(f"side must be >= 1, got {side}")
+        if len(origin) != d:
             raise DomainError("origin length must equal the dimension")
+        for name, value in (("d", d), ("side", side), ("origin", origin)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_vertices(self) -> int:
@@ -240,8 +254,11 @@ def sample_weights(n: int, tau: float, seed: int) -> np.ndarray:
     return np.asarray(pareto_quantile(u, tau), dtype=np.float64)
 
 
-# Pairs per block of the all-pairs scan and of the lazy rows.
-_BLOCK_PAIRS = 4_000_000
+# Pairs per block of the scans and of the lazy rows.  A block's float arrays
+# are then 1 MB, which the allocator reuses from block to block.  At 4 M
+# pairs each was mapped afresh and faulted in: a 2-d GIRG of n = 1,024,
+# then one block, took twice as long and peaked 28 MB higher.
+_BLOCK_PAIRS = 131_072
 
 
 def _coordinate_columns(positions: np.ndarray) -> tuple:
@@ -372,6 +389,78 @@ def _slab_blocks(box: BoxSpec):
                        (None, slice(None)), ids)
 
 
+# Blocks read ahead per worker of the pool: one being decided and one
+# queued, so a worker seldom waits for the caller and few blocks are held.
+_BLOCKS_PER_WORKER = 2
+# Below about this many pairs per block, handing blocks to threads costs
+# more than a second CPU saves: a small block is many short numpy calls, and
+# each release of the interpreter lock becomes a handoff between threads.
+_POOL_MIN_PAIRS = 32_768
+_pool = None  # (pid, workers, executor): the pool of the process that built it
+
+
+def _block_pool():
+    """(executor, workers): a thread pool with one worker per CPU this
+    process may run on, or None with one CPU.  A forked child inherits the
+    parent's pool without its threads, so the pool is built again in any
+    process other than the one that built it."""
+    global _pool
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        workers = os.cpu_count() or 1
+    if workers < 2:
+        return None
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = os.getpid(), workers, ThreadPoolExecutor(workers, "percolate-scan")
+    return _pool[2], workers
+
+
+def _in_order(fn, items, pool):
+    """fn of each item, yielded in the items' order: inline when `pool` is
+    None, else on the `_block_pool` pool, reading at most _BLOCKS_PER_WORKER
+    items per worker ahead of the one whose result is awaited.  A call's
+    exception reaches the caller as raised."""
+    if pool is None:
+        yield from map(fn, items)
+        return
+    executor, workers = pool
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(executor.submit(fn, item))
+            if len(pending) >= _BLOCKS_PER_WORKER * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:  # after an exception: drop the queued calls, let the running ones end
+        for future in pending:
+            future.cancel()
+        futures_wait(pending)
+
+
+def _slab_block(real: LazyRealization, slabs: tuple, block) -> tuple:
+    """The edges among the pairs of one block of `_slab_blocks`, as two
+    vertex arrays (lo, hi).  `slabs` holds the (side, m) vertex ids, hash
+    states and weights of the box, and LRP's `_lrp_probs` table or None."""
+    vertex, states, weights, lrp_probs = slabs
+    a, r0, r1, lo, hi, ids = block
+    lo, hi = (slice(r0, r1),) + lo, (slice(r0 + a, r1 + a),) + hi
+    # the hash reads its words as uint64: a view of the vertex ids, not a copy
+    states_lo, words_hi = states[lo], vertex[hi].view(np.uint64)
+    shape = np.broadcast_shapes(states_lo.shape, words_hi.shape)
+    u = uniforms_from_states(states_lo, words_hi).reshape(shape)
+    if lrp_probs is not None:
+        p = lrp_probs[ids]
+    else:
+        p = _kernel_step(weights[lo], weights[hi], real.box.offset_dist2[ids], real.params,
+                         real.model)
+    sel = u < p
+    return np.broadcast_to(vertex[lo], shape)[sel], np.broadcast_to(vertex[hi], shape)[sel]
+
+
 def _slab_scan(real: LazyRealization):
     """The pairs (lo, hi) of a lattice realization that are edges, grid pairs
     aside, as two index arrays.
@@ -382,26 +471,23 @@ def _slab_scan(real: LazyRealization):
     LRP reads `_lrp_probs` and SFP `_kernel_step` at those ids, as in
     `_pair_probs`; the kernel's checks and dist^d run on the weight slices
     and the gathered squared lengths, not per pair.
+
+    `_slab_block` decides each block.  The blocks run on the CPUs this
+    process may use (`_block_pool`), with a bounded number in flight, unless
+    the box is too small for threads to pay (`_POOL_MIN_PAIRS`); either way
+    their edges are joined in block order, so the arrays are the same.
     """
-    box, params, model, n = real.box, real.params, real.model, real.n
-    side = box.side
-    vertex = np.arange(n).reshape(side, -1)
-    states = real._states.reshape(side, -1)
-    words = vertex.astype(np.uint64)
-    weights = real.weights.reshape(side, -1)
+    box, side, n = real.box, real.box.side, real.n
+    lrp_probs = _lrp_probs(box, real.params) if real.model is Model.LRP else None
+    slabs = (np.arange(n).reshape(side, -1), real._states.reshape(side, -1),
+             real.weights.reshape(side, -1), lrp_probs)
+    # n * m / 2 is the mean number of pairs per axis-0 offset, and a block
+    # holds one offset's pairs unless they exceed _BLOCK_PAIRS
+    pool = _block_pool() if n * (n // side) // 2 >= _POOL_MIN_PAIRS else None
     los, his = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for a, r0, r1, lo, hi, ids in _slab_blocks(box):
-        lo, hi = (slice(r0, r1),) + lo, (slice(r0 + a, r1 + a),) + hi
-        states_lo, words_hi = states[lo], words[hi]
-        shape = np.broadcast_shapes(states_lo.shape, words_hi.shape)
-        u = uniforms_from_states(states_lo, words_hi).reshape(shape)
-        if model is Model.LRP:
-            p = _lrp_probs(box, params)[ids]
-        else:
-            p = _kernel_step(weights[lo], weights[hi], box.offset_dist2[ids], params, model)
-        sel = u < p
-        los.append(np.broadcast_to(vertex[lo], shape)[sel])
-        his.append(np.broadcast_to(vertex[hi], shape)[sel])
+    for lo, hi in _in_order(partial(_slab_block, real, slabs), _slab_blocks(box), pool):
+        los.append(lo)
+        his.append(hi)
     return np.concatenate(los), np.concatenate(his)
 
 

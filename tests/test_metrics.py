@@ -439,6 +439,18 @@ class TestBallSeries:
         with pytest.raises(DomainError, match="nonnegative"):
             ball_series(real, 4, thresholds)
 
+    def test_hop_thresholds_must_be_finite_and_cost_thresholds_need_not(self):
+        g = sample_graph(BoxSpec(d=1, side=9), lrp(lam=0.5), Model.LRP, 1)
+        lazy = LazyRealization(g.box, g.params, g.model, g.seed)
+        for obj in (g, lazy):
+            with pytest.raises(DomainError, match="finite"):
+                ball_series(obj, 4, [1, math.inf])
+        cm = CostMap(costs={e: 0.5 for e in g.edges}, rate_model=RateModel.UNIT_RATE)
+        assert ball_series(g, 4, [0.5, math.inf], costs=cm).sizes[-1] == 9
+        real = CffpRealization(box=g.box, weights=np.ones(9),
+                               params=ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0), seed=1)
+        assert ball_series(real, 4, [math.inf]).sizes == (9,)
+
 
 class TestBruteForce:
     def test_single_edge_and_disconnected(self):

@@ -4,8 +4,11 @@ cost laws, and the text serialization round-trip."""
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import sys
 import tempfile
+import threading
 from unittest import mock
 
 import numpy as np
@@ -621,6 +624,110 @@ class TestSlabScan:
         if block_pairs < n:
             assert max(hashed) <= max(block_pairs, side ** (d - 1))
 
+    @staticmethod
+    def cpus(count):
+        """The process's CPU set patched to `count` CPUs."""
+        return mock.patch.object(sampler.os, "sched_getaffinity",
+                                 lambda pid: set(range(count)), create=True)
+
+    @staticmethod
+    def small_blocks():
+        """Many small blocks, each sent to the pool however small the box."""
+        return mock.patch.multiple(sampler, _BLOCK_PAIRS=50, _POOL_MIN_PAIRS=0)
+
+    @pytest.mark.parametrize("model, d, side", [
+        (Model.LRP, 1, 40), (Model.SFP, 1, 33), (Model.LRP, 2, 9), (Model.SFP, 2, 11),
+        (Model.LRP, 3, 5), (Model.SFP, 3, 4),
+    ])
+    def test_the_edges_do_not_depend_on_the_cpus(self, model, d, side):
+        box = BoxSpec(d=d, side=side)
+        params = ModelParams(d=d, alpha=1.5, tau=math.inf if model is Model.LRP else 3.0,
+                             lam=0.5)
+        edges, threads = {}, {1: set(), 2: set(), 8: set()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches, more orders of completion
+        try:
+            for count in threads:  # 8: more workers than this machine may have CPUs
+                def recording(states, words, count=count):
+                    threads[count].add(threading.current_thread())
+                    return rng.uniforms_from_states(states, words)
+
+                with self.cpus(count), self.small_blocks(), \
+                        mock.patch.object(sampler, "uniforms_from_states", recording):
+                    edges[count] = sample_graph(box, params, model, 5).edge_array.tolist()
+        finally:
+            sys.setswitchinterval(interval)
+        assert edges[1] == edges[2] == edges[8]
+        assert edges[1] == sample_graph(box, params, model, 5).edge_array.tolist()
+        # one CPU: every block is decided in the caller's thread, and no other starts
+        assert threads[1] == {threading.current_thread()}
+        assert threading.current_thread() not in threads[2] | threads[8]
+
+    def test_an_error_in_a_block_reaches_the_caller(self):
+        box, params = BoxSpec(d=2, side=9), ModelParams(d=2, alpha=1.5, tau=3.0, lam=0.5)
+        raised, calls = [], []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                raised.append(DomainError("weights must be >= 1 (Pareto floor)"))
+                raise raised[0]
+            return connection_prob(*args)
+
+        with self.cpus(2), self.small_blocks():
+            with mock.patch.object(sampler, "connection_prob", failing), \
+                    pytest.raises(DomainError) as caught:
+                sample_graph(box, params, Model.SFP, 3)
+            assert caught.value is raised[0]
+            # the pool decides the next scan as before
+            edges = sample_graph(box, params, Model.SFP, 3).edge_array.tolist()
+        assert edges == sample_graph(box, params, Model.SFP, 3).edge_array.tolist()
+
+    def test_blocks_read_ahead_are_bounded(self):
+        box, params = BoxSpec(d=2, side=12), ModelParams(d=2, alpha=1.5, tau=3.0, lam=0.5)
+        slab_blocks, slab_block = sampler._slab_blocks, sampler._slab_block
+        read, lead = [], []  # the blocks read so far, in order
+
+        def counted_blocks(box):
+            for block in slab_blocks(box):
+                read.append(block)
+                yield block
+
+        def leading_block(real, slabs, block):
+            # the blocks read after this one, while it is decided
+            index = next(i for i, b in enumerate(read) if b is block)
+            lead.append(len(read) - 1 - index)
+            out = slab_block(real, slabs, block)
+            lead.append(len(read) - 1 - index)
+            return out
+
+        with self.cpus(2), self.small_blocks(), \
+                mock.patch.multiple(sampler, _slab_blocks=counted_blocks,
+                                    _slab_block=leading_block):
+            edges = sample_graph(box, params, Model.SFP, 4).edge_array.tolist()
+        assert len(read) > 100 * sampler._BLOCKS_PER_WORKER
+        assert max(lead) < 2 * sampler._BLOCKS_PER_WORKER
+        assert edges == sample_graph(box, params, Model.SFP, 4).edge_array.tolist()
+
+    def test_a_forked_child_scans_after_its_parent(self):
+        box, params = BoxSpec(d=2, side=16), ModelParams(d=2, alpha=1.5, tau=3.0, lam=0.5)
+        with self.cpus(2), self.small_blocks():
+            want = sample_graph(box, params, Model.SFP, 6).edge_array.tolist()
+
+            def child():
+                if sample_graph(box, params, Model.SFP, 6).edge_array.tolist() != want:
+                    raise AssertionError("the child's edges differ from its parent's")
+
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+            proc.join(timeout=30)
+            hung = proc.is_alive()
+            if hung:
+                proc.kill()
+                proc.join()
+        assert not hung, "the forked child's scan hung"
+        assert proc.exitcode == 0
+
 
 class TestLrpKernel:
     """Every LRP pair, in every d, reads one table: `connection_prob` at unit
@@ -684,3 +791,21 @@ class TestBoxLayout:
 
     def test_offset_lengths_are_read_only(self):
         assert not BoxSpec(d=2, side=5).offset_dist2.flags.writeable
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(d=1, side=8, origin=(0.5,)),  # would sample at 0.5, 1.5, ... and reload at 0, 1, ...
+        dict(d=2, side=3.5),
+        dict(d=2.0, side=4),
+        dict(d=1, side=4, origin=1),
+    ])
+    def test_non_integers_are_rejected(self, kwargs):
+        with pytest.raises(DomainError, match="integers"):
+            BoxSpec(**kwargs)
+
+    def test_integers_are_kept_as_python_ints(self):
+        box = BoxSpec(d=np.int64(2), side=np.int32(6), origin=[np.int64(1), -2])
+        assert box == BoxSpec(d=2, side=6, origin=(1, -2))
+        assert all(type(x) is int for x in (box.d, box.side, *box.origin))
+        # a list origin is a tuple, so `_lrp_probs` can cache on the box
+        g = sample_graph(BoxSpec(d=2, side=6, origin=[0, 0]), lrp(d=2), Model.LRP, 3)
+        assert g.edges == sample_graph(BoxSpec(d=2, side=6), lrp(d=2), Model.LRP, 3).edges
