@@ -584,7 +584,8 @@ class TestSlabScan:
     """`sample_graph` scans lattices slab by slab; the block scan over
     `_pair_blocks`, which GIRG uses, is the reference it must equal."""
 
-    @pytest.mark.parametrize("block_pairs", [sampler._BLOCK_PAIRS, 7, 100])
+    # 4 M pairs: every box here is one block; the shipped block size; many small blocks
+    @pytest.mark.parametrize("block_pairs", [4_000_000, sampler._BLOCK_PAIRS, 7, 100])
     @settings(max_examples=60, deadline=None)
     @given(case=lattice_realizations())
     def test_slab_scan_equals_the_block_scan(self, block_pairs, case):
