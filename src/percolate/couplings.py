@@ -148,11 +148,12 @@ def fpp_cffp_edge_check(
     flagged only when p_hat(X <= t) exceeds p_hat(Y <= t) by more than three
     pooled standard errors.
     """
-    if wu < 1 or wv < 1:
+    # `not x >= lo`, as NaN fails every comparison
+    if not (wu >= 1 and wv >= 1):
         raise DomainError("weights must be >= 1")
-    if dist < 1:
+    if not dist >= 1:
         raise DomainError("dist must be >= 1")
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
     if trials < 1:
         raise DomainError("trials must be >= 1")

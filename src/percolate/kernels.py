@@ -8,6 +8,7 @@ randomness.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -40,13 +41,20 @@ class ModelParams:
     kernel_variant: KernelVariant = KernelVariant.MIN
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise DomainError(f"dimension must be a positive integer, got {self.d}")
-        if self.alpha < 1:
+        # d of any integer kind, kept as a Python int, as `BoxSpec` keeps it;
+        # the ranges read `not x >= lo`, as NaN fails every comparison
+        try:
+            d = operator.index(self.d)
+        except TypeError:
+            raise DomainError(f"dimension must be a positive integer, got {self.d!r}") from None
+        if d < 1:
+            raise DomainError(f"dimension must be a positive integer, got {d}")
+        object.__setattr__(self, "d", d)
+        if not self.alpha >= 1:
             raise DomainError(f"alpha must be >= 1, got {self.alpha}")
-        if self.tau <= 1:
+        if not self.tau > 1:
             raise DomainError(f"tau must exceed 1, got {self.tau}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise DomainError(f"lambda must be nonnegative, got {self.lam}")
 
 
@@ -60,9 +68,9 @@ class BoundConstants:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0 or self.beta_exp <= 0:
+        if not (self.c1 > 0 and self.c2 > 0 and self.beta_exp > 0):  # NaN included
             raise DomainError("c1, c2 and beta must be strictly positive")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise DomainError("epsilon must be nonnegative")
 
 
@@ -182,7 +190,7 @@ def tail_bound_lrp(k: int, dist: float, eps: float, params: ModelParams) -> floa
         raise DomainError(f"k must be >= 1, got {k}")
     if dist < 1:
         raise DomainError(f"dist must be >= 1, got {dist}")
-    if eps <= 0:
+    if not eps > 0:  # NaN included
         raise DomainError(f"eps must be positive, got {eps}")
     if not 1 < params.alpha < 2:
         raise DomainError(f"LRP tail bound requires alpha in (1, 2), got {params.alpha}")

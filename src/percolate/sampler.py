@@ -7,39 +7,38 @@ couplings in `couplings` exact rather than merely distributional.
 
 A pair is decided one way: the hash state of its lower vertex, finished
 with its higher one (`uniforms_from_states`), gives a uniform, and the pair
-is an edge iff that falls below the kernel at the pair's weights and
-distance (`connection_prob`, through `_kernel_step`; LRP, in every d, reads
-it per lattice offset from the one table `_lrp_probs`).  Three walks apply
-it:
+is an edge iff that falls below `_pair_probs`, the kernel at the pair's
+weights and distance (`connection_prob`, through `_kernel_step`; LRP, in
+every d, reads it per lattice offset from the one table `_lrp_probs`).
+Three walks apply it, and the box's dimension alone picks the eager one:
 
 - the slab scan (`_slab_scan`), with which `sample_graph` decides all
-  n(n-1)/2 pairs of a lattice.  Row-major order cuts the box into slabs
-  along axis 0; a block pairs contiguous slab slices, whose states, words
-  and weights broadcast against each other, and reads its pairs' offset
-  ids from one small table per axis-0 offset.  The blocks run on the CPUs
-  the process may use, a bounded number in flight, and their edges are
-  joined in block order, so the scan's result does not depend on the CPUs;
+  n(n-1)/2 pairs of a box of d >= 2, lattice or GIRG.  Row-major order
+  cuts the box into slabs along axis 0; a block pairs contiguous slab
+  slices, whose vertex ids and states broadcast against each other, and
+  reads its pairs' offset ids from one small table per axis-0 offset.
+  The blocks run on the CPUs the process may use, a bounded number in
+  flight, and their edges are joined in block order, so the scan's result
+  does not depend on the CPUs;
 - the block scan (`_scan` over `_pair_blocks`), with which `sample_graph`
-  decides the pairs of a GIRG, whose distances have no such structure;
+  decides all pairs of a 1-d box, whose slabs would be single vertices;
 - the lazy rows of `LazyRealization`, which decide a pair only when a
   search asks for it, as the hop estimators do: a k-hop search sees about
   |B(k-1)| * n pairs, not n^2 / 2.
 
-The block scan and the lazy rows get their probabilities from
-`_pair_probs`, the slab scan from the same `_lrp_probs` and `_kernel_step`
-at its offset ids, so a lazily sampled realization is the scanned one, bit
-for bit, wherever it is observed.  CFFP cost rows read the cost stream's vertex
-states and a table of |offset|^(-alpha d).  `sample_graph` keeps its edges
-as the sorted array `SampledGraph.edge_array`, which costs, searches and
-couplings use.
+All three get their probabilities from `_pair_probs`, so a lazily sampled
+realization is the scanned one, bit for bit, wherever it is observed.
+CFFP cost rows read the cost stream's vertex states and a table of
+|offset|^(-alpha d).  `sample_graph` keeps its edges as the sorted array
+`SampledGraph.edge_array`, which costs, searches and couplings use.
 
 `BoxSpec` holds the lattice's one layout: vertex i is the point origin +
 `coords[:, i]`, in row-major order.  `index` gives the vertex of lattice
 coordinates, `offset_index` the vertex id of the offset between two
 vertices, and `offset_dist2` each offset's squared length, by that id.
-The grid pairs, the lazy rows' grid neighbours, the slab scan's offset
-ids, the LRP table, the CFFP rows, the blow-up map and its bins all read
-these.
+The grid pairs, the lazy rows' grid neighbours, the lattice pairs'
+distances in every walk, the LRP table, the CFFP rows, the blow-up map and
+its bins all read these.
 """
 
 from __future__ import annotations
@@ -268,13 +267,13 @@ def _coordinate_columns(positions: np.ndarray) -> tuple:
 
 def _squared_distances(columns: tuple, x, y: np.ndarray) -> np.ndarray:
     """|pos_x - pos_y|^2 of the vertex index arrays x and y, which broadcast,
-    gathered axis by axis from the coordinate columns.
+    gathered axis by axis from the coordinate columns.  The pair walks read
+    it for GIRG alone; lattice pairs read `BoxSpec.offset_dist2`.
 
     The squares are added in two partial sums, over the even and over the
     odd axes, and then together.  That is the order in which the scan has
     always added them, so GIRG realizations, whose coordinates are not
-    integers, keep their edges bit for bit; on lattices every order gives
-    the same exact integer.
+    integers, keep their edges bit for bit.
     """
     partial = []
     for k, col in enumerate(columns):
@@ -310,17 +309,26 @@ def _lrp_probs(box: BoxSpec, params: ModelParams) -> np.ndarray:
     return p
 
 
-def _pair_probs(real: LazyRealization, x, y) -> np.ndarray:
+def _pair_probs(real: LazyRealization, x, y, ids=None) -> np.ndarray:
     """Edge probabilities of the pairs {x, y} of vertex index arrays that
-    broadcast: for a column against a row, it gathers per vertex, not per pair.
+    broadcast: for a column against a row, or for slab slices, it gathers
+    per vertex, not per pair.  The result broadcasts against the pairs.
 
-    LRP reads `_lrp_probs` at the pairs' offset ids, as the slab scan does;
-    SFP and GIRG apply `_kernel_step` to the weights and `_squared_distances`.
+    A lattice pair's distance is read by the id of its offset: `ids`, which
+    broadcasts against the pairs, where the walk has them, as the slab scan
+    does, else `BoxSpec.offset_index`.  LRP reads `_lrp_probs` at the ids,
+    SFP `_kernel_step` at the weights and `offset_dist2`; GIRG applies
+    `_kernel_step` to the weights and `_squared_distances`.
     """
-    if real.model is Model.LRP:
-        return _lrp_probs(real.box, real.params)[real.box.offset_index(x, y)]
-    return _kernel_step(real.weights[x], real.weights[y],
-                        _squared_distances(real._columns, x, y), real.params, real.model)
+    box = real.box
+    if real.model is Model.GIRG:
+        dist2 = _squared_distances(real._columns, x, y)
+    else:
+        ids = box.offset_index(x, y) if ids is None else ids
+        if real.model is Model.LRP:
+            return _lrp_probs(box, real.params)[ids]
+        dist2 = box.offset_dist2[ids]
+    return _kernel_step(real.weights[x], real.weights[y], dist2, real.params, real.model)
 
 
 def _pair_blocks(n: int):
@@ -358,18 +366,17 @@ def _scan(real: LazyRealization, blocks):
 
 
 def _slab_blocks(box: BoxSpec):
-    """The blocks of the slab scan of a lattice box.
+    """The blocks of the slab scan of a box of d >= 2.
 
     Row-major order cuts the box into `side` slabs of m = side^(d-1)
     vertices, so the pairs at offset a on axis 0 are slab r x slab r + a.
     A block is (a, r0, r1, lo, hi, ids): it pairs the columns `lo` of the
     slabs r0..r1-1 with the columns `hi` of the slabs a further on, and
-    `ids`, which broadcasts against it, holds the pairs' offset ids
+    `ids`, which broadcasts against it, holds the pairs' lattice offset ids
     (`BoxSpec.offset_index`), a * m + the id of their columns' offset.  At
     a = 0 the pairs are the c < c' of one slab, as index arrays; at a > 0
     they are all (c, c'), with the (m, m) id table cut into rows when m^2
-    exceeds _BLOCK_PAIRS.  The 1-d offset a = 1 holds only grid pairs and
-    is left out.  A block holds at most max(_BLOCK_PAIRS, m) pairs.
+    exceeds _BLOCK_PAIRS.  A block holds at most max(_BLOCK_PAIRS, m) pairs.
     """
     side = box.side
     m = box.n_vertices // side
@@ -380,7 +387,7 @@ def _slab_blocks(box: BoxSpec):
         for r0 in range(0, side, step):
             yield 0, r0, min(r0 + step, side), (ci,), (cj,), ids
     table_rows = max(1, min(m, _BLOCK_PAIRS // m))
-    for a in range(1 if box.d > 1 else 2, side):
+    for a in range(1, side):
         for c0 in range(0, m, table_rows):
             ids = a * m + column_ids[c0:c0 + table_rows]
             step = max(1, _BLOCK_PAIRS // ids.size)
@@ -443,49 +450,47 @@ def _in_order(fn, items, pool):
 
 def _slab_block(real: LazyRealization, slabs: tuple, block) -> tuple:
     """The edges among the pairs of one block of `_slab_blocks`, as two
-    vertex arrays (lo, hi).  `slabs` holds the (side, m) vertex ids, hash
-    states and weights of the box, and LRP's `_lrp_probs` table or None."""
-    vertex, states, weights, lrp_probs = slabs
+    vertex arrays (lo, hi).  `slabs` holds the (side, m) vertex ids and hash
+    states of the box."""
+    vertex, states = slabs
     a, r0, r1, lo, hi, ids = block
     lo, hi = (slice(r0, r1),) + lo, (slice(r0 + a, r1 + a),) + hi
+    x, y = vertex[lo], vertex[hi]
+    shape = np.broadcast_shapes(x.shape, y.shape)
     # the hash reads its words as uint64: a view of the vertex ids, not a copy
-    states_lo, words_hi = states[lo], vertex[hi].view(np.uint64)
-    shape = np.broadcast_shapes(states_lo.shape, words_hi.shape)
-    u = uniforms_from_states(states_lo, words_hi).reshape(shape)
-    if lrp_probs is not None:
-        p = lrp_probs[ids]
-    else:
-        p = _kernel_step(weights[lo], weights[hi], real.box.offset_dist2[ids], real.params,
-                         real.model)
-    sel = u < p
-    return np.broadcast_to(vertex[lo], shape)[sel], np.broadcast_to(vertex[hi], shape)[sel]
+    u = uniforms_from_states(states[lo], y.view(np.uint64)).reshape(shape)
+    sel = u < _pair_probs(real, x, y, ids)
+    return np.broadcast_to(x, shape)[sel], np.broadcast_to(y, shape)[sel]
 
 
 def _slab_scan(real: LazyRealization):
-    """The pairs (lo, hi) of a lattice realization that are edges, grid pairs
-    aside, as two index arrays.
+    """The pairs (lo, hi) of a realization of d >= 2 that are edges, grid
+    pairs aside, as two index arrays.
 
     Every block of `_slab_blocks` reads contiguous slices of the slabs'
-    states, words and weights, which broadcast against each other, so
-    nothing is gathered but the a = 0 columns and the block's offset ids.
-    LRP reads `_lrp_probs` and SFP `_kernel_step` at those ids, as in
-    `_pair_probs`; the kernel's checks and dist^d run on the weight slices
-    and the gathered squared lengths, not per pair.
+    vertex ids and states, which broadcast against each other, so nothing
+    is gathered per pair but the a = 0 columns.  `_pair_probs` gathers the
+    weights and GIRG coordinates per vertex and reads a lattice pair's
+    distance at the block's offset ids, so the kernel's checks and dist^d
+    run on slices and tables, not per pair.
 
     `_slab_block` decides each block.  The blocks run on the CPUs this
     process may use (`_block_pool`), with a bounded number in flight, unless
     the box is too small for threads to pay (`_POOL_MIN_PAIRS`); either way
     their edges are joined in block order, so the arrays are the same.
     """
-    box, side, n = real.box, real.box.side, real.n
-    lrp_probs = _lrp_probs(box, real.params) if real.model is Model.LRP else None
-    slabs = (np.arange(n).reshape(side, -1), real._states.reshape(side, -1),
-             real.weights.reshape(side, -1), lrp_probs)
+    side, n = real.box.side, real.n
+    vertex = np.arange(n).reshape(side, -1)
+    slabs = vertex, real._states.reshape(side, -1)
+    # An empty block fills the caches `_pair_probs` reads (weights, GIRG
+    # coordinate columns, offset tables) before the pool's threads do, as
+    # `cached_property` has no lock from Python 3.12 on.
+    _pair_probs(real, vertex[:0, 0], vertex[:0, 0])
     # n * m / 2 is the mean number of pairs per axis-0 offset, and a block
     # holds one offset's pairs unless they exceed _BLOCK_PAIRS
     pool = _block_pool() if n * (n // side) // 2 >= _POOL_MIN_PAIRS else None
     los, his = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo, hi in _in_order(partial(_slab_block, real, slabs), _slab_blocks(box), pool):
+    for lo, hi in _in_order(partial(_slab_block, real, slabs), _slab_blocks(real.box), pool):
         los.append(lo)
         his.append(hi)
     return np.concatenate(los), np.concatenate(his)
@@ -502,20 +507,13 @@ def _vertex_budget(default: int) -> int:
         raise DomainError(f"{BUDGET_ENV} must be an integer, got {text!r}") from None
 
 
-def _check_sparse(box: BoxSpec, params: ModelParams) -> None:
+def _check_box(box: BoxSpec, params: ModelParams, default: int, budget: str) -> None:
+    """The box has the params' dimension and at most the named vertex budget."""
     if box.d != params.d:
         raise DomainError(f"box dimension {box.d} != params dimension {params.d}")
-    limit = _vertex_budget(DEFAULT_SPARSE_BUDGET)
+    limit = _vertex_budget(default)
     if box.n_vertices > limit:
-        raise BudgetError(f"{box.n_vertices} vertices exceed the budget of {limit}")
-
-
-def _check_complete(box: BoxSpec) -> None:
-    limit = _vertex_budget(DEFAULT_COMPLETE_BUDGET)
-    if box.n_vertices > limit:
-        raise BudgetError(
-            f"{box.n_vertices} vertices exceed the complete-graph budget of {limit}"
-        )
+        raise BudgetError(f"{box.n_vertices} vertices exceed the {budget} of {limit}")
 
 
 def _positions(box: BoxSpec, model: Model, seed: int) -> np.ndarray:
@@ -545,11 +543,8 @@ def sample_graph(box: BoxSpec, params: ModelParams, model: Model, seed: int) -> 
     """
     real = LazyRealization(box, params, model, seed)
     model, n = real.model, real.n
-    if model is Model.GIRG:
-        grid = np.empty((0, 2), dtype=np.int64)
-        found = _scan(real, _pair_blocks(n))
-    else:
-        grid, found = _grid_pairs(box), _slab_scan(real)
+    found = _slab_scan(real) if box.d >= 2 else _scan(real, _pair_blocks(n))
+    grid = np.empty((0, 2), dtype=np.int64) if model is Model.GIRG else _grid_pairs(box)
     # The scan's pairs are disjoint from the grid's, so sorting their keys
     # gives `edge_array` without sorting the edge tuples.
     pairs = np.concatenate([grid, np.stack(found, axis=1)])
@@ -607,7 +602,7 @@ class CffpRealization:
             raise DomainError("weights length must equal the box vertex count")
         if self.params.lam != 1.0:
             raise DomainError("CFFP is normalized to lambda = 1")
-        _check_complete(self.box)
+        _check_box(self.box, self.params, DEFAULT_COMPLETE_BUDGET, "complete-graph budget")
 
     @property
     def n(self) -> int:
@@ -685,7 +680,7 @@ class LazyRealization:
 
     def __post_init__(self):
         object.__setattr__(self, "model", Model(self.model))
-        _check_sparse(self.box, self.params)
+        _check_box(self.box, self.params, DEFAULT_SPARSE_BUDGET, "budget")
 
     @property
     def n(self) -> int:

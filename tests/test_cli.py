@@ -434,6 +434,33 @@ def test_estimator_inputs_are_invalid_arguments(capsys, name, line):
     assert out == "" and err.startswith("invalid arguments:") and err.count("\n") == 1
 
 
+_GENERATE = "generate --d 1 --L 8 --seed 1 --out {out}"
+_FPP_CFFP = "coupling --kind fpp-cffp --alpha 1 --lambda 1 --trials 20 --seed 8"
+# NaN fails every comparison, so a range check must not let it through.
+NAN_INPUTS = [
+    ("generate-alpha", f"{_GENERATE} --model lrp --alpha nan --lambda 0.1"),
+    ("generate-lambda", f"{_GENERATE} --model lrp --alpha 1.5 --lambda nan"),
+    ("generate-tau", f"{_GENERATE} --model sfp --alpha 1.5 --tau nan --lambda 0.1"),
+    ("fpp-cffp-t", f"{_FPP_CFFP} --wu 1 --wv 1 --dist 2 --t nan"),
+    ("fpp-cffp-wu", f"{_FPP_CFFP} --wu nan --wv 1 --dist 2 --t 1"),
+    ("fpp-cffp-wv", f"{_FPP_CFFP} --wu 1 --wv nan --dist 2 --t 1"),
+    ("fpp-cffp-dist", f"{_FPP_CFFP} --wu 1 --wv 1 --dist nan --t 1"),
+    ("tail-lrp-eps", f"{_TAIL} --targets 20 --thresholds 1,2 --bound lrp --eps-grid nan:nan:2"),
+    ("tail-sfp-c1", "tail --model sfp --d 1 --L 33 --alpha 1.5 --tau 3.5 --lambda 0.1 "
+                    "--source 16 --trials 2 --seed 1 --targets 20 --thresholds 1,2 "
+                    "--bound sfp --c1-grid nan"),
+]
+
+
+@pytest.mark.parametrize("name, line", NAN_INPUTS, ids=[c[0] for c in NAN_INPUTS])
+def test_nan_inputs_are_invalid_arguments(tmp_path, capsys, name, line):
+    out = tmp_path / "g.txt"
+    assert main(line.format(out=out).split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invalid arguments:")
+    assert not out.exists()
+
+
 # Malformed flag values and files: (command line, flag, bad token).  {bad} is a
 # fit input whose one sample line is not a pair, {missing} a path in no directory.
 PARSE_ERRORS = [

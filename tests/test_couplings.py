@@ -125,6 +125,14 @@ class TestFppCffpEdgeCheck:
         with pytest.raises(DomainError):
             fpp_cffp_edge_check(1.0, 1.0, 0.5, 1.0, 100, 1, params)
 
+    @pytest.mark.parametrize("at", range(4), ids=["wu", "wv", "dist", "t"])
+    def test_nan_is_rejected(self, at):
+        params = ModelParams(d=1, alpha=1.2, tau=4.0, lam=1.0)
+        args = [1.0, 1.0, 2.0, 1.0]
+        args[at] = math.nan
+        with pytest.raises(DomainError):
+            fpp_cffp_edge_check(*args, 100, 1, params)
+
 
 class TestBlowupBoxMap:
     def test_fig_caption_case(self):

@@ -202,6 +202,16 @@ class TestBallGrowth:
         assert all(s >= 1 for s in gs.mean_sizes)
         assert all(b >= a for a, b in zip(gs.mean_sizes, gs.mean_sizes[1:]))
 
+    def test_cffp_box_must_have_the_params_dimension(self):
+        config = ModelConfig(
+            box=BoxSpec(d=2, side=10),
+            params=ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0),
+            model=Model.SFP,
+            metric="cffp",
+        )
+        with pytest.raises(DomainError, match="dimension"):
+            mc_ball_growth(config, 0, [0.1, 0.2], 2, 1)
+
     def test_budget_guard_for_cffp(self):
         config = ModelConfig(
             box=BoxSpec(d=1, side=5000),

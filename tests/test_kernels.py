@@ -128,6 +128,13 @@ class TestTailBoundSfp:
             tail_bound_sfp(1, 2.0, self.bc, self.params) / 2
         )
 
+    @pytest.mark.parametrize("field", ["c1", "c2", "beta_exp", "epsilon"])
+    def test_nan_constants_are_rejected(self, field):
+        fields = dict(c1=1.0, c2=1.0, beta_exp=1.0, epsilon=0.0)
+        fields[field] = math.nan
+        with pytest.raises(DomainError):
+            BoundConstants(**fields)
+
     def test_domain(self):
         # min{alpha, tau - 2 - eps} must land in (0, 2)
         bad = ModelParams(d=1, alpha=1.5, tau=2.0, lam=1.0)
@@ -170,6 +177,10 @@ class TestTailBoundLrp:
             tail_bound_lrp(1, 1.0, 0.1, ModelParams(d=1, alpha=2.5, tau=4.0, lam=1.0))
         with pytest.raises(DomainError):
             tail_bound_lrp(1, 1.0, 0.1, ModelParams(d=1, alpha=1.0, tau=4.0, lam=1.0))
+
+    def test_nan_eps_is_rejected(self):
+        with pytest.raises(DomainError):
+            tail_bound_lrp(1, 1.0, math.nan, lrp_params(alpha=1.5, lam=0.05))
 
 
 class TestTailBoundFppLog:
@@ -305,3 +316,18 @@ class TestModelParamsValidation:
     def test_boundary_parameterizations_accepted(self):
         ModelParams(d=1, alpha=1.0, tau=4.0, lam=0.0)
         ModelParams(d=3, alpha=1.5, tau=math.inf, lam=2.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "tau", "lam"])
+    def test_rejects_nan(self, field):
+        fields = dict(d=1, alpha=1.5, tau=4.0, lam=1.0)
+        fields[field] = math.nan
+        with pytest.raises(DomainError):
+            ModelParams(**fields)
+
+    def test_dimension_is_kept_as_a_python_int(self):
+        for d, want in ((np.int64(2), 2), (True, 1), (3, 3)):
+            params = ModelParams(d=d, alpha=1.5, tau=4.0, lam=1.0)
+            assert params.d == want and type(params.d) is int
+        for d in (1.0, 2.5, "2", None):
+            with pytest.raises(DomainError):
+                ModelParams(d=d, alpha=1.5, tau=4.0, lam=1.0)

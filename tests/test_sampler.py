@@ -339,8 +339,22 @@ class TestCffpCosts:
                 seed=1,
             )
 
+    def test_box_must_have_the_params_dimension(self):
+        with pytest.raises(DomainError, match="dimension"):
+            CffpRealization(box=BoxSpec(d=2, side=10), weights=np.ones(100),
+                            params=ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0), seed=1)
+
 
 class TestSerialization:
+    @pytest.mark.parametrize("d", [True, np.int64(1)], ids=["bool", "int64"])
+    def test_any_integer_dimension_reloads(self, tmp_path, d):
+        params = ModelParams(d=d, alpha=1.5, tau=4.0, lam=0.37)
+        g = sample_graph(BoxSpec(d=d, side=12), params, Model.SFP, 5)
+        save_graph(g, tmp_path / "g.txt")
+        assert (tmp_path / "g.txt").read_text().startswith("sfp 1 12 ")
+        g2, _ = load_graph(tmp_path / "g.txt")
+        assert g2.params == params and g2.edges == g.edges
+
     def test_round_trip_lattice(self, tmp_path):
         params = ModelParams(d=1, alpha=1.5, tau=4.0, lam=0.37)
         g = sample_graph(BoxSpec(d=1, side=40), params, Model.SFP, 123)
@@ -563,10 +577,11 @@ class TestSeedPromise:
 
 
 @st.composite
-def lattice_realizations(draw):
-    """A small LRP or SFP lattice realization of dimension 1, 2 or 3."""
-    model = draw(st.sampled_from([Model.LRP, Model.SFP]))
-    d = draw(st.sampled_from([1, 2, 3]))
+def scanned_realizations(draw):
+    """A small LRP or SFP lattice realization of dimension 1, 2 or 3, or a
+    GIRG of dimension 2 or 3."""
+    model = draw(st.sampled_from([Model.LRP, Model.SFP, Model.GIRG]))
+    d = draw(st.sampled_from([2, 3] if model is Model.GIRG else [1, 2, 3]))
     side = draw(st.integers(1, {1: 60, 2: 12, 3: 6}[d]))
     box = BoxSpec(d=d, side=side,
                   origin=tuple(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))))
@@ -581,20 +596,22 @@ def lattice_realizations(draw):
 
 
 class TestSlabScan:
-    """`sample_graph` scans lattices slab by slab; the block scan over
-    `_pair_blocks`, which GIRG uses, is the reference it must equal."""
+    """`sample_graph` scans every box of d >= 2, lattice or GIRG, slab by
+    slab; the block scan over `_pair_blocks`, which 1-d boxes use, is the
+    reference it must equal."""
 
     # 4 M pairs: every box here is one block; the shipped block size; many small blocks
     @pytest.mark.parametrize("block_pairs", [4_000_000, sampler._BLOCK_PAIRS, 7, 100])
     @settings(max_examples=60, deadline=None)
-    @given(case=lattice_realizations())
+    @given(case=scanned_realizations())
     def test_slab_scan_equals_the_block_scan(self, block_pairs, case):
         box, params, model, seed = case
         real = sampler.LazyRealization(box, params, model, seed)
         n = real.n
         lo, hi = sampler._scan(real, sampler._pair_blocks(n))
         # the block scan may also decide grid pairs, which are edges anyway
-        pairs = np.concatenate([sampler._grid_pairs(box), np.stack([lo, hi], axis=1)])
+        grid = np.empty((0, 2), dtype=np.int64) if model is Model.GIRG else sampler._grid_pairs(box)
+        pairs = np.concatenate([grid, np.stack([lo, hi], axis=1)])
         want = np.unique(pairs[:, 0] * n + pairs[:, 1])
         with mock.patch.object(sampler, "_BLOCK_PAIRS", block_pairs):
             g = sample_graph(box, params, model, seed)
@@ -603,7 +620,8 @@ class TestSlabScan:
     @pytest.mark.parametrize("block_pairs", [4_000_000, 50])
     @pytest.mark.parametrize("model, d, side", [
         (Model.LRP, 1, 40), (Model.SFP, 1, 33), (Model.LRP, 2, 9), (Model.SFP, 2, 11),
-        (Model.LRP, 3, 5), (Model.SFP, 3, 4),
+        (Model.LRP, 3, 5), (Model.SFP, 3, 4), (Model.GIRG, 1, 35), (Model.GIRG, 2, 10),
+        (Model.GIRG, 3, 4),
     ])
     def test_every_pair_is_hashed_once(self, block_pairs, model, d, side):
         box = BoxSpec(d=d, side=side)
@@ -620,8 +638,7 @@ class TestSlabScan:
                 mock.patch.object(sampler, "_BLOCK_PAIRS", block_pairs):
             sample_graph(box, params, model, 7)
         n = box.n_vertices
-        grid_offsets = n - 1 if d == 1 else 0  # 1-d offset 1 is all grid pairs
-        assert sum(hashed) == n * (n - 1) // 2 - grid_offsets
+        assert sum(hashed) == n * (n - 1) // 2
         if block_pairs < n:
             assert max(hashed) <= max(block_pairs, side ** (d - 1))
 
@@ -637,7 +654,7 @@ class TestSlabScan:
         return mock.patch.multiple(sampler, _BLOCK_PAIRS=50, _POOL_MIN_PAIRS=0)
 
     @pytest.mark.parametrize("model, d, side", [
-        (Model.LRP, 1, 40), (Model.SFP, 1, 33), (Model.LRP, 2, 9), (Model.SFP, 2, 11),
+        (Model.GIRG, 2, 10), (Model.GIRG, 3, 5), (Model.LRP, 2, 9), (Model.SFP, 2, 11),
         (Model.LRP, 3, 5), (Model.SFP, 3, 4),
     ])
     def test_the_edges_do_not_depend_on_the_cpus(self, model, d, side):
