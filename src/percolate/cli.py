@@ -308,6 +308,11 @@ def _cmd_coupling(args) -> int:
                                        args.trials, args.seed)
     else:  # min-exp grid
         step = args.step
+        # an empty grid would pass vacuously; NaN fails every comparison
+        if not 0 < step < math.inf:
+            raise DomainError(f"--step must be finite and positive, got {step}")
+        if not 0 <= args.grid_max < math.inf:
+            raise DomainError(f"--grid-max must be finite and nonnegative, got {args.grid_max}")
         grid = np.arange(0.0, args.grid_max + step / 2, step)
         violations = 0
         worst = 0.0
@@ -417,6 +422,8 @@ def _cmd_shape(args) -> int:
         delta = delta_exponent(min(params.alpha, params.tau - 2))
     if not delta > 0:  # r(k) = exp(c k^(1/delta))
         raise DomainError(f"delta must be positive, got {delta}")
+    if args.c is not None and not math.isfinite(args.c):
+        raise DomainError(f"--c must be finite, got {args.c}")
     ks = _numbers("--ks", args.ks, int)
     if args.c is not None:
         c = args.c

@@ -429,8 +429,8 @@ def sum_exp_tail(
     rate_i = (w_i w_{i+1})^alpha dist_i^(-alpha d); requires 2 alpha < tau-1.
     Fixed `rates` skip the weight layer (the k=1 closed-form mode).
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not t >= 0:  # NaN included
+        raise DomainError(f"t must be nonnegative, got {t}")
     if trials < 1:
         raise DomainError("trials must be >= 1")
     dists = np.asarray(dists, dtype=np.float64)
@@ -680,8 +680,10 @@ def fkt_h_functional(
     Trapezoidal quadrature on the measured grid; g is interpolated linearly
     between grid points and pinned to g(0) = 1.
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not t >= 0:  # NaN included
+        raise DomainError(f"t must be nonnegative, got {t}")
+    if math.isnan(delta_rate):
+        raise DomainError("delta_rate must be a number, got nan")
     ts, gs = _pinned_at_zero(g_hat)
     if t > ts[-1]:
         raise DomainError(f"t={t} outside the series range [0, {ts[-1]}]")

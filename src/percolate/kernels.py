@@ -84,13 +84,14 @@ class EnvelopeParams:
     c_theta: float
 
     def __post_init__(self):
+        # the ranges read `not x >= lo`, as NaN fails every comparison
         if not 0.5 < self.theta < 1.0:
             raise DomainError(f"theta must lie in (1/2, 1), got {self.theta}")
-        if self.beta_env < 0:
+        if not self.beta_env >= 0:
             raise DomainError("beta_env must be nonnegative")
-        if self.lambda_env <= 0:
+        if not self.lambda_env > 0:
             raise DomainError("lambda_env must be positive")
-        if self.c_theta <= 1:
+        if not self.c_theta > 1:
             raise DomainError(f"c_theta must exceed 1, got {self.c_theta}")
 
 
@@ -140,7 +141,7 @@ def pareto_quantile(u, tau: float):
     Maps uniform u in [0, 1) to (1-u)^(-1/(tau-1)).  Accepts arrays.
     `tau == inf` yields the constant 1.
     """
-    if tau <= 1:
+    if not tau > 1:  # NaN included
         raise DomainError(f"pareto_quantile requires tau > 1, got {tau}")
     u = np.asarray(u, dtype=np.float64)
     if np.any(u < 0) or np.any(u >= 1):
@@ -168,9 +169,9 @@ def tail_bound_sfp(k: int, dist: float, bc: BoundConstants, params: ModelParams)
     with Delta' = delta_exponent(min{alpha, tau - 2 - eps}).  The value may
     exceed 1: it is a bound, not a probability.
     """
-    if k < 1:
+    if not k >= 1:  # NaN included
         raise DomainError(f"k must be >= 1, got {k}")
-    if dist < 1:
+    if not dist >= 1:
         raise DomainError(f"dist must be >= 1, got {dist}")
     dprime = _delta_prime_sfp(params, bc.epsilon)
     if math.isinf(dist):
@@ -186,11 +187,11 @@ def tail_bound_sfp(k: int, dist: float, bc: BoundConstants, params: ModelParams)
 
 def tail_bound_lrp(k: int, dist: float, eps: float, params: ModelParams) -> float:
     """Upper bound dist^(-alpha d) * exp(alpha d * k^(1/(Delta+eps))) for LRP."""
-    if k < 1:
+    if not k >= 1:  # NaN included
         raise DomainError(f"k must be >= 1, got {k}")
-    if dist < 1:
+    if not dist >= 1:
         raise DomainError(f"dist must be >= 1, got {dist}")
-    if not eps > 0:  # NaN included
+    if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
     if not 1 < params.alpha < 2:
         raise DomainError(f"LRP tail bound requires alpha in (1, 2), got {params.alpha}")
@@ -211,11 +212,11 @@ def tail_bound_fpp_log(
     delta_exponent(alpha), valid when 2 alpha < tau - 1; otherwise the
     caller must supply the adjusted exponent.
     """
-    if t < 0:
+    if not t >= 0:  # NaN included
         raise DomainError(f"t must be nonnegative, got {t}")
-    if dist < 1:
+    if not dist >= 1:
         raise DomainError(f"dist must be >= 1, got {dist}")
-    if c <= 0:
+    if not c > 0:
         raise DomainError("c must be positive")
     if delta is None:
         if not 2 * params.alpha < params.tau - 1:
@@ -239,7 +240,7 @@ def envelope_G_log(t: float, ep: EnvelopeParams) -> float:
     The stretched-exponential envelope of the expected ball size;
     G(0) = 1, i.e. the log is 0 at t = 0.
     """
-    if t < 0:
+    if not t >= 0:  # NaN included
         raise DomainError(f"t must be nonnegative, got {t}")
     if t == 0:
         return 0.0
@@ -254,9 +255,9 @@ def envelope_G_log(t: float, ep: EnvelopeParams) -> float:
 
 def shape_radii(k: int, delta: float, eps: float) -> tuple[float, float]:
     """Inner and outer sandwich radii (q, r) = (e^(k^(1/D-e)), e^(k^(1/D+e)))."""
-    if k < 1:
+    if not k >= 1:  # NaN included
         raise DomainError(f"k must be >= 1, got {k}")
-    if delta <= 0 or eps <= 0:
+    if not (delta > 0 and eps > 0):  # NaN included
         raise DomainError("delta and eps must be positive")
     if 1.0 / delta - eps < 0:
         raise DomainError(f"1/delta - eps = {1.0 / delta - eps} is negative")

@@ -10,6 +10,9 @@ with its higher one (`uniforms_from_states`), gives a uniform, and the pair
 is an edge iff that falls below `_pair_probs`, the kernel at the pair's
 weights and distance (`connection_prob`, through `_kernel_step`; LRP, in
 every d, reads it per lattice offset from the one table `_lrp_probs`).
+The lattice's nearest-neighbour grid is that rule too: `_kernel_step` gives
+LRP and SFP pairs at distance 1 probability 1, which every uniform falls
+below, so no walk adds the grid from elsewhere.
 Three walks apply it, and the box's dimension alone picks the eager one:
 
 - the slab scan (`_slab_scan`), with which `sample_graph` decides all
@@ -36,9 +39,8 @@ CFFP cost rows read the cost stream's vertex states and a table of
 `coords[:, i]`, in row-major order.  `index` gives the vertex of lattice
 coordinates, `offset_index` the vertex id of the offset between two
 vertices, and `offset_dist2` each offset's squared length, by that id.
-The grid pairs, the lazy rows' grid neighbours, the lattice pairs'
-distances in every walk, the LRP table, the CFFP rows, the blow-up map and
-its bins all read these.
+The lattice pairs' distances in every walk, the LRP table, the CFFP rows,
+the blow-up map and its bins all read these.
 """
 
 from __future__ import annotations
@@ -227,22 +229,8 @@ class CostMap:
         return len(self.costs)
 
 
-def _grid_pairs(box: BoxSpec) -> np.ndarray:
-    """(m, 2) array of the nearest-neighbour lattice pairs (lo, hi), axis by axis."""
-    pairs = []
-    for axis, x in enumerate(box.coords):
-        us = np.flatnonzero(x < box.side - 1)
-        pairs.append(np.stack([us, us + box.side ** (box.d - 1 - axis)], axis=1))
-    return np.concatenate(pairs, axis=0)
-
-
 def _pair_set(pairs: np.ndarray) -> frozenset:
     return frozenset(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
-
-
-def grid_edges(box: BoxSpec) -> frozenset:
-    """All nearest-neighbour lattice pairs inside the box."""
-    return _pair_set(_grid_pairs(box))
 
 
 def sample_weights(n: int, tau: float, seed: int) -> np.ndarray:
@@ -290,21 +278,22 @@ def _squared_distances(columns: tuple, x, y: np.ndarray) -> np.ndarray:
 
 def _kernel_step(w_lo, w_hi, dist2, params, model) -> np.ndarray:
     """`connection_prob` at distance sqrt(dist2), which the weights broadcast
-    against, and 0 at the lattice pairs at distance 1, which the grid adds."""
+    against, and 1 at the lattice pairs at distance 1: a uniform is below 1,
+    so the nearest-neighbour grid is always present.  GIRG has no grid."""
     p = connection_prob(w_lo, w_hi, np.sqrt(dist2), params)
     if model is not Model.GIRG:
-        p[..., dist2 == 1.0] = 0.0
+        p[..., dist2 == 1.0] = 1.0
     return p
 
 
 @lru_cache(maxsize=32)
 def _lrp_probs(box: BoxSpec, params: ModelParams) -> np.ndarray:
     """The LRP edge probability of every lattice offset of the box, at its id
-    `BoxSpec.offset_index`: `_kernel_step` at unit weights, so offset 0 and
-    the grid's offsets at distance 1 read 0.  Read-only, as it is shared."""
-    dist2 = box.offset_dist2.astype(np.float64)
-    dist2[0] = 1.0
-    p = _kernel_step(1.0, 1.0, dist2, params, Model.LRP)
+    `BoxSpec.offset_index`: `_kernel_step` at unit weights, so the grid's
+    offsets at distance 1 read 1.  Offset 0 is no pair and reads 0.
+    Read-only, as it is shared."""
+    p = np.zeros(box.n_vertices)
+    p[1:] = _kernel_step(1.0, 1.0, box.offset_dist2[1:], params, Model.LRP)
     p.setflags(write=False)
     return p
 
@@ -464,8 +453,8 @@ def _slab_block(real: LazyRealization, slabs: tuple, block) -> tuple:
 
 
 def _slab_scan(real: LazyRealization):
-    """The pairs (lo, hi) of a realization of d >= 2 that are edges, grid
-    pairs aside, as two index arrays.
+    """The pairs (lo, hi) of a realization of d >= 2 that are edges, as two
+    index arrays.
 
     Every block of `_slab_blocks` reads contiguous slices of the slabs'
     vertex ids and states, which broadcast against each other, so nothing
@@ -534,20 +523,19 @@ def _weights(box: BoxSpec, params: ModelParams, model: Model, seed: int) -> np.n
 def sample_graph(box: BoxSpec, params: ModelParams, model: Model, seed: int) -> SampledGraph:
     """Sample one finite-box realization of the requested model.
 
-    LRP/SFP vertices are the lattice points of `box` and always carry the
-    grid edges; each remaining pair {u, v} is an edge iff
+    Each pair {u, v} is an edge iff
     edge_uniform(seed, u, v) < connection_prob(w_u, w_v, |pos_u - pos_v|).
+    LRP/SFP vertices are the lattice points of `box`, and their pairs at
+    distance 1 have probability 1, so they always carry the grid edges.
     GIRG places n = side^d vertices uniformly in the cube and has no grid
     edges.  LRP forces all weights to 1.  This is a `LazyRealization` with
     all its pairs scanned at once.
     """
     real = LazyRealization(box, params, model, seed)
     model, n = real.model, real.n
-    found = _slab_scan(real) if box.d >= 2 else _scan(real, _pair_blocks(n))
-    grid = np.empty((0, 2), dtype=np.int64) if model is Model.GIRG else _grid_pairs(box)
-    # The scan's pairs are disjoint from the grid's, so sorting their keys
-    # gives `edge_array` without sorting the edge tuples.
-    pairs = np.concatenate([grid, np.stack(found, axis=1)])
+    pairs = np.stack(_slab_scan(real) if box.d >= 2 else _scan(real, _pair_blocks(n)), axis=1)
+    # the scan finds each pair once, so sorting their keys gives `edge_array`
+    # without sorting the edge tuples
     pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
     graph = SampledGraph(
         model=model,
@@ -702,27 +690,17 @@ class LazyRealization:
     def _states(self) -> np.ndarray:
         return absorb_indices(seed_state(self.seed), np.arange(self.n))
 
-    def _grid_neighbors(self, frontier: np.ndarray) -> np.ndarray:
-        if self.model is Model.GIRG:
-            return np.empty(0, dtype=np.int64)
-        side, d = self.box.side, self.box.d
-        out = []
-        for axis, x in enumerate(self.box.coords):
-            stride, coord = side ** (d - 1 - axis), x[frontier]
-            out += [frontier[coord > 0] - stride, frontier[coord < side - 1] + stride]
-        return np.concatenate(out)
-
     def frontier_neighbors(self, frontier, unvisited: np.ndarray) -> np.ndarray:
         """Sorted unvisited vertices joined to some vertex of `frontier`.
 
         `unvisited` is a boolean mask over the vertices that must be False
         on the frontier.  Only frontier x unvisited pairs are hashed, so a
         search that marks each expanded vertex visited hashes every pair
-        at most once.
+        at most once.  Grid neighbours are among them: `_kernel_step`
+        decides their pairs as edges, as it does in the scans.
         """
         frontier = np.asarray(frontier, dtype=np.int64)
-        lo, hi = _scan(self, _cross_blocks(frontier, np.flatnonzero(unvisited)))
-        reached = np.concatenate([self._grid_neighbors(frontier), lo, hi])
+        reached = np.concatenate(_scan(self, _cross_blocks(frontier, np.flatnonzero(unvisited))))
         return np.unique(reached[unvisited[reached]])
 
 

@@ -461,6 +461,35 @@ def test_nan_inputs_are_invalid_arguments(tmp_path, capsys, name, line):
     assert not out.exists()
 
 
+_MIN_EXP = "coupling --kind min-exp --seed 1 --out {out}"
+_GROWTH = f"growth {_LRP} --thresholds 1,2 --trials 2 --seed 1"
+# An empty min-exp grid would pass vacuously, a zero or NaN step crashed, and
+# NaN reached the h functional and the shape radii as a number.
+DEGENERATE_INPUTS = [
+    ("min-exp-negative-step", f"{_MIN_EXP} --step=-1"),
+    ("min-exp-zero-step", f"{_MIN_EXP} --step 0"),
+    ("min-exp-nan-step", f"{_MIN_EXP} --step nan"),
+    ("min-exp-inf-step", f"{_MIN_EXP} --step inf"),
+    ("min-exp-negative-grid-max", f"{_MIN_EXP} --grid-max=-1"),
+    ("min-exp-nan-grid-max", f"{_MIN_EXP} --grid-max nan"),
+    ("min-exp-inf-grid-max", f"{_MIN_EXP} --grid-max inf"),
+    ("growth-nan-h-t", f"{_GROWTH} --h-t nan"),
+    ("growth-nan-h-delta", f"{_GROWTH} --h-t 1 --h-delta nan"),
+    ("shape-nan-c", f"shape {_LRP} --ks 2 --trials 2 --seed 1 --c nan --out {{out}}"),
+    ("shape-inf-c", f"shape {_LRP} --ks 2 --trials 2 --seed 1 --c inf --out {{out}}"),
+]
+
+
+@pytest.mark.parametrize("name, line", DEGENERATE_INPUTS, ids=[c[0] for c in DEGENERATE_INPUTS])
+def test_degenerate_inputs_are_invalid_arguments(tmp_path, capsys, name, line):
+    out = tmp_path / "out"
+    assert main(line.format(out=out).split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invalid arguments:")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 # Malformed flag values and files: (command line, flag, bad token).  {bad} is a
 # fit input whose one sample line is not a pair, {missing} a path in no directory.
 PARSE_ERRORS = [

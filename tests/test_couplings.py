@@ -33,7 +33,6 @@ from percolate.couplings import (
 from percolate.metrics import hop_distances_from
 from percolate.kernels import pareto_quantile
 from percolate.rng import trial_seed, vertex_uniforms
-from percolate.sampler import grid_edges
 
 
 def lrp_small(lam, alpha=1.5, d=1):
@@ -163,7 +162,7 @@ class TestBlowupLrp:
         spec = BlowupSpec(r=3, params_small=lrp_small(0.0))
         fine, coarse, rep = blowup_lrp(BoxSpec(d=1, side=16), spec, 1e-6, 2)
         # fine grid edges join only adjacent boxes
-        assert coarse.edges == grid_edges(BoxSpec(d=1, side=16))
+        assert coarse.edges == {(i, i + 1) for i in range(15)}
 
     def test_effective_strength_scaling(self):
         # fitted lambda ~ lam_s * r^(d(2-alpha)): doubling r at alpha=1.5, d=1

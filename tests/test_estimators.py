@@ -264,6 +264,10 @@ class TestSumExpTail:
     def test_t_zero(self):
         assert sum_exp_tail([1.0], 0.0, 100, 1, 1.2, 1, [1.0]) == (0.0, 0.0)
 
+    def test_nan_t_is_rejected(self):
+        with pytest.raises(DomainError):
+            sum_exp_tail([1.0], math.nan, 100, 1, 1.2, 1, [1.0])
+
     def test_k1_bound_linear_in_t(self):
         _, b1 = sum_exp_tail([1.0], 0.5, 10, 1, 1.2, 1, [2.0], c=2.0)
         _, b2 = sum_exp_tail([1.0], 1.0, 10, 1, 1.2, 1, [2.0], c=2.0)
@@ -433,6 +437,12 @@ class TestHFunctional:
         series = synthetic_series([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(DomainError):
             fkt_h_functional(series, 2.0, 1.0, 1, 1.0)
+
+    @pytest.mark.parametrize("t, delta_rate", [(math.nan, 1.0), (0.5, math.nan), (0.0, math.nan)])
+    def test_nan_is_rejected(self, t, delta_rate):
+        series = synthetic_series([0.0, 1.0], [1.0, 2.0])
+        with pytest.raises(DomainError):
+            fkt_h_functional(series, t, 1.0, 1, delta_rate)
 
     def test_selfbound_constant_finite(self):
         ts = np.linspace(0, 2, 41)

@@ -107,6 +107,10 @@ class TestParetoQuantile:
         with pytest.raises(DomainError):
             pareto_quantile(-0.1, 3.0)
 
+    def test_nan_tau_is_rejected(self):
+        with pytest.raises(DomainError):
+            pareto_quantile(0.5, math.nan)
+
 
 class TestTailBoundSfp:
     def setup_method(self):
@@ -142,6 +146,11 @@ class TestTailBoundSfp:
             tail_bound_sfp(1, 2.0, self.bc, bad)
         with pytest.raises(DomainError):
             tail_bound_sfp(0, 2.0, self.bc, self.params)
+
+    @pytest.mark.parametrize("k, dist", [(math.nan, 2.0), (1, math.nan)])
+    def test_nan_arguments_are_rejected(self, k, dist):
+        with pytest.raises(DomainError):
+            tail_bound_sfp(k, dist, self.bc, self.params)
 
     def test_base_case_dominates_kernel(self):
         # bound at k=1 >= connection probability once c1 >= log(lam 2^beta c2)
@@ -182,6 +191,11 @@ class TestTailBoundLrp:
         with pytest.raises(DomainError):
             tail_bound_lrp(1, 1.0, math.nan, lrp_params(alpha=1.5, lam=0.05))
 
+    @pytest.mark.parametrize("k, dist", [(math.nan, 2.0), (1, math.nan)])
+    def test_nan_arguments_are_rejected(self, k, dist):
+        with pytest.raises(DomainError):
+            tail_bound_lrp(k, dist, 0.1, lrp_params(alpha=1.5, lam=0.05))
+
 
 class TestTailBoundFppLog:
     def test_pinned_values(self):
@@ -204,6 +218,13 @@ class TestTailBoundFppLog:
         # explicit exponent unlocks it
         val = tail_bound_fpp_log(1.0, 2.0, 1.0, tight, delta=2.0)
         assert math.isfinite(val)
+
+    @pytest.mark.parametrize("t, dist, c", [
+        (math.nan, 2.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, math.nan),
+    ])
+    def test_nan_arguments_are_rejected(self, t, dist, c):
+        with pytest.raises(DomainError):
+            tail_bound_fpp_log(t, dist, c, ModelParams(d=1, alpha=1.2, tau=4.0, lam=1.0))
 
 
 class TestEnvelope:
@@ -233,6 +254,18 @@ class TestEnvelope:
         with pytest.raises(DomainError):
             EnvelopeParams(theta=0.7, beta_env=1.0, lambda_env=1.0, c_theta=1.0)
 
+    @pytest.mark.parametrize("field", ["theta", "beta_env", "lambda_env", "c_theta"])
+    def test_nan_params_are_rejected(self, field):
+        fields = dict(theta=0.7, beta_env=1.0, lambda_env=1.0, c_theta=2.0)
+        fields[field] = math.nan
+        with pytest.raises(DomainError):
+            EnvelopeParams(**fields)
+
+    def test_nan_t_is_rejected(self):
+        ep = EnvelopeParams(theta=0.7, beta_env=1.0, lambda_env=1.0, c_theta=2.0)
+        with pytest.raises(DomainError):
+            envelope_G_log(math.nan, ep)
+
 
 class TestShapeRadii:
     def test_pinned(self):
@@ -249,6 +282,13 @@ class TestShapeRadii:
     def test_domain(self):
         with pytest.raises(DomainError):
             shape_radii(4, 2.0, 0.6)  # 1/2 - 0.6 < 0
+
+    @pytest.mark.parametrize("k, delta, eps", [
+        (math.nan, 2.0, 0.1), (4, math.nan, 0.1), (4, 2.0, math.nan),
+    ])
+    def test_nan_arguments_are_rejected(self, k, delta, eps):
+        with pytest.raises(DomainError):
+            shape_radii(k, delta, eps)
 
 
 class TestAlphaReduction:

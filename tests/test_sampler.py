@@ -9,6 +9,7 @@ import os
 import sys
 import tempfile
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -38,7 +39,7 @@ from percolate import (
     vertex_uniform,
 )
 from percolate import rng, sampler
-from percolate.sampler import grid_edges
+from percolate.metrics import hop_distances_from
 
 
 def lrp(alpha=1.5, lam=0.5, d=1):
@@ -105,7 +106,7 @@ class TestSampleGraph:
     def test_zero_lambda_is_grid(self):
         box = BoxSpec(d=1, side=10)
         g = sample_graph(box, lrp(lam=0.0), Model.LRP, 7)
-        assert g.edges == grid_edges(box)
+        assert g.edges == {(i, i + 1) for i in range(9)}
         assert len(g.edges) == 9
 
     def test_saturated_kernel_is_complete(self):
@@ -609,10 +610,7 @@ class TestSlabScan:
         real = sampler.LazyRealization(box, params, model, seed)
         n = real.n
         lo, hi = sampler._scan(real, sampler._pair_blocks(n))
-        # the block scan may also decide grid pairs, which are edges anyway
-        grid = np.empty((0, 2), dtype=np.int64) if model is Model.GIRG else sampler._grid_pairs(box)
-        pairs = np.concatenate([grid, np.stack([lo, hi], axis=1)])
-        want = np.unique(pairs[:, 0] * n + pairs[:, 1])
+        want = np.unique(lo * n + hi)
         with mock.patch.object(sampler, "_BLOCK_PAIRS", block_pairs):
             g = sample_graph(box, params, model, seed)
         assert g.edge_array.tolist() == [[k // n, k % n] for k in want.tolist()]
@@ -759,15 +757,67 @@ class TestLrpKernel:
         params = ModelParams(d=d, alpha=1.5 if kernel is KernelVariant.MIN else 2.5,
                              tau=math.inf, lam=lam, kernel_variant=kernel)
         dist2 = box.offset_dist2
-        far = dist2 > 1  # offset 0 is no pair, and the grid decides distance 1
+        far = dist2 > 1  # offset 0 is no pair, and the grid's offsets read 1
         want = np.zeros(box.n_vertices)
         want[far] = connection_prob(1.0, 1.0, np.sqrt(dist2[far]), params)
+        want[dist2 == 1] = 1.0
         table = sampler._lrp_probs(box, params)
         assert np.array_equal(table, want)
         assert not table.flags.writeable
         # the offset from vertex 0 to vertex v has the id v
         real = sampler.LazyRealization(box, params, Model.LRP, 1)
         assert np.array_equal(sampler._pair_probs(real, 0, np.arange(box.n_vertices)), want)
+
+    def test_offset_zero_reads_zero_at_infinite_lambda(self):
+        params = ModelParams(d=2, alpha=1.5, tau=math.inf, lam=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no inf * 0
+            table = sampler._lrp_probs(BoxSpec(d=2, side=5), params)
+        assert table[0] == 0.0
+        assert np.all(table[1:] == 1.0)
+
+
+class TestGrid:
+    """The nearest-neighbour grid is `_kernel_step`'s probability 1 at
+    distance 1, so at lambda = 0 it is the whole edge set of every walk."""
+
+    @staticmethod
+    def grid_pairs(box):
+        """The pairs [u, v], u < v, of lattice points at L1 distance 1, sorted."""
+        pos = box.lattice_positions()
+        return [[u, v] for u in range(len(pos)) for v in range(u + 1, len(pos))
+                if np.abs(pos[u] - pos[v]).sum() == 1]
+
+    @staticmethod
+    def params(d, model, kernel=KernelVariant.MIN):
+        return ModelParams(d=d, alpha=1.5, tau=math.inf if model is Model.LRP else 3.0,
+                           lam=0.0, kernel_variant=kernel)
+
+    @pytest.mark.parametrize("kernel", list(KernelVariant))
+    @pytest.mark.parametrize("model", [Model.LRP, Model.SFP])
+    @pytest.mark.parametrize("d, side", [(1, 30), (2, 7), (3, 5)])
+    def test_zero_lambda_is_the_grid_in_every_walk(self, d, side, model, kernel):
+        box = BoxSpec(d=d, side=side, origin=(-2,) * d)
+        params = self.params(d, model, kernel)
+        assert sample_graph(box, params, model, 9).edge_array.tolist() == self.grid_pairs(box)
+        root = box.n_vertices // 3
+        pos = box.lattice_positions()
+        lattice_dist = np.abs(pos - pos[root]).sum(axis=1).astype(np.int64)
+        lazy = sampler.LazyRealization(box, params, model, 9)
+        assert hop_distances_from(lazy, root).tolist() == lattice_dist.tolist()
+
+    def test_the_pool_scans_the_grid(self):
+        box, threads = BoxSpec(d=2, side=9), set()
+
+        def recording(states, words):
+            threads.add(threading.current_thread())
+            return rng.uniforms_from_states(states, words)
+
+        with TestSlabScan.cpus(2), TestSlabScan.small_blocks(), \
+                mock.patch.object(sampler, "uniforms_from_states", recording):
+            edges = sample_graph(box, self.params(2, Model.SFP), Model.SFP, 4).edge_array
+        assert edges.tolist() == self.grid_pairs(box)
+        assert threading.current_thread() not in threads  # every block ran on the pool
 
 
 @st.composite
