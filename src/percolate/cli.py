@@ -243,8 +243,6 @@ def _cmd_growth(args) -> int:
     root = args.root if args.root is not None else box.n_vertices // 2
     series = mc_ball_growth(config, root, _numbers("--thresholds", args.thresholds),
                             args.trials, args.seed)
-    if args.out:
-        series.to_csv(args.out)
     result = {
         "mean_sizes": list(series.mean_sizes),
         "loglinear": {
@@ -266,6 +264,8 @@ def _cmd_growth(args) -> int:
         )
     if args.selfbound:
         result["selfbound_c"] = fit_selfbound_constant(series, params.alpha, params.d)
+    if args.out:  # only once every input has been accepted
+        series.to_csv(args.out)
     _emit("growth", args, result)
     return 0
 

@@ -124,7 +124,7 @@ def couple_alpha(
 
 def min_exp_inequality(a: float, b: float) -> tuple[float, float]:
     """Both sides of min{1, a}(1 - e^-b) <= 1 - e^-(ab), for a, b >= 0."""
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):  # NaN included
         raise DomainError("a and b must be nonnegative")
     lhs = min(1.0, a) * -math.expm1(-b)
     rhs = -math.expm1(-a * b)

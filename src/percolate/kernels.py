@@ -1,8 +1,8 @@
 """Model parameters, connection kernels and closed-form bound evaluators.
 
-All functions here are pure and accept either scalars or numpy arrays where
-that is natural (kernels, quantiles).  Nothing in this module draws
-randomness.
+All functions here but `apply_kernel`, which writes into its argument, are
+pure and accept scalars or numpy arrays where that is natural (kernels,
+quantiles).  Nothing in this module draws randomness.
 """
 
 from __future__ import annotations
@@ -106,27 +106,32 @@ def delta_exponent(beta: float) -> float:
 
 
 def connection_prob(wx, wy, dist, params: ModelParams):
-    """Edge probability for weights (wx, wy) at Euclidean distance `dist`.
-
-    MIN kernel: min{1, lam * (wx*wy / dist^d)^alpha};
-    EXP kernel: 1 - exp(-lam * (wx*wy / dist^d)^alpha).
-    LRP is the same kernel with unit weights.  Accepts arrays that
-    broadcast; the checks and dist^d run on the operands as given, so a
-    caller that passes a distance table and weight slices pays for them
-    once per table, not once per pair.
+    """Edge probability K((wx^alpha * wy^alpha) * lam * dist^(-alpha d)) for
+    weights (wx, wy) at Euclidean distance `dist`, computed in that order,
+    with K(x) = min{1, x} (MIN) or 1 - exp(-x) (EXP).  LRP has unit weights.
+    Accepts arrays that broadcast.  `sampler`'s lattice walks read the
+    `distance_rate` factor from a table per offset, and `apply_kernel` is K.
     """
-    wx = np.asarray(wx, dtype=np.float64)
-    wy = np.asarray(wy, dtype=np.float64)
-    dist = np.asarray(dist, dtype=np.float64)
-    if np.any(dist <= 0):
+    wx, wy, dist = (np.asarray(a, dtype=np.float64) for a in (wx, wy, dist))
+    # the ranges read `not x >= lo`, as NaN fails every comparison
+    if not (dist > 0).all():
         raise DomainError("connection_prob requires strictly positive distances")
-    if np.any(wx < 1) or np.any(wy < 1):
+    if not ((wx >= 1).all() and (wy >= 1).all()):
         raise DomainError("weights must be >= 1 (Pareto floor)")
-    # lam * (wx * wy / dist^d)^alpha, then the kernel, in one fresh buffer
-    arg = np.asarray(np.divide(wx * wy, dist**params.d))
-    arg **= params.alpha
-    arg *= params.lam
-    if params.kernel_variant is KernelVariant.MIN:
+    arg = wx**params.alpha * wy**params.alpha * distance_rate(dist, params)
+    return apply_kernel(arg, params.kernel_variant)
+
+
+def distance_rate(dist, params: ModelParams):
+    """lam * dist^(-alpha d): the kernel's argument at unit weights."""
+    return params.lam * dist ** (-params.alpha * params.d)
+
+
+def apply_kernel(arg, variant: KernelVariant):
+    """min{1, arg} (MIN) or 1 - exp(-arg) (EXP), written into an array `arg`
+    that the caller owns; a 0-d result is returned as a float."""
+    arg = np.asarray(arg)
+    if variant is KernelVariant.MIN:
         np.minimum(arg, 1.0, out=arg)
     else:
         np.negative(arg, out=arg)
@@ -144,7 +149,7 @@ def pareto_quantile(u, tau: float):
     if not tau > 1:  # NaN included
         raise DomainError(f"pareto_quantile requires tau > 1, got {tau}")
     u = np.asarray(u, dtype=np.float64)
-    if np.any(u < 0) or np.any(u >= 1):
+    if not ((u >= 0) & (u < 1)).all():  # NaN included
         raise DomainError("pareto_quantile requires u in [0, 1)")
     if math.isinf(tau):
         out = np.ones_like(u)

@@ -7,12 +7,11 @@ couplings in `couplings` exact rather than merely distributional.
 
 A pair is decided one way: the hash state of its lower vertex, finished
 with its higher one (`uniforms_from_states`), gives a uniform, and the pair
-is an edge iff that falls below `_pair_probs`, the kernel at the pair's
-weights and distance (`connection_prob`, through `_kernel_step`; LRP, in
-every d, reads it per lattice offset from the one table `_lrp_probs`).
-The lattice's nearest-neighbour grid is that rule too: `_kernel_step` gives
-LRP and SFP pairs at distance 1 probability 1, which every uniform falls
-below, so no walk adds the grid from elsewhere.
+is an edge iff that falls below `_pair_probs`: the kernel of
+(w_x^alpha * w_y^alpha) * lam |x - y|^(-alpha d), as in `connection_prob`.
+LRP and SFP pairs read the second factor per lattice offset from the one
+table `_offset_rates`, whose inf at distance 1 is the nearest-neighbour
+grid: probability 1, above every uniform.  GIRG pairs call `connection_prob`.
 Three walks apply it, and the box's dimension alone picks the eager one:
 
 - the slab scan (`_slab_scan`), with which `sample_graph` decides all
@@ -31,16 +30,16 @@ Three walks apply it, and the box's dimension alone picks the eager one:
 
 All three get their probabilities from `_pair_probs`, so a lazily sampled
 realization is the scanned one, bit for bit, wherever it is observed.
-CFFP cost rows read the cost stream's vertex states and a table of
-|offset|^(-alpha d).  `sample_graph` keeps its edges as the sorted array
-`SampledGraph.edge_array`, which costs, searches and couplings use.
+CFFP cost rows read the cost stream's vertex states and that table at
+lam = 1, without the grid.  `sample_graph` keeps its edges as the sorted
+array `SampledGraph.edge_array`, which costs, searches and couplings use.
 
 `BoxSpec` holds the lattice's one layout: vertex i is the point origin +
 `coords[:, i]`, in row-major order.  `index` gives the vertex of lattice
 coordinates, `offset_index` the vertex id of the offset between two
 vertices, and `offset_dist2` each offset's squared length, by that id.
-The lattice pairs' distances in every walk, the LRP table, the CFFP rows,
-the blow-up map and its bins all read these.
+The offset rates of every walk and of the CFFP rows, the blow-up map and
+its bins all read these.
 """
 
 from __future__ import annotations
@@ -57,7 +56,8 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .kernels import KernelVariant, ModelParams, connection_prob, pareto_quantile
+from .kernels import (KernelVariant, ModelParams, apply_kernel, connection_prob,
+                      distance_rate, pareto_quantile)
 from .rng import (
     COST_STREAM,
     absorb_indices,
@@ -256,7 +256,7 @@ def _coordinate_columns(positions: np.ndarray) -> tuple:
 def _squared_distances(columns: tuple, x, y: np.ndarray) -> np.ndarray:
     """|pos_x - pos_y|^2 of the vertex index arrays x and y, which broadcast,
     gathered axis by axis from the coordinate columns.  The pair walks read
-    it for GIRG alone; lattice pairs read `BoxSpec.offset_dist2`.
+    it for GIRG alone; lattice pairs read `_offset_rates`.
 
     The squares are added in two partial sums, over the even and over the
     odd axes, and then together.  That is the order in which the scan has
@@ -276,26 +276,17 @@ def _squared_distances(columns: tuple, x, y: np.ndarray) -> np.ndarray:
     return partial[0]
 
 
-def _kernel_step(w_lo, w_hi, dist2, params, model) -> np.ndarray:
-    """`connection_prob` at distance sqrt(dist2), which the weights broadcast
-    against, and 1 at the lattice pairs at distance 1: a uniform is below 1,
-    so the nearest-neighbour grid is always present.  GIRG has no grid."""
-    p = connection_prob(w_lo, w_hi, np.sqrt(dist2), params)
-    if model is not Model.GIRG:
-        p[..., dist2 == 1.0] = 1.0
-    return p
-
-
 @lru_cache(maxsize=32)
-def _lrp_probs(box: BoxSpec, params: ModelParams) -> np.ndarray:
-    """The LRP edge probability of every lattice offset of the box, at its id
-    `BoxSpec.offset_index`: `_kernel_step` at unit weights, so the grid's
-    offsets at distance 1 read 1.  Offset 0 is no pair and reads 0.
-    Read-only, as it is shared."""
-    p = np.zeros(box.n_vertices)
-    p[1:] = _kernel_step(1.0, 1.0, box.offset_dist2[1:], params, Model.LRP)
-    p.setflags(write=False)
-    return p
+def _offset_rates(box: BoxSpec, params: ModelParams, grid: bool) -> np.ndarray:
+    """`distance_rate` of every lattice offset of the box, at its id
+    `BoxSpec.offset_index`; with `grid`, inf at distance 1, which the kernel
+    takes to 1.  Offset 0 is no pair and reads 0.  Read-only, as shared."""
+    rates = np.zeros(box.n_vertices)
+    rates[1:] = distance_rate(np.sqrt(box.offset_dist2[1:]), params)
+    if grid:
+        rates[box.offset_dist2 == 1] = np.inf
+    rates.setflags(write=False)
+    return rates
 
 
 def _pair_probs(real: LazyRealization, x, y, ids=None) -> np.ndarray:
@@ -303,21 +294,21 @@ def _pair_probs(real: LazyRealization, x, y, ids=None) -> np.ndarray:
     broadcast: for a column against a row, or for slab slices, it gathers
     per vertex, not per pair.  The result broadcasts against the pairs.
 
-    A lattice pair's distance is read by the id of its offset: `ids`, which
-    broadcasts against the pairs, where the walk has them, as the slab scan
-    does, else `BoxSpec.offset_index`.  LRP reads `_lrp_probs` at the ids,
-    SFP `_kernel_step` at the weights and `offset_dist2`; GIRG applies
-    `_kernel_step` to the weights and `_squared_distances`.
+    A lattice pair's probability is the kernel of w_x^alpha * w_y^alpha
+    times the `_offset_rates` entry of its offset, read by the offset's id:
+    `ids`, which broadcasts against the pairs, where the walk has them, as
+    the slab scan does, else `BoxSpec.offset_index`.  Unit weights skip
+    their product, which is 1 and cost LRP rows a tenth of their time.
+    GIRG pairs go to `connection_prob` with their `_squared_distances`.
     """
-    box = real.box
     if real.model is Model.GIRG:
-        dist2 = _squared_distances(real._columns, x, y)
-    else:
-        ids = box.offset_index(x, y) if ids is None else ids
-        if real.model is Model.LRP:
-            return _lrp_probs(box, real.params)[ids]
-        dist2 = box.offset_dist2[ids]
-    return _kernel_step(real.weights[x], real.weights[y], dist2, real.params, real.model)
+        dist = np.sqrt(_squared_distances(real._columns, x, y))
+        return connection_prob(real.weights[x], real.weights[y], dist, real.params)
+    ids = real.box.offset_index(x, y) if ids is None else ids
+    arg = _offset_rates(real.box, real.params, True)[ids]
+    if real._w_alpha is not None:  # else every weight is 1, and so is their product
+        arg = real._w_alpha[x] * real._w_alpha[y] * arg
+    return apply_kernel(arg, real.params.kernel_variant)
 
 
 def _pair_blocks(n: int):
@@ -459,9 +450,8 @@ def _slab_scan(real: LazyRealization):
     Every block of `_slab_blocks` reads contiguous slices of the slabs'
     vertex ids and states, which broadcast against each other, so nothing
     is gathered per pair but the a = 0 columns.  `_pair_probs` gathers the
-    weights and GIRG coordinates per vertex and reads a lattice pair's
-    distance at the block's offset ids, so the kernel's checks and dist^d
-    run on slices and tables, not per pair.
+    weights and GIRG coordinates per vertex and reads a lattice pair's rate
+    at the block's offset ids, so a lattice pair costs no power of its own.
 
     `_slab_block` decides each block.  The blocks run on the CPUs this
     process may use (`_block_pool`), with a bounded number in flight, unless
@@ -471,9 +461,9 @@ def _slab_scan(real: LazyRealization):
     side, n = real.box.side, real.n
     vertex = np.arange(n).reshape(side, -1)
     slabs = vertex, real._states.reshape(side, -1)
-    # An empty block fills the caches `_pair_probs` reads (weights, GIRG
-    # coordinate columns, offset tables) before the pool's threads do, as
-    # `cached_property` has no lock from Python 3.12 on.
+    # An empty block fills the caches `_pair_probs` reads (weights, their
+    # powers, GIRG coordinate columns, offset tables) before the pool's
+    # threads do, as `cached_property` has no lock from Python 3.12 on.
     _pair_probs(real, vertex[:0, 0], vertex[:0, 0])
     # n * m / 2 is the mean number of pairs per axis-0 offset, and a block
     # holds one offset's pairs unless they exceed _BLOCK_PAIRS
@@ -508,9 +498,8 @@ def _check_box(box: BoxSpec, params: ModelParams, default: int, budget: str) -> 
 def _positions(box: BoxSpec, model: Model, seed: int) -> np.ndarray:
     """Lattice points, or for GIRG n = side^d uniform points in the box."""
     if model is Model.GIRG:
-        return box.side * position_uniforms(seed, box.n_vertices, box.d) + np.asarray(
-            box.origin, dtype=np.float64
-        )
+        return (box.side * position_uniforms(seed, box.n_vertices, box.d)
+                + np.asarray(box.origin, dtype=np.float64))
     return box.lattice_positions()
 
 
@@ -574,10 +563,11 @@ class CffpRealization:
     from one vertex, or from each of B vertices as one (B, n) array whose
     rows equal the one-vertex rows bit for bit.  It hashes the n - 1 pairs of
     each row from the cost stream's vertex states, as the pair scan does, and
-    reads |offset|^(-alpha d) from a table per lattice offset.  One row is
+    reads |offset|^(-alpha d) from `_offset_rates` at lam = 1.  One row is
     bound by per-call overhead, so the dense Dijkstra of `metrics` fetches
-    its rows in batches.  `rate` and `cost` are the scalar reference.
-    Materializing via `sample_cffp_costs` yields the identical values.
+    its rows in batches.  `rate` and `cost` are the scalar reference.  Ids
+    outside [0, n), and u == v, raise DomainError.  Materializing via
+    `sample_cffp_costs` yields the identical values.
     """
 
     box: BoxSpec
@@ -612,30 +602,28 @@ class CffpRealization:
     def _states(self) -> np.ndarray:
         return absorb_indices(seed_state(self._cost_seed), np.arange(self.n))
 
-    @cached_property
-    def _offset_rates(self) -> np.ndarray:
-        """|delta|^(-alpha d) of every lattice offset delta >= 0, at its vertex
-        id `BoxSpec.offset_index` (entry 0 is 1 and unused)."""
-        dist2 = self.box.offset_dist2.astype(np.float64)
-        dist2[0] = 1.0
-        return np.sqrt(dist2) ** (-self.params.alpha * self.params.d)
+    def _vertices(self, u) -> np.ndarray:
+        """u as an int64 array, whose ids must be integers in [0, n)."""
+        us = np.asarray(u)
+        if us.dtype.kind not in "iu" or ((us < 0) | (us >= self.n)).any():
+            raise DomainError(f"vertex ids must be integers in [0, {self.n})")
+        return us.astype(np.int64, copy=False)
 
     def rate(self, u: int, v: int) -> float:
+        if self._vertices(u) == self._vertices(v):
+            raise DomainError("no self-loop rates")
         dist = float(np.linalg.norm(self.positions[u] - self.positions[v]))
-        return float(
-            self._w_alpha[u] * self._w_alpha[v] * dist ** (-self.params.alpha * self.params.d)
-        )
+        return float(self._w_alpha[u] * self._w_alpha[v]
+                     * dist ** (-self.params.alpha * self.params.d))
 
     def cost(self, u: int, v: int) -> float:
-        if u == v:
-            raise DomainError("no self-loop costs")
-        u01 = edge_uniform(self._cost_seed, u, v)
-        return -math.log1p(-u01) / self.rate(u, v)
+        rate = self.rate(u, v)  # checks the ids
+        return -math.log1p(-edge_uniform(self._cost_seed, u, v)) / rate
 
     def cost_row(self, u) -> np.ndarray:
         """Costs from vertex u to every vertex, inf at u itself.  For a 1-d int
         array u of B vertices, the (B, n) array whose row b is cost_row(u[b])."""
-        us = np.asarray(u, dtype=np.int64)
+        us = self._vertices(u)
         rows = us.reshape(-1, 1)
         # {u, v} finishes the state of min(u, v) with max(u, v), as edge_uniform
         # does; the diagonal is no pair and is not hashed
@@ -643,11 +631,12 @@ class CffpRealization:
         pair = lo != hi
         u01 = np.zeros(lo.shape)
         u01[pair] = uniforms_from_states(self._states[lo[pair]], hi[pair])
+        ids = self.box.offset_index(rows, slice(None))
         rates = self._w_alpha[rows] * self._w_alpha
-        rates *= self._offset_rates[self.box.offset_index(rows, slice(None))]
+        rates *= _offset_rates(self.box, self.params, False)[ids]
         out = np.negative(np.log1p(np.negative(u01, out=u01), out=u01), out=u01)
+        out[np.arange(len(rows)), rows[:, 0]] = np.inf  # inf / 0 at u, whose rate is 0
         out /= rates  # -log1p(-u01) / rates, in place
-        out[~pair] = np.inf
         return out.reshape(us.shape + (self.n,))
 
 
@@ -683,6 +672,11 @@ class LazyRealization:
         return _weights(self.box, self.params, self.model, self.seed)
 
     @cached_property
+    def _w_alpha(self) -> np.ndarray | None:
+        """weights^alpha, or None when every weight is 1, as LRP's are."""
+        return None if (self.weights == 1).all() else self.weights**self.params.alpha
+
+    @cached_property
     def _columns(self) -> tuple:
         return _coordinate_columns(self.positions)
 
@@ -696,8 +690,8 @@ class LazyRealization:
         `unvisited` is a boolean mask over the vertices that must be False
         on the frontier.  Only frontier x unvisited pairs are hashed, so a
         search that marks each expanded vertex visited hashes every pair
-        at most once.  Grid neighbours are among them: `_kernel_step`
-        decides their pairs as edges, as it does in the scans.
+        at most once.  Grid neighbours are among them: their offsets' rate
+        inf decides their pairs as edges, as it does in the scans.
         """
         frontier = np.asarray(frontier, dtype=np.int64)
         reached = np.concatenate(_scan(self, _cross_blocks(frontier, np.flatnonzero(unvisited))))

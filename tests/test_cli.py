@@ -490,6 +490,16 @@ def test_degenerate_inputs_are_invalid_arguments(tmp_path, capsys, name, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("h_t", ["nan", "5"])
+def test_a_refused_growth_run_writes_no_csv(tmp_path, capsys, h_t):
+    """--h-t nan and an --h-t beyond the series end the run with exit 1, and
+    --out is not written."""
+    out = tmp_path / "g.csv"
+    assert main(f"{_GROWTH} --out {out} --h-t {h_t}".split()) == 1
+    assert capsys.readouterr().err.startswith("invalid arguments:")
+    assert not out.exists()
+
+
 # Malformed flag values and files: (command line, flag, bad token).  {bad} is a
 # fit input whose one sample line is not a pair, {missing} a path in no directory.
 PARSE_ERRORS = [

@@ -88,6 +88,11 @@ class TestMinExpInequality:
         with pytest.raises(DomainError):
             min_exp_inequality(-0.1, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_is_rejected(self, a, b):
+        with pytest.raises(DomainError):
+            min_exp_inequality(a, b)
+
 
 class TestFppCffpEdgeCheck:
     def test_boundary_case_equal_sides(self):

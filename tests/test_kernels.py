@@ -88,6 +88,14 @@ class TestConnectionProb:
         with pytest.raises(DomainError):
             connection_prob(0.5, 1, 2.0, lrp_params())
 
+    @pytest.mark.parametrize("wx, wy, dist", [
+        (1.0, 1.0, math.nan), (math.nan, 1.0, 2.0), (1.0, math.nan, 2.0),
+        (1.0, 1.0, np.array([2.0, math.nan])),
+    ])
+    def test_nan_arguments_are_rejected(self, wx, wy, dist):
+        with pytest.raises(DomainError):
+            connection_prob(wx, wy, dist, ModelParams(d=1, alpha=1.5, tau=3.0, lam=0.5))
+
 
 class TestParetoQuantile:
     def test_examples(self):
@@ -110,6 +118,11 @@ class TestParetoQuantile:
     def test_nan_tau_is_rejected(self):
         with pytest.raises(DomainError):
             pareto_quantile(0.5, math.nan)
+
+    @pytest.mark.parametrize("u", [math.nan, np.array([0.5, math.nan])])
+    def test_nan_u_is_rejected(self, u):
+        with pytest.raises(DomainError):
+            pareto_quantile(u, 3.0)
 
 
 class TestTailBoundSfp:

@@ -2,6 +2,7 @@
 cost laws, and the text serialization round-trip."""
 
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -331,6 +332,30 @@ class TestCffpCosts:
         with pytest.raises(BudgetError):
             sample_cffp_costs(BoxSpec(d=1, side=n), np.ones(n), self.params, 3)
 
+    def test_vertex_ids_are_checked(self):
+        real = CffpRealization(box=BoxSpec(d=1, side=5), weights=np.ones(5),
+                               params=self.params, seed=1)
+        # -1 read vertex 4's state against every vertex, 7 was an IndexError,
+        # and 2.7 read vertex 2's row
+        for u in (-1, 5, 7, 2.7, np.array([0, 5]), np.array([-1, 2]), np.array([1.0])):
+            with pytest.raises(DomainError, match=r"\[0, 5\)"):
+                real.cost_row(u)
+        for u, v in ((-1, 2), (2, 5), (1.5, 3), (3, 3)):  # rate(3, 3) divided by zero
+            with pytest.raises(DomainError):
+                real.rate(u, v)
+            with pytest.raises(DomainError):
+                real.cost(u, v)
+
+    def test_the_diagonal_is_inf_without_warnings(self):
+        box = BoxSpec(d=2, side=6, origin=(1, -1))
+        real = CffpRealization(box=box, weights=sample_weights(36, 3.0, 2),
+                               params=ModelParams(d=2, alpha=1.5, tau=3.0, lam=1.0), seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the diagonal's rate is 0: no 0 / 0
+            rows = real.cost_row(np.arange(36))
+        assert np.all(np.diag(rows) == np.inf)
+        assert np.all(np.isfinite(rows[~np.eye(36, dtype=bool)]))
+
     def test_lambda_must_be_one(self):
         with pytest.raises(DomainError):
             CffpRealization(
@@ -578,11 +603,11 @@ class TestSeedPromise:
 
 
 @st.composite
-def scanned_realizations(draw):
+def scanned_realizations(draw, girg_dims=(2, 3)):
     """A small LRP or SFP lattice realization of dimension 1, 2 or 3, or a
-    GIRG of dimension 2 or 3."""
+    GIRG of a dimension in `girg_dims`."""
     model = draw(st.sampled_from([Model.LRP, Model.SFP, Model.GIRG]))
-    d = draw(st.sampled_from([2, 3] if model is Model.GIRG else [1, 2, 3]))
+    d = draw(st.sampled_from(list(girg_dims) if model is Model.GIRG else [1, 2, 3]))
     side = draw(st.integers(1, {1: 60, 2: 12, 3: 6}[d]))
     box = BoxSpec(d=d, side=side,
                   origin=tuple(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))))
@@ -681,17 +706,16 @@ class TestSlabScan:
 
     def test_an_error_in_a_block_reaches_the_caller(self):
         box, params = BoxSpec(d=2, side=9), ModelParams(d=2, alpha=1.5, tau=3.0, lam=0.5)
-        raised, calls = [], []
+        raised, calls = [], itertools.count()
 
-        def failing(*args):
-            calls.append(None)
-            if len(calls) == 5:
-                raised.append(DomainError("weights must be >= 1 (Pareto floor)"))
+        def failing(states, words):
+            if next(calls) == 4:  # the fifth block's hash, whichever thread asks
+                raised.append(DomainError("a failure in the fifth block"))
                 raise raised[0]
-            return connection_prob(*args)
+            return rng.uniforms_from_states(states, words)
 
         with self.cpus(2), self.small_blocks():
-            with mock.patch.object(sampler, "connection_prob", failing), \
+            with mock.patch.object(sampler, "uniforms_from_states", failing), \
                     pytest.raises(DomainError) as caught:
                 sample_graph(box, params, Model.SFP, 3)
             assert caught.value is raised[0]
@@ -745,41 +769,70 @@ class TestSlabScan:
         assert proc.exitcode == 0
 
 
+class TestScalarOracle:
+    """`sample_graph` against the definition, pair by pair, in scalar calls:
+    {u, v} is an edge iff edge_uniform(seed, u, v) < connection_prob(w_u, w_v,
+    |x_u - x_v|), or the pair is a lattice pair at distance 1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=scanned_realizations(girg_dims=(1, 2, 3)))
+    def test_edges_are_the_definition(self, case):
+        box, params, model, seed = case
+        g = sample_graph(box, params, model, seed)
+        pos, w = g.positions.tolist(), g.weights.tolist()
+        want = []
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                dist = math.dist(pos[u], pos[v])
+                if ((model is not Model.GIRG and dist == 1.0)
+                        or edge_uniform(seed, u, v) < connection_prob(w[u], w[v], dist, params)):
+                    want.append([u, v])
+        assert g.edge_array.tolist() == want
+
+
 class TestLrpKernel:
-    """Every LRP pair, in every d, reads one table: `connection_prob` at unit
-    weights and the length of the pair's offset."""
+    """Every LRP and SFP pair, in every d, reads one table of the kernel's
+    argument at unit weights, lam * |offset|^(-alpha d): its probability is
+    `connection_prob` off the grid and 1 on it."""
 
     @pytest.mark.parametrize("kernel", list(KernelVariant))
-    @pytest.mark.parametrize("lam", [0.05, 3.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 3.0, math.inf])
     @pytest.mark.parametrize("d, side", [(1, 2049), (2, 23), (3, 9)])
     def test_offset_probs_are_connection_prob(self, d, side, lam, kernel):
         box = BoxSpec(d=d, side=side)
-        params = ModelParams(d=d, alpha=1.5 if kernel is KernelVariant.MIN else 2.5,
-                             tau=math.inf, lam=lam, kernel_variant=kernel)
         dist2 = box.offset_dist2
         far = dist2 > 1  # offset 0 is no pair, and the grid's offsets read 1
-        want = np.zeros(box.n_vertices)
-        want[far] = connection_prob(1.0, 1.0, np.sqrt(dist2[far]), params)
-        want[dist2 == 1] = 1.0
-        table = sampler._lrp_probs(box, params)
-        assert np.array_equal(table, want)
-        assert not table.flags.writeable
-        # the offset from vertex 0 to vertex v has the id v
-        real = sampler.LazyRealization(box, params, Model.LRP, 1)
-        assert np.array_equal(sampler._pair_probs(real, 0, np.arange(box.n_vertices)), want)
+        for model, tau in [(Model.LRP, math.inf), (Model.SFP, 2.5)]:
+            params = ModelParams(d=d, alpha=1.5 if kernel is KernelVariant.MIN else 2.5,
+                                 tau=tau, lam=lam, kernel_variant=kernel)
+            real = sampler.LazyRealization(box, params, model, 1)
+            w = real.weights
+            want = np.zeros(box.n_vertices)
+            want[far] = connection_prob(w[0], w[far], np.sqrt(dist2[far]), params)
+            want[dist2 == 1] = 1.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no inf * 0, not even at lambda = inf
+                # the offset from vertex 0 to vertex v has the id v
+                got = sampler._pair_probs(real, 0, np.arange(box.n_vertices))
+            assert np.array_equal(got, want)
+            rates = sampler._offset_rates(box, params, True)
+            assert not rates.flags.writeable
+            assert rates[0] == 0.0 and np.all(rates[dist2 == 1] == np.inf)
 
     def test_offset_zero_reads_zero_at_infinite_lambda(self):
         params = ModelParams(d=2, alpha=1.5, tau=math.inf, lam=math.inf)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no inf * 0
-            table = sampler._lrp_probs(BoxSpec(d=2, side=5), params)
-        assert table[0] == 0.0
-        assert np.all(table[1:] == 1.0)
+        for grid in (True, False):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no inf * 0
+                table = sampler._offset_rates(BoxSpec(d=2, side=5), params, grid)
+            assert table[0] == 0.0
+            assert np.all(table[1:] == np.inf)
 
 
 class TestGrid:
-    """The nearest-neighbour grid is `_kernel_step`'s probability 1 at
-    distance 1, so at lambda = 0 it is the whole edge set of every walk."""
+    """The nearest-neighbour grid is the rate inf that `_offset_rates` gives
+    the offsets at distance 1, so at lambda = 0 it is the whole edge set of
+    every walk."""
 
     @staticmethod
     def grid_pairs(box):
@@ -874,6 +927,6 @@ class TestBoxLayout:
         box = BoxSpec(d=np.int64(2), side=np.int32(6), origin=[np.int64(1), -2])
         assert box == BoxSpec(d=2, side=6, origin=(1, -2))
         assert all(type(x) is int for x in (box.d, box.side, *box.origin))
-        # a list origin is a tuple, so `_lrp_probs` can cache on the box
+        # a list origin is a tuple, so `_offset_rates` can cache on the box
         g = sample_graph(BoxSpec(d=2, side=6, origin=[0, 0]), lrp(d=2), Model.LRP, 3)
         assert g.edges == sample_graph(BoxSpec(d=2, side=6), lrp(d=2), Model.LRP, 3).edges
