@@ -15,9 +15,10 @@ from a dense Dijkstra over its cost rows.  Both read inf beyond `t_max`.
 
 The dense Dijkstra settles vertices in exact Dijkstra order, but fetches
 cost rows in batches, as `CffpRealization.cost_row` pays per call more than
-per pair.  When the vertex it settles has no row yet, it fetches rows in one
-call for that vertex and the next nearest unsettled, not yet fetched
-vertices within `t_max` (finite ones when there is none), about
+per pair: at n = 2,001 a call took about 50 us plus 30 us per row (rows of
+1 to 4 vertices, 2-CPU Xeon).  When the vertex it settles has no row yet, it
+fetches rows in one call for that vertex and the next nearest unsettled, not
+yet fetched vertices within `t_max` (finite ones when there is none), about
 `_ROW_BATCH_PAIRS` pairs in all.  Prefetching is exact: distances only
 fall, so each fetched vertex stays within `t_max` and is settled before the
 search stops.  The rows fetched are the rows settled, so the pairs hashed
@@ -38,8 +39,8 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import BudgetError, DomainError
-from .sampler import (CffpRealization, CostMap, LazyRealization, RateModel, SampledGraph,
-                      _write_csv)
+from .sampler import (_ROW_BATCH_PAIRS, CffpRealization, CostMap, LazyRealization, RateModel,
+                      SampledGraph, _write_csv)
 
 __all__ = [
     "BallKind",
@@ -134,10 +135,6 @@ def _sparse_cost_search(graph: SampledGraph, costs: CostMap | None, x: int,
     # csgraph keeps an explicit zero entry as an edge of cost 0.
     mat = csr_array((c, (e[:, 0], e[:, 1])), shape=(graph.n, graph.n))
     return dijkstra(mat, directed=False, indices=x, limit=np.inf if t_max is None else t_max)
-
-
-# The dense search fetches cost rows in batches of about this many pairs.
-_ROW_BATCH_PAIRS = 16384
 
 
 def _dense_cost_search(real: CffpRealization, x: int, t_max: float | None) -> np.ndarray:

@@ -30,9 +30,9 @@ Three walks apply it, and the box's dimension alone picks the eager one:
 
 All three get their probabilities from `_pair_probs`, so a lazily sampled
 realization is the scanned one, bit for bit, wherever it is observed.
-CFFP cost rows read the cost stream's vertex states and that table at
-lam = 1, without the grid.  `sample_graph` keeps its edges as the sorted
-array `SampledGraph.edge_array`, which costs, searches and couplings use.
+CFFP cost rows read slices of the cost stream's vertex states and a window of
+that table, mirrored, at lam = 1 without the grid.  `sample_graph` keeps its
+edges as the sorted `SampledGraph.edge_array`: costs, searches, couplings use it.
 
 `BoxSpec` holds the lattice's one layout: vertex i is the point origin +
 `coords[:, i]`, in row-major order.  `index` gives the vertex of lattice
@@ -44,7 +44,6 @@ its bins all read these.
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 from collections import deque
@@ -54,6 +53,7 @@ from enum import Enum
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetError, DomainError
 from .kernels import (KernelVariant, ModelParams, apply_kernel, connection_prob,
@@ -96,6 +96,8 @@ DEFAULT_SPARSE_BUDGET = 200_000
 DEFAULT_COMPLETE_BUDGET = 4_000
 # When set, its integer value replaces both vertex budgets, read at each check.
 BUDGET_ENV = "PERCOLATE_BUDGET_VERTICES"
+# CFFP cost rows are fetched in batches of about this many pairs.
+_ROW_BATCH_PAIRS = 16384
 
 
 class Model(str, Enum):
@@ -287,6 +289,15 @@ def _offset_rates(box: BoxSpec, params: ModelParams, grid: bool) -> np.ndarray:
         rates[box.offset_dist2 == 1] = np.inf
     rates.setflags(write=False)
     return rates
+
+
+@lru_cache(maxsize=32)
+def _rate_window(box: BoxSpec, params: ModelParams) -> np.ndarray:
+    """`_offset_rates` without the grid, mirrored on every axis, as read-only windows of
+    the box's shape: the one at side - 1 - coords[:, u] holds u's rates, vertex by vertex."""
+    mirror = np.abs(np.arange(1 - box.side, box.side))
+    rates = _offset_rates(box, params, False).reshape((box.side,) * box.d)
+    return sliding_window_view(rates[np.ix_(*(mirror,) * box.d)], (box.side,) * box.d)
 
 
 def _pair_probs(real: LazyRealization, x, y, ids=None) -> np.ndarray:
@@ -562,12 +573,12 @@ class CffpRealization:
     computed on demand from the pair's uniform.  `cost_row` gives the costs
     from one vertex, or from each of B vertices as one (B, n) array whose
     rows equal the one-vertex rows bit for bit.  It hashes the n - 1 pairs of
-    each row from the cost stream's vertex states, as the pair scan does, and
-    reads |offset|^(-alpha d) from `_offset_rates` at lam = 1.  One row is
-    bound by per-call overhead, so the dense Dijkstra of `metrics` fetches
-    its rows in batches.  `rate` and `cost` are the scalar reference.  Ids
-    outside [0, n), and u == v, raise DomainError.  Materializing via
-    `sample_cffp_costs` yields the identical values.
+    each row from slices of the cost stream's vertex states and reads a row's
+    |offset|^(-alpha d) as one block of `_rate_window`: nothing per pair is
+    gathered.  A call costs more than a pair, so callers fetch rows in
+    batches.  `rate` and `cost` read `_offset_rates` in the rows' order and
+    equal them bit for bit.  Ids outside [0, n), and u == v, raise
+    DomainError.  Materializing via `sample_cffp_costs` yields the same values.
     """
 
     box: BoxSpec
@@ -612,32 +623,35 @@ class CffpRealization:
     def rate(self, u: int, v: int) -> float:
         if self._vertices(u) == self._vertices(v):
             raise DomainError("no self-loop rates")
-        dist = float(np.linalg.norm(self.positions[u] - self.positions[v]))
-        return float(self._w_alpha[u] * self._w_alpha[v]
-                     * dist ** (-self.params.alpha * self.params.d))
+        rates = _offset_rates(self.box, self.params, False)
+        return float(self._w_alpha[u] * self._w_alpha[v] * rates[self.box.offset_index(u, v)])
 
     def cost(self, u: int, v: int) -> float:
         rate = self.rate(u, v)  # checks the ids
-        return -math.log1p(-edge_uniform(self._cost_seed, u, v)) / rate
+        return float(-np.log1p(-edge_uniform(self._cost_seed, u, v)) / rate)
 
     def cost_row(self, u) -> np.ndarray:
         """Costs from vertex u to every vertex, inf at u itself.  For a 1-d int
         array u of B vertices, the (B, n) array whose row b is cost_row(u[b])."""
         us = self._vertices(u)
-        rows = us.reshape(-1, 1)
-        # {u, v} finishes the state of min(u, v) with max(u, v), as edge_uniform
-        # does; the diagonal is no pair and is not hashed
-        lo, hi = np.minimum(rows, np.arange(self.n)), np.maximum(rows, np.arange(self.n))
-        pair = lo != hi
-        u01 = np.zeros(lo.shape)
-        u01[pair] = uniforms_from_states(self._states[lo[pair]], hi[pair])
-        ids = self.box.offset_index(rows, slice(None))
-        rates = self._w_alpha[rows] * self._w_alpha
-        rates *= _offset_rates(self.box, self.params, False)[ids]
-        out = np.negative(np.log1p(np.negative(u01, out=u01), out=u01), out=u01)
-        out[np.arange(len(rows)), rows[:, 0]] = np.inf  # inf / 0 at u, whose rate is 0
+        rows, n, batch = us.reshape(-1), self.n, us.size
+        # {u, v} hashes (state min, word max), as edge_uniform does.  Row u's n - 1 pairs
+        # start as (state j, word j + 1); then columns j >= u take state u, j < u word u
+        lo = np.repeat(self._states[None, :-1], batch, axis=0)
+        hi = np.repeat(np.arange(1, n, dtype=np.uint64)[None], batch, axis=0)
+        for b, v in enumerate(rows.tolist()):
+            lo[b, v:], hi[b, :v] = self._states[v], v
+        u01 = uniforms_from_states(lo, hi).reshape(batch, n - 1)
+        out = np.empty((batch, n))
+        for b, v in enumerate(rows.tolist()):
+            out[b, :v], out[b, v], out[b, v + 1:] = u01[b, :v], 0.0, u01[b, v:]
+        starts = tuple(self.box.side - 1 - self.box.coords[:, rows])  # of u's rate blocks
+        rates = self._w_alpha[rows, None] * self._w_alpha
+        rates *= _rate_window(self.box, self.params)[starts].reshape(batch, n)
+        np.negative(np.log1p(np.negative(out, out=out), out=out), out=out)
+        out[np.arange(batch), rows] = np.inf  # inf / 0 at u, whose rate is 0
         out /= rates  # -log1p(-u01) / rates, in place
-        return out.reshape(us.shape + (self.n,))
+        return out.reshape(us.shape + (n,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -703,10 +717,11 @@ def sample_cffp_costs(box: BoxSpec, weights: np.ndarray, params: ModelParams,
     """Materialize the full quadratic cost map of a CFFP realization."""
     real = CffpRealization(box=box, weights=np.asarray(weights, dtype=np.float64),
                            params=params, seed=seed)
-    costs = {}
-    for u in range(real.n - 1):
-        costs.update(zip(((u, v) for v in range(u + 1, real.n)),
-                         real.cost_row(u)[u + 1:].tolist()))
+    costs, batch = {}, max(1, _ROW_BATCH_PAIRS // real.n)
+    for start in range(0, real.n - 1, batch):
+        us = np.arange(start, min(start + batch, real.n - 1))
+        for u, row in zip(us.tolist(), real.cost_row(us)):
+            costs.update(zip(((u, v) for v in range(u + 1, real.n)), row[u + 1:].tolist()))
     return CostMap(costs=costs, rate_model=RateModel.CFFP_RATE)
 
 

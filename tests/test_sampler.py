@@ -242,6 +242,22 @@ class TestFppCosts:
         assert a.cost(u, v) != -math.log1p(-edge_uniform(4, u, v))
 
 
+@st.composite
+def cffp_rows(draw):
+    """A CFFP realization in d = 1..3, side 1 up, at a nonzero origin, and an
+    int array of its vertex ids that may repeat, hold 0 and n - 1, or be empty."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    box = BoxSpec(d=d, side=draw(st.integers(1, {1: 50, 2: 8, 3: 4}[d])),
+                  origin=tuple(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)
+                                    .filter(any))))
+    n, tau, seed = box.n_vertices, draw(st.floats(2.05, 8.0)), draw(st.integers(0, 2**64 - 1))
+    real = CffpRealization(box=box, weights=sample_weights(n, tau, seed), seed=seed,
+                           params=ModelParams(d=d, alpha=draw(st.floats(1.0, 3.0)), tau=tau,
+                                              lam=1.0))
+    ids = draw(st.lists(st.sampled_from([0, n - 1]) | st.integers(0, n - 1), max_size=6))
+    return real, np.array(ids, dtype=np.int64)
+
+
 class TestCffpCosts:
     def setup_method(self):
         self.params = ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0)
@@ -285,6 +301,41 @@ class TestCffpCosts:
         assert rows.tobytes() == stacked.tobytes()
         assert np.all(rows[np.arange(len(us)), us] == np.inf)
 
+    @settings(max_examples=120, deadline=None)
+    @given(case=cffp_rows())
+    def test_rows_are_the_stacked_rows_and_the_scalar_costs(self, case):
+        real, us = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0 / 0 on the diagonal
+            rows = real.cost_row(us)
+            stacked = [real.cost_row(u) for u in us]
+        assert rows.shape == (len(us), real.n)
+        assert rows.tobytes() == b"".join(row.tobytes() for row in stacked)
+        for row, u in zip(rows.tolist(), us.tolist()):
+            assert row[u] == math.inf
+            assert row[:u] + row[u + 1:] == [real.cost(u, v) for v in range(real.n) if v != u]
+
+    def test_the_rate_window_is_built_once_and_read_only(self):
+        # once per (box, params), not per realization: every trial is a realization
+        box = BoxSpec(d=2, side=5, origin=(1, 2))
+        params = ModelParams(d=2, alpha=1.5, tau=3.0, lam=1.0)
+        sampler._rate_window.cache_clear()
+        view, made = sampler.sliding_window_view, []
+
+        def building(*args, **kwargs):
+            made.append(view(*args, **kwargs))
+            return made[-1]
+
+        with mock.patch.object(sampler, "sliding_window_view", building):
+            a, b = (CffpRealization(box=box, weights=sample_weights(25, 3.0, s), params=params,
+                                    seed=s) for s in (1, 2))
+            assert a.cost_row(3).tobytes() != b.cost_row(np.array([3, 4]))[0].tobytes()
+            a.cost_row(np.arange(25))
+        window = sampler._rate_window(box, params)
+        assert len(made) == 1 and window is made[0]
+        with pytest.raises(ValueError, match="read-only"):
+            window[0, 0, 0, 0] = 1.0
+
     def test_weight_doubling_quarters_mean_cost(self):
         # alpha=1, d=1: doubling both endpoint weights scales the rate by 4
         p1 = ModelParams(d=1, alpha=1.0, tau=4.0, lam=1.0)
@@ -325,7 +376,7 @@ class TestCffpCosts:
         assert cm.rate_model is RateModel.CFFP_RATE
         assert len(cm) == 45
         for (u, v), c in cm.costs.items():
-            assert c == pytest.approx(real.cost(u, v), rel=1e-15)
+            assert c == real.cost(u, v)
         # raised before any hashing, which would fail here with a TypeError
         monkeypatch.setattr(sampler, "absorb_indices", None)
         n = sampler.DEFAULT_COMPLETE_BUDGET + 1
