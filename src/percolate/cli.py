@@ -157,7 +157,7 @@ def _cmd_generate(args) -> int:
     save_graph(graph, args.out, costs=costs)
     _emit("generate", args, {
         "vertices": graph.n,
-        "edges": len(graph.edges),
+        "edges": len(graph.edge_array),
         "costs": 0 if costs is None else len(costs),
         "out": args.out,
     })

@@ -104,11 +104,13 @@ def couple_alpha(
     reduced = alpha_reduced_params(params, alpha_prime)
     g_orig = sample_graph(box, params, Model.SFP, seed)
     g_red = sample_graph(box, reduced, Model.SFP, seed)
-    missing = sorted(g_orig.edges - g_red.edges)
-    details = [{"edge": list(e)} for e in missing]
+    # the original edges, in sorted order, whose keys lo * n + hi the reduced graph lacks
+    orig, red = (g.edge_array[:, 0] * box.n_vertices + g.edge_array[:, 1] for g in (g_orig, g_red))
+    missing = g_orig.edge_array[~np.isin(orig, red, assume_unique=True)].tolist()
+    details = [{"edge": e} for e in missing]
     report = CouplingReport(
         kind=CouplingKind.ALPHA_REDUCE,
-        trials=len(g_orig.edges),
+        trials=len(g_orig.edge_array),
         violations=len(missing),
         parameters={
             "alpha": params.alpha,
@@ -270,7 +272,7 @@ def blowup_lrp(
         model=Model.LRP,
         positions=coarse_box.lattice_positions(),
         weights=np.ones(coarse_box.n_vertices),
-        edges=frozenset(zip(*pairs.T.tolist())),
+        edges=pairs,
         seed=seed,
         params=params,
         box=coarse_box,

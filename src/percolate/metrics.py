@@ -9,9 +9,11 @@ latter: they sample only the pairs between each BFS frontier and the
 unvisited vertices.  Each pair's edge is a pure function of (seed, {u, v}),
 decided by the same arithmetic as the full scan, so the distances equal
 those on `sample_graph`'s realization.  Cost distances on a `SampledGraph`
-come from scipy's Dijkstra over the CostMap's pairs: the edge array for FPP
-costs, every stored pair for CFFP costs.  On a `CffpRealization` they come
-from a dense Dijkstra over its cost rows.  Both read inf beyond `t_max`.
+come from scipy's Dijkstra over arrays, with no Python container built: the
+graph's `edge_array` with its costs, found in the CostMap's sorted
+`pair_array`, for FPP costs, and the map's own pairs for CFFP costs.  On a
+`CffpRealization` they come from a dense Dijkstra over its cost rows.  Both
+read inf beyond `t_max`.
 
 The dense Dijkstra settles vertices in exact Dijkstra order, but fetches
 cost rows in batches, as `CffpRealization.cost_row` pays per call more than
@@ -115,23 +117,26 @@ def _sparse_cost_search(graph: SampledGraph, costs: CostMap | None, x: int,
                         t_max: float | None) -> np.ndarray:
     """scipy's Dijkstra over the pairs that carry a cost.
 
-    An FPP map costs the graph's edges: its cost is read for every edge, so
-    a map that misses an edge raises DomainError.  A CFFP map stores the
-    complete graph, whose pairs are its own keys.
+    An FPP map costs the graph's edges: each edge's cost is found in the
+    map's sorted pairs by its key lo * base + hi, with base above every
+    vertex id, so a map that misses an edge raises DomainError naming the
+    first one.  A CFFP map stores the complete graph, whose pairs are its own.
     """
     if costs is None:
         raise DomainError("a CostMap is required for sparse graphs")
     if costs.rate_model is RateModel.CFFP_RATE:
-        e = np.array(list(costs.costs), dtype=np.int64).reshape(-1, 2)
-        c = np.fromiter(costs.costs.values(), np.float64, len(e))
+        e, c = costs.pair_array, costs.cost_array
     else:
-        e = graph.edge_array
-        lo, hi = e[:, 0].tolist(), e[:, 1].tolist()
-        try:
-            c = np.fromiter(map(costs.costs.__getitem__, zip(lo, hi)), np.float64, len(e))
-        except KeyError as err:
-            u, v = err.args[0]
-            raise DomainError(f"cost map does not cover edge ({u}, {v})") from None
+        e, pairs = graph.edge_array, costs.pair_array
+        base = max(graph.n, int(pairs.max(initial=0)) + 1)
+        keys, wanted = pairs[:, 0] * base + pairs[:, 1], e[:, 0] * base + e[:, 1]
+        at = np.searchsorted(keys, wanted)
+        covered = at < len(keys)  # and there the key found is the edge's
+        covered[covered] = keys[at[covered]] == wanted[covered]
+        if not covered.all():
+            u, v = e[np.argmin(covered)].tolist()
+            raise DomainError(f"cost map does not cover edge ({u}, {v})")
+        c = costs.cost_array[at]
     # csgraph keeps an explicit zero entry as an edge of cost 0.
     mat = csr_array((c, (e[:, 0], e[:, 1])), shape=(graph.n, graph.n))
     return dijkstra(mat, directed=False, indices=x, limit=np.inf if t_max is None else t_max)

@@ -87,29 +87,37 @@ def position_uniform(seed: int, index: int, axis: int) -> float:
 # equivalence is pinned by tests.
 # ---------------------------------------------------------------------------
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, mixed into z in place; z must be a fresh buffer."""
-    t = np.empty_like(z)
-    for shift, mult in ((30, _P1), (27, _P2), (31, None)):
-        np.right_shift(z, np.uint64(shift), out=t)
+# (shift, multiplier) per round, as uint64 scalars made once: the hash runs
+# on small blocks too, where making them per call is a measurable share
+_MIX_ROUNDS = ((np.uint64(30), np.uint64(_P1)), (np.uint64(27), np.uint64(_P2)),
+               (np.uint64(31), None))
+
+
+def _mix64_vec(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """The splitmix64 finalizer, mixed into z in place; z must be a buffer the
+    caller owns.  t, of z's shape, holds the temporaries, fresh when None."""
+    t = np.empty_like(z) if t is None else t
+    for shift, mult in _MIX_ROUNDS:
+        np.right_shift(z, shift, out=t)
         z ^= t
         if mult is not None:
-            z *= np.uint64(mult)
+            z *= mult
     return z
 
 
-def _absorb_vec(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Absorb w into the states h, into a fresh buffer; neither is written.
+def _absorb_vec(h: np.ndarray, w: np.ndarray, z: np.ndarray | None = None,
+                t: np.ndarray | None = None) -> np.ndarray:
+    """Absorb w into the states h; neither is written.
 
-    h and w may have any shapes that broadcast.  h is offset at its own
-    size, and then XORed with w into the full-size buffer.
+    h and w may have any shapes that broadcast.  h is offset and XORed with
+    w into z, a uint64 buffer of the broadcast shape, fresh when None; the
+    mixer then finishes z in place, with t for its temporaries.
     """
-    z = np.add(h, np.uint64(_GOLD))
-    if z.shape == w.shape or w.ndim == 0:
-        z ^= w
-    else:
-        z = np.bitwise_xor(z, w)
-    return _mix64_vec(z)
+    if z is None:
+        z = np.empty(np.broadcast(h, w).shape, dtype=np.uint64)
+    np.add(h, np.uint64(_GOLD), out=z)
+    z ^= w
+    return _mix64_vec(z, t)
 
 
 def seed_state(seed: int) -> np.uint64:
@@ -122,15 +130,28 @@ def absorb_indices(state: np.uint64, idx: np.ndarray) -> np.ndarray:
     return _absorb_vec(state, np.asarray(idx, dtype=np.uint64))
 
 
-def uniforms_from_states(states: np.ndarray, words: np.ndarray) -> np.ndarray:
+def uniforms_from_states(states: np.ndarray, words: np.ndarray,
+                         out: tuple | None = None) -> np.ndarray:
     """Finish a hash chain with one more absorbed word, as uniforms.
 
     `states` and `words` broadcast against each other; the uniforms come
     back flat, one per element of the broadcast shape in C order.
+
+    The computation runs in two 8-byte buffers: with `out`, a pair of flat
+    arrays of at least that many elements, or else two fresh ones.  The
+    first holds the hash states, the second the mixer's temporaries and then
+    the uniforms, of which the result is a view.
     """
-    h = _absorb_vec(states, np.asarray(words, dtype=np.uint64))
+    words = np.asarray(words, dtype=np.uint64)
+    b = np.broadcast(states, words)
+    if out is None:
+        z, t = np.empty(b.shape, dtype=np.uint64), np.empty(b.shape, dtype=np.uint64)
+    else:
+        z, t = (buf[:b.size].view(np.uint64).reshape(b.shape) for buf in out)
+    h = _absorb_vec(states, words, z, t)
     h >>= np.uint64(11)
-    u = h.astype(np.float64)
+    u = t.view(np.float64)
+    np.copyto(u, h)
     u *= _INV53
     return u.ravel()
 

@@ -31,8 +31,14 @@ Three walks apply it, and the box's dimension alone picks the eager one:
 All three get their probabilities from `_pair_probs`, so a lazily sampled
 realization is the scanned one, bit for bit, wherever it is observed.
 CFFP cost rows read slices of the cost stream's vertex states and a window of
-that table, mirrored, at lam = 1 without the grid.  `sample_graph` keeps its
-edges as the sorted `SampledGraph.edge_array`: costs, searches, couplings use it.
+that table, mirrored, at lam = 1 without the grid.
+
+Graphs and cost maps are arrays.  `sample_graph` gives its edges as the
+sorted `SampledGraph.edge_array`, and `sample_fpp_costs` and
+`sample_cffp_costs` give sorted pair and cost arrays (`CostMap.pair_array`,
+`cost_array`): costs, searches, couplings and the text format read these.
+The frozenset `SampledGraph.edges` and the dict `CostMap.costs` are views,
+built only when read.
 
 `BoxSpec` holds the lattice's one layout: vertex i is the point origin +
 `coords[:, i]`, in row-major order.  `index` gives the vertex of lattice
@@ -44,8 +50,10 @@ its bins all read these.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
+import threading
 from collections import deque
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
@@ -180,9 +188,52 @@ class BoxSpec:
         return self.coords.T.astype(np.float64, order="C") + origin
 
 
+class _ArrayBacked:
+    """A dataclass field, with no default, that an instance keeps as arrays.
+
+    Set to arrays (of `array_type`), it stores them in the instance's __dict__
+    at `arrays_key`, and `view` of them builds the field's Python container
+    on its first read, cached.  Set to the container, it keeps it as given;
+    the arrays at `arrays_key`, a `cached_property`, are derived from it when
+    first read.  Read on the class, it raises AttributeError, so dataclasses
+    finds no default.
+    """
+
+    def __init__(self, arrays_key: str, array_type: type, view):
+        self.arrays_key, self.array_type, self.view = arrays_key, array_type, view
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(f"{owner.__name__}.{self.name} has no default")
+        cache = obj.__dict__
+        if self.name not in cache:
+            cache[self.name] = self.view(cache[self.arrays_key])
+        return cache[self.name]
+
+    def __set__(self, obj, value):  # once, from the frozen dataclass's __init__
+        obj.__dict__[self.arrays_key if isinstance(value, self.array_type) else self.name] = value
+
+
+def _pair_set(pairs: np.ndarray) -> frozenset:
+    return frozenset(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+
+
+def _pair_dict(pairs: np.ndarray, values: np.ndarray) -> dict:
+    return dict(zip(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()), values.tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
     """One realization: positions, weights, symmetric edge set, and its seed.
+
+    Its edges are kept as `edge_array`, the sorted (m, 2) int64 array of
+    (lo, hi) rows, which `edges` may be given as.  `edges`, the frozenset
+    of (lo, hi) pairs, is built from it on its first read: the searches,
+    costs, couplings and the text format read the array.  A graph given a
+    set of pairs keeps that set, and sorts it into `edge_array` when read.
 
     `box` is the window it was sampled on; hand-built graphs may leave it
     out, and are then taken to sit on a box at the origin.
@@ -191,7 +242,7 @@ class SampledGraph:
     model: Model
     positions: np.ndarray
     weights: np.ndarray
-    edges: frozenset
+    edges: frozenset = _ArrayBacked("edge_array", np.ndarray, lambda pairs: _pair_set(pairs))
     seed: int
     params: ModelParams
     box: BoxSpec | None = None
@@ -210,8 +261,9 @@ class SampledGraph:
 
     @cached_property
     def neighbors(self) -> list[list[int]]:
+        """Each vertex's neighbours, in increasing order."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in zip(*self.edge_array.T.tolist()):
             adj[u].append(v)
             adj[v].append(u)
         return adj
@@ -219,20 +271,39 @@ class SampledGraph:
 
 @dataclass(frozen=True, eq=False)
 class CostMap:
-    """Nonnegative costs keyed by unordered vertex pairs."""
+    """Nonnegative costs keyed by unordered vertex pairs.
 
-    costs: dict
+    They are kept as `pair_array`, an (m, 2) int64 array of (lo, hi) rows
+    sorted by pair, and `cost_array`, the (m,) costs in that order, which
+    `costs` may be given as, a tuple (pairs, values).  `costs`, the dict
+    {(lo, hi): cost}, is built from them, in their order, on its first
+    read.  A map given a dict keeps it, and sorts it into the arrays when
+    they are read.
+    """
+
+    costs: dict = _ArrayBacked("_arrays", tuple, lambda arrays: _pair_dict(*arrays))
     rate_model: RateModel
+
+    @cached_property
+    def _arrays(self) -> tuple:
+        pairs = np.array(list(self.costs), dtype=np.int64).reshape(-1, 2)
+        values = np.fromiter(self.costs.values(), np.float64, len(pairs))
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        return pairs[order], values[order]
+
+    @property
+    def pair_array(self) -> np.ndarray:
+        return self._arrays[0]
+
+    @property
+    def cost_array(self) -> np.ndarray:
+        return self._arrays[1]
 
     def cost(self, u: int, v: int) -> float:
         return self.costs[(min(u, v), max(u, v))]
 
     def __len__(self) -> int:
-        return len(self.costs)
-
-
-def _pair_set(pairs: np.ndarray) -> frozenset:
-    return frozenset(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+        return len(self.cost_array)
 
 
 def sample_weights(n: int, tau: float, seed: int) -> np.ndarray:
@@ -243,10 +314,16 @@ def sample_weights(n: int, tau: float, seed: int) -> np.ndarray:
     return np.asarray(pareto_quantile(u, tau), dtype=np.float64)
 
 
-# Pairs per block of the scans and of the lazy rows.  A block's float arrays
-# are then 1 MB, which the allocator reuses from block to block.  At 4 M
-# pairs each was mapped afresh and faulted in: a 2-d GIRG of n = 1,024,
-# then one block, took twice as long and peaked 28 MB higher.
+# Pairs per block of the scans and of the lazy rows.  A block's 8-byte
+# arrays are then 1 MB.  At 4 M pairs each was mapped afresh and faulted in:
+# a 2-d GIRG of n = 1,024, then one block, took twice as long and peaked
+# 28 MB higher.  Arrays of 1 MB are not reliably reused either, as glibc
+# maps them or trims them from its heap once freed: a 2-d SFP FPP trial of
+# side 64 whose slab blocks allocated their arrays afresh took a median of
+# 9 k to 15 k minor page faults (getrusage, 2-CPU Xeon), and 0 with
+# MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ at 1 GB.  So the slab
+# scan decides its blocks in per-thread buffers (`_block_buffers`), kept
+# from block to block, and the trial takes about 1.7 k.
 _BLOCK_PAIRS = 131_072
 
 
@@ -300,10 +377,13 @@ def _rate_window(box: BoxSpec, params: ModelParams) -> np.ndarray:
     return sliding_window_view(rates[np.ix_(*(mirror,) * box.d)], (box.side,) * box.d)
 
 
-def _pair_probs(real: LazyRealization, x, y, ids=None) -> np.ndarray:
+def _pair_probs(real: LazyRealization, x, y, ids=None, out=None) -> np.ndarray:
     """Edge probabilities of the pairs {x, y} of vertex index arrays that
     broadcast: for a column against a row, or for slab slices, it gathers
     per vertex, not per pair.  The result broadcasts against the pairs.
+    With `out`, a float64 array of the pairs' shape, the probabilities of
+    lattice pairs with weights are made in it, not in a fresh array; unit
+    weights and GIRG pairs leave it unused.
 
     A lattice pair's probability is the kernel of w_x^alpha * w_y^alpha
     times the `_offset_rates` entry of its offset, read by the offset's id:
@@ -316,9 +396,11 @@ def _pair_probs(real: LazyRealization, x, y, ids=None) -> np.ndarray:
         dist = np.sqrt(_squared_distances(real._columns, x, y))
         return connection_prob(real.weights[x], real.weights[y], dist, real.params)
     ids = real.box.offset_index(x, y) if ids is None else ids
-    arg = _offset_rates(real.box, real.params, True)[ids]
-    if real._w_alpha is not None:  # else every weight is 1, and so is their product
-        arg = real._w_alpha[x] * real._w_alpha[y] * arg
+    rates = _offset_rates(real.box, real.params, True)[ids]
+    if real._w_alpha is None:  # every weight is 1, and so is their product
+        return apply_kernel(rates, real.params.kernel_variant)
+    arg = np.multiply(real._w_alpha[x], real._w_alpha[y], out=out)
+    arg *= rates
     return apply_kernel(arg, real.params.kernel_variant)
 
 
@@ -439,18 +521,41 @@ def _in_order(fn, items, pool):
         futures_wait(pending)
 
 
+_thread_buffers = threading.local()  # `_block_buffers` of each thread that decides blocks
+
+
+def _block_buffers(size: int) -> tuple:
+    """This thread's buffers for a block of `size` pairs: two 8-byte arrays
+    and a bool array of max(_BLOCK_PAIRS, size) elements, kept for the
+    thread's next block and grown only for a larger one."""
+    buffers = getattr(_thread_buffers, "buffers", None)
+    if buffers is None or len(buffers[2]) < size:
+        size = max(_BLOCK_PAIRS, size)
+        buffers = _thread_buffers.buffers = (np.empty(size, np.uint64), np.empty(size, np.uint64),
+                                      np.empty(size, bool))
+    return buffers
+
+
 def _slab_block(real: LazyRealization, slabs: tuple, block) -> tuple:
     """The edges among the pairs of one block of `_slab_blocks`, as two
     vertex arrays (lo, hi).  `slabs` holds the (side, m) vertex ids and hash
-    states of the box."""
+    states of the box.
+
+    The block's uniforms, probabilities and selection are made in this
+    thread's `_block_buffers`: the hash in both 8-byte buffers, leaving the
+    uniforms in the second, then the probabilities in the first.  The edges
+    returned are copies, so they outlive the buffers' next use."""
     vertex, states = slabs
     a, r0, r1, lo, hi, ids = block
     lo, hi = (slice(r0, r1),) + lo, (slice(r0 + a, r1 + a),) + hi
     x, y = vertex[lo], vertex[hi]
     shape = np.broadcast_shapes(x.shape, y.shape)
+    size = math.prod(shape)
+    first, second, chosen = _block_buffers(size)
     # the hash reads its words as uint64: a view of the vertex ids, not a copy
-    u = uniforms_from_states(states[lo], y.view(np.uint64)).reshape(shape)
-    sel = u < _pair_probs(real, x, y, ids)
+    u = uniforms_from_states(states[lo], y.view(np.uint64), out=(first, second))
+    p = _pair_probs(real, x, y, ids, out=first[:size].view(np.float64).reshape(shape))
+    sel = np.less(u.reshape(shape), p, out=chosen[:size].reshape(shape))
     return np.broadcast_to(x, shape)[sel], np.broadcast_to(y, shape)[sel]
 
 
@@ -464,7 +569,8 @@ def _slab_scan(real: LazyRealization):
     weights and GIRG coordinates per vertex and reads a lattice pair's rate
     at the block's offset ids, so a lattice pair costs no power of its own.
 
-    `_slab_block` decides each block.  The blocks run on the CPUs this
+    `_slab_block` decides each block, in its thread's reused buffers
+    (`_block_buffers`), and returns copies.  The blocks run on the CPUs this
     process may use (`_block_pool`), with a bounded number in flight, unless
     the box is too small for threads to pay (`_POOL_MIN_PAIRS`); either way
     their edges are joined in block order, so the arrays are the same.
@@ -537,32 +643,27 @@ def sample_graph(box: BoxSpec, params: ModelParams, model: Model, seed: int) -> 
     # the scan finds each pair once, so sorting their keys gives `edge_array`
     # without sorting the edge tuples
     pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
-    graph = SampledGraph(
+    return SampledGraph(
         model=model,
         positions=real.positions,
         weights=real.weights,
-        edges=_pair_set(pairs),
+        edges=pairs,
         seed=seed,
         params=params,
         box=box,
     )
-    graph.__dict__["edge_array"] = pairs
-    return graph
 
 
 def sample_fpp_costs(graph: SampledGraph, seed: int) -> CostMap:
     """Attach i.i.d. Exp(1) costs to the existing edges of a graph.
 
     Cost of edge e is -log(1 - u_e), with u_e drawn from a cost stream
-    derived from `seed`, so costs are independent of edge existence.
+    derived from `seed`, so costs are independent of edge existence.  The
+    map's arrays are the graph's `edge_array` and the costs in its order.
     """
     pairs = graph.edge_array
     u = edge_uniforms(stream_seed(seed, COST_STREAM), pairs[:, 0], pairs[:, 1])
-    costs = -np.log1p(-u)
-    return CostMap(
-        costs=dict(zip(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()), costs.tolist())),
-        rate_model=RateModel.UNIT_RATE,
-    )
+    return CostMap(costs=(pairs, -np.log1p(-u)), rate_model=RateModel.UNIT_RATE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -714,15 +815,17 @@ class LazyRealization:
 
 def sample_cffp_costs(box: BoxSpec, weights: np.ndarray, params: ModelParams,
                       seed: int) -> CostMap:
-    """Materialize the full quadratic cost map of a CFFP realization."""
+    """Materialize the full quadratic cost map of a CFFP realization: every
+    pair (u, v), u < v, in row order, which is the order of the pairs."""
     real = CffpRealization(box=box, weights=np.asarray(weights, dtype=np.float64),
                            params=params, seed=seed)
-    costs, batch = {}, max(1, _ROW_BATCH_PAIRS // real.n)
-    for start in range(0, real.n - 1, batch):
-        us = np.arange(start, min(start + batch, real.n - 1))
-        for u, row in zip(us.tolist(), real.cost_row(us)):
-            costs.update(zip(((u, v) for v in range(u + 1, real.n)), row[u + 1:].tolist()))
-    return CostMap(costs=costs, rate_model=RateModel.CFFP_RATE)
+    n = real.n
+    costs, batch = [np.empty(0)], max(1, _ROW_BATCH_PAIRS // n)
+    for start in range(0, n - 1, batch):
+        us = np.arange(start, min(start + batch, n - 1))
+        costs.append(real.cost_row(us)[us[:, None] < np.arange(n)])  # each row's v > u
+    return CostMap(costs=(np.stack(np.triu_indices(n, 1), axis=1), np.concatenate(costs)),
+                   rate_model=RateModel.CFFP_RATE)
 
 
 # ---------------------------------------------------------------------------
@@ -755,13 +858,12 @@ def save_graph(graph: SampledGraph, path, costs: CostMap | None = None) -> None:
         f"{_fmt(params.lam)} {graph.seed} {params.kernel_variant.value} "
         + " ".join(str(int(o)) for o in box.origin)
     ]
-    for i, w in enumerate(graph.weights):
-        lines.append(f"w {i} {_fmt(w)}")
-    for u, v in sorted(graph.edges):
-        lines.append(f"e {u} {v}")
+    lines += (f"w {i} {_fmt(w)}" for i, w in enumerate(graph.weights))
+    # columns as lists of ints: rows as lists would be m objects for the collector
+    lines += (f"e {u} {v}" for u, v in zip(*graph.edge_array.T.tolist()))
     if costs is not None:
-        for (u, v), c in sorted(costs.costs.items()):
-            lines.append(f"c {u} {v} {_fmt(c)}")
+        lines += (f"c {u} {v} {_fmt(c)}" for u, v, c in
+                  zip(*costs.pair_array.T.tolist(), costs.cost_array.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -836,7 +938,7 @@ def load_graph(path) -> tuple[SampledGraph, CostMap | None]:
     )
     cost_map = None
     if costs:
-        unit = all(pair in graph.edges for pair in costs)
+        unit = costs.keys() <= edges
         cost_map = CostMap(
             costs=costs,
             rate_model=RateModel.UNIT_RATE if unit else RateModel.CFFP_RATE,

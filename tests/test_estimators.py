@@ -1,6 +1,7 @@
 """Monte Carlo estimators, compliance search, BK enumeration, fits."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from percolate import (
     mc_ball_growth,
     mc_tail,
     mc_tail_grid,
+    sample_cffp_costs,
+    sample_graph,
     sample_weights,
     shape_containment,
     sum_exp_tail,
@@ -39,6 +42,7 @@ from percolate.estimators import (
     interior_vertices,
     write_tail_csv,
 )
+from percolate import sampler
 from percolate.metrics import cost_distances_from
 from percolate.rng import trial_seed
 
@@ -221,6 +225,25 @@ class TestBallGrowth:
         )
         with pytest.raises(BudgetError):
             mc_ball_growth(config, 0, [0.1], 1, 1)
+
+    def test_fpp_trials_build_no_edge_set_or_cost_dict(self):
+        config = ModelConfig(box=BoxSpec(d=2, side=12),
+                             params=ModelParams(d=2, alpha=2.0, tau=3.5, lam=1.0),
+                             model=Model.SFP, metric="fpp")
+        cffp = ModelParams(d=2, alpha=1.5, tau=3.0, lam=1.0)
+
+        def refuse(*args):
+            raise AssertionError("a Python container was built")
+
+        with mock.patch.multiple(sampler, _pair_set=refuse, _pair_dict=refuse):
+            guarded = mc_ball_growth(config, 78, [0.2, 0.5, 1.0], 4, 7)
+            cm = sample_cffp_costs(config.box, sample_weights(144, 3.0, 2), cffp, 2)
+            assert len(cm) == 144 * 143 // 2
+            g = sample_graph(config.box, cffp, Model.SFP, 2)
+            dist = cost_distances_from(g, cm, 78)
+        assert guarded.mean_sizes == mc_ball_growth(config, 78, [0.2, 0.5, 1.0], 4, 7).mean_sizes
+        assert np.array_equal(dist, cost_distances_from(g, cm, 78))
+        assert list(cm.costs)[:3] == [(0, 1), (0, 2), (0, 3)]
 
     def test_fits_skip_saturated_thresholds(self):
         # B(4, k) on the 9-vertex path has 2k + 1 vertices until it fills the box at k = 4

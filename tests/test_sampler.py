@@ -1,12 +1,14 @@
 """Sampling: reproducibility, kernel frequencies, couplings under shared seeds,
 cost laws, and the text serialization round-trip."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import multiprocessing
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -23,11 +25,13 @@ from percolate import (
     BoxSpec,
     BudgetError,
     CffpRealization,
+    CostMap,
     DomainError,
     KernelVariant,
     Model,
     ModelParams,
     RateModel,
+    SampledGraph,
     blowup_lrp,
     connection_prob,
     edge_uniform,
@@ -40,7 +44,7 @@ from percolate import (
     vertex_uniform,
 )
 from percolate import rng, sampler
-from percolate.metrics import hop_distances_from
+from percolate.metrics import cost_distances_from, hop_distances_from
 
 
 def lrp(alpha=1.5, lam=0.5, d=1):
@@ -78,6 +82,22 @@ class TestEdgeUniform:
         raw = [3, 2**63 + 5, -7]
         each = rng.vertex_uniform_each(np.array([s % 2**64 for s in raw], dtype=np.uint64), 2)
         assert each.tolist() == [vertex_uniform(s, 2) for s in raw]
+
+    @pytest.mark.parametrize("shapes", [
+        ((3, 4, 1), (3, 1, 5)), ((6, 7), (6, 7)), ((), (40,)), ((9,), ()), ((2, 1), (5,)),
+    ])
+    def test_uniforms_in_given_buffers_equal_fresh_ones(self, shapes):
+        gen = np.random.default_rng(4)
+        states, words = (gen.integers(0, 2**64, size=shape, dtype=np.uint64)
+                         for shape in shapes)
+        want = rng.uniforms_from_states(states, words)
+        size = want.size
+        buffers = (np.full(size + 9, 7, np.uint64), np.full(size + 9, 7, np.uint64))
+        got = rng.uniforms_from_states(states, words, out=buffers)
+        assert got.shape == (size,) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, buffers[1])
+        assert (buffers[0][size:] == 7).all() and (buffers[1][size:] == 7).all()
 
     def test_empirical_mean(self):
         n = 1_000_000
@@ -240,6 +260,110 @@ class TestFppCosts:
         # cost uniforms differ from the existence uniforms of the same pairs
         (u, v) = next(iter(g.edges))
         assert a.cost(u, v) != -math.log1p(-edge_uniform(4, u, v))
+
+
+class TestArrayViews:
+    """A graph keeps its edges as `edge_array` and a cost map its pairs and costs
+    as arrays; the frozenset `edges` and the dict `costs` are views of them."""
+
+    @staticmethod
+    def graph(model=Model.SFP, d=2, side=9, seed=3):
+        params = ModelParams(d=d, alpha=1.5, tau=math.inf if model is Model.LRP else 3.0,
+                             lam=0.5)
+        return sample_graph(BoxSpec(d=d, side=side), params, model, seed)
+
+    @pytest.mark.parametrize("model, d, side", [
+        (Model.SFP, 2, 9), (Model.LRP, 1, 30), (Model.GIRG, 3, 4), (Model.LRP, 2, 1),
+    ])
+    def test_a_graph_from_the_array_equals_one_from_the_set(self, model, d, side):
+        g = self.graph(model, d, side)
+        fields = dict(model=g.model, positions=g.positions, weights=g.weights, seed=g.seed,
+                      params=g.params, box=g.box)
+        pairs = [tuple(e) for e in g.edge_array.tolist()]
+        from_set = SampledGraph(edges=frozenset(pairs), **fields)
+        from_array = SampledGraph(edges=g.edge_array.copy(), **fields)
+        positional = SampledGraph(g.model, g.positions, g.weights, g.edge_array, g.seed,
+                                  g.params, g.box)
+        n = g.n
+        adjacent = [[v for v in range(n) if v != u and (min(u, v), max(u, v)) in set(pairs)]
+                    for u in range(n)]
+        for h in (g, from_set, from_array, positional):
+            assert h.edges == frozenset(pairs) and isinstance(h.edges, frozenset)
+            assert h.edge_array.dtype == np.int64 and h.edge_array.shape == (len(pairs), 2)
+            assert h.edge_array.tolist() == [list(e) for e in pairs]
+            assert h.neighbors == adjacent
+            assert all(h.has_edge(u, v) == (v in adjacent[u])
+                       for u in range(n) for v in range(n) if u != v)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.edges = frozenset()
+
+    def test_replace_takes_a_set_or_an_array(self):
+        g = self.graph()
+        first = tuple(g.edge_array[0].tolist())
+        for h in (g, dataclasses.replace(g, edges=g.edges)):
+            heavier = dataclasses.replace(h, weights=2 * h.weights)
+            assert heavier.edges == g.edges
+            assert np.array_equal(heavier.edge_array, g.edge_array)
+            assert np.array_equal(heavier.weights, 2 * g.weights)
+            for dropped in (dataclasses.replace(h, edges=h.edges - {first}),
+                            dataclasses.replace(h, edges=h.edge_array[1:])):
+                assert dropped.edges == g.edges - {first}
+                assert np.array_equal(dropped.edge_array, g.edge_array[1:])
+                assert not dropped.has_edge(*first) and h.has_edge(*first)
+                assert first[1] not in dropped.neighbors[first[0]]
+
+    def test_a_cost_map_from_arrays_equals_one_from_a_dict(self):
+        g = self.graph()
+        cm = sample_fpp_costs(g, 3)
+        assert cm.pair_array is g.edge_array
+        items = list(zip(map(tuple, g.edge_array.tolist()), cm.cost_array.tolist()))
+        reordered = dict(items[::-1])  # a dict is read in its own order
+        from_dict = CostMap(reordered, RateModel.UNIT_RATE)
+        assert len(cm) == len(from_dict) == len(items) > 0
+        assert list(cm.costs.items()) == items
+        assert list(from_dict.costs.items()) == items[::-1]
+        assert np.array_equal(from_dict.pair_array, cm.pair_array)
+        assert np.array_equal(from_dict.cost_array, cm.cost_array)
+        for (u, v), c in items:
+            assert cm.cost(u, v) == cm.cost(v, u) == from_dict.cost(v, u) == c
+        for root in (0, 40):
+            assert np.array_equal(cost_distances_from(g, cm, root),
+                                  cost_distances_from(g, from_dict, root))
+
+    def test_a_cffp_map_from_arrays_equals_one_from_a_dict(self):
+        box, params = BoxSpec(d=2, side=5), ModelParams(d=2, alpha=1.5, tau=3.0, lam=1.0)
+        cm = sample_cffp_costs(box, sample_weights(25, 3.0, 8), params, 8)
+        assert len(cm) == 25 * 24 // 2
+        assert list(cm.costs) == [(u, v) for u in range(25) for v in range(u + 1, 25)]
+        from_dict = CostMap(dict(reversed(cm.costs.items())), RateModel.CFFP_RATE)
+        g = self.graph(side=5)
+        for root in (0, 12):
+            assert np.array_equal(cost_distances_from(g, cm, root),
+                                  cost_distances_from(g, from_dict, root))
+
+    def test_a_map_that_misses_an_edge_raises_the_same_error(self):
+        g = self.graph()
+        cm = sample_fpp_costs(g, 3)
+        edges, n = g.edge_array, g.n
+        for missed in ([0], [len(edges) // 2, len(edges) - 1], [len(edges) - 1],
+                       list(range(len(edges)))):
+            keep = np.ones(len(edges), dtype=bool)
+            keep[missed] = False
+            u, v = edges[missed[0]].tolist()
+            arrays = edges[keep], cm.cost_array[keep]
+            as_dict = dict(zip(map(tuple, arrays[0].tolist()), arrays[1].tolist()))
+            for costs in (CostMap(arrays, RateModel.UNIT_RATE),
+                          CostMap(as_dict, RateModel.UNIT_RATE)):
+                with pytest.raises(DomainError, match=re.escape(
+                        f"cost map does not cover edge ({u}, {v})")):
+                    cost_distances_from(g, costs, 0)
+        # a pair beyond the graph's vertices whose key lo * n + hi is an edge's
+        u, v = edges[len(edges) // 2].tolist()
+        assert u > 0
+        alias = {k: c for k, c in cm.costs.items() if k != (u, v)}
+        alias[(u - 1, n + v)] = 0.0
+        with pytest.raises(DomainError, match=re.escape(f"cover edge ({u}, {v})")):
+            cost_distances_from(g, CostMap(alias, RateModel.UNIT_RATE), 0)
 
 
 @st.composite
@@ -703,8 +827,8 @@ class TestSlabScan:
                              lam=0.5)
         hashed = []
 
-        def counting(states, words):
-            out = rng.uniforms_from_states(states, words)
+        def counting(states, words, **kwargs):
+            out = rng.uniforms_from_states(states, words, **kwargs)
             hashed.append(len(out))
             return out
 
@@ -740,9 +864,9 @@ class TestSlabScan:
         sys.setswitchinterval(1e-5)  # more thread switches, more orders of completion
         try:
             for count in threads:  # 8: more workers than this machine may have CPUs
-                def recording(states, words, count=count):
+                def recording(states, words, count=count, **kwargs):
                     threads[count].add(threading.current_thread())
-                    return rng.uniforms_from_states(states, words)
+                    return rng.uniforms_from_states(states, words, **kwargs)
 
                 with self.cpus(count), self.small_blocks(), \
                         mock.patch.object(sampler, "uniforms_from_states", recording):
@@ -759,11 +883,11 @@ class TestSlabScan:
         box, params = BoxSpec(d=2, side=9), ModelParams(d=2, alpha=1.5, tau=3.0, lam=0.5)
         raised, calls = [], itertools.count()
 
-        def failing(states, words):
+        def failing(states, words, **kwargs):
             if next(calls) == 4:  # the fifth block's hash, whichever thread asks
                 raised.append(DomainError("a failure in the fifth block"))
                 raise raised[0]
-            return rng.uniforms_from_states(states, words)
+            return rng.uniforms_from_states(states, words, **kwargs)
 
         with self.cpus(2), self.small_blocks():
             with mock.patch.object(sampler, "uniforms_from_states", failing), \
@@ -773,6 +897,39 @@ class TestSlabScan:
             # the pool decides the next scan as before
             edges = sample_graph(box, params, Model.SFP, 3).edge_array.tolist()
         assert edges == sample_graph(box, params, Model.SFP, 3).edge_array.tolist()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("d, sides", [(2, [3, 8, 15, 10, 4, 14]), (3, [2, 4, 5, 3, 4])])
+    def test_back_to_back_scans_in_reused_buffers(self, cpus, d, sides):
+        # blocks of 12 pairs, or a slab's m columns when more, so the buffers
+        # grow with the box; each thread starts from no buffers
+        scans = [(BoxSpec(d=d, side=side), model, seed)
+                 for seed, (side, model) in enumerate(itertools.product(sides, Model))]
+        returned = []
+        with self.cpus(cpus), mock.patch.multiple(sampler, _BLOCK_PAIRS=12, _POOL_MIN_PAIRS=0,
+                                                  _thread_buffers=threading.local()):
+            for i, (box, model, seed) in enumerate(scans):
+                params = ModelParams(d=d, alpha=1.5 + 0.1 * i, lam=0.3,
+                                     tau=math.inf if model is Model.LRP else 2.5)
+                if i == len(scans) // 2:  # a scan whose third block raises, then the rest
+                    calls = itertools.count()
+
+                    def failing(states, words, **kwargs):
+                        if next(calls) == 2:
+                            raise DomainError("a failure in the third block")
+                        return rng.uniforms_from_states(states, words, **kwargs)
+
+                    with mock.patch.object(sampler, "uniforms_from_states", failing), \
+                            pytest.raises(DomainError, match="third block"):
+                        sample_graph(box, params, model, seed)
+                real = sampler.LazyRealization(box, params, model, seed)
+                lo, hi = sampler._scan(real, sampler._pair_blocks(real.n))
+                want = np.unique(lo * real.n + hi)
+                edges = sample_graph(box, params, model, seed).edge_array
+                assert edges.tolist() == [[k // real.n, k % real.n] for k in want.tolist()]
+                returned.append((edges, edges.copy()))
+        # no scan wrote into the edges an earlier one returned
+        assert all(np.array_equal(edges, kept) for edges, kept in returned)
 
     def test_blocks_read_ahead_are_bounded(self):
         box, params = BoxSpec(d=2, side=12), ModelParams(d=2, alpha=1.5, tau=3.0, lam=0.5)
@@ -913,9 +1070,9 @@ class TestGrid:
     def test_the_pool_scans_the_grid(self):
         box, threads = BoxSpec(d=2, side=9), set()
 
-        def recording(states, words):
+        def recording(states, words, **kwargs):
             threads.add(threading.current_thread())
-            return rng.uniforms_from_states(states, words)
+            return rng.uniforms_from_states(states, words, **kwargs)
 
         with TestSlabScan.cpus(2), TestSlabScan.small_blocks(), \
                 mock.patch.object(sampler, "uniforms_from_states", recording):
