@@ -23,7 +23,8 @@ from scipy.optimize import minimize_scalar
 
 from .errors import BudgetError, DomainError
 from .kernels import ModelParams, delta_exponent, pareto_quantile
-from .metrics import _ball_profile, _check_vertex, cost_distances_from, hop_distances_from
+from .metrics import (_ball_profile, _check_thresholds, _check_vertex, cost_distances_from,
+                      hop_distances_from)
 from .rng import trial_seed, trial_seeds, vertex_uniform_each
 from .sampler import (
     BoxSpec,
@@ -162,13 +163,7 @@ def _trial_rows(config: ModelConfig, root: int, thresholds, trials: int, seed: i
     if trials < 1:
         raise DomainError("trials must be >= 1")
     _check_vertex(config.box.n_vertices, root)
-    if not thresholds:
-        raise DomainError("need at least one threshold")
-    if config.metric == "hop" and not all(math.isfinite(t) for t in thresholds):
-        raise DomainError("hop thresholds must be finite, got "
-                          + ", ".join(str(t) for t in thresholds if not math.isfinite(t)))
-    if not all(t >= 0 for t in thresholds):
-        raise DomainError(f"thresholds must be nonnegative numbers, got {thresholds}")
+    _check_thresholds(thresholds, hop=config.metric == "hop")
     cap = max(thresholds)
     return np.array([row(*_distances_for_trial(config, root, trial_seed(seed, i), cap))
                      for i in range(trials)], dtype=np.float64)

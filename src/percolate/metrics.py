@@ -3,17 +3,17 @@
 "Unreachable" is always the distinguished return `None`, never a sentinel
 number.  All operations are read-only over immutable inputs.
 
-Hop distances come from one level-synchronous BFS, which runs on a
-`SampledGraph` or on a `LazyRealization`.  The hop estimators use the
-latter: they sample only the pairs between each BFS frontier and the
-unvisited vertices.  Each pair's edge is a pure function of (seed, {u, v}),
-decided by the same arithmetic as the full scan, so the distances equal
-those on `sample_graph`'s realization.  Cost distances on a `SampledGraph`
-come from scipy's Dijkstra over arrays, with no Python container built: the
-graph's `edge_array` with its costs, found in the CostMap's sorted
-`pair_array`, for FPP costs, and the map's own pairs for CFFP costs.  On a
-`CffpRealization` they come from a dense Dijkstra over its cost rows.  Both
-read inf beyond `t_max`.
+Every search on a `SampledGraph` is scipy's Dijkstra over one CSR of
+pairs (`_pair_csr`), with no Python container built: hop distances run it
+unweighted over the graph's `edge_array`; FPP costs weight those edges with
+the costs found in the CostMap's sorted `pair_array`, and CFFP costs use
+the map's own pairs.  A `LazyRealization` is searched by a level-synchronous
+BFS, which samples only the pairs between each frontier and the unvisited
+vertices; the hop estimators use it.  Each pair's edge is a pure function
+of (seed, {u, v}), decided by the same arithmetic as the full scan, so the
+distances equal those on `sample_graph`'s realization.  On a
+`CffpRealization` cost distances come from a dense Dijkstra over its cost
+rows.  Cost searches read inf beyond `t_max`.
 
 The dense Dijkstra settles vertices in exact Dijkstra order, but fetches
 cost rows in batches, as `CffpRealization.cost_row` pays per call more than
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -70,38 +69,49 @@ def _check_vertex(n: int, *vs: int) -> None:
             raise DomainError(f"vertex id {v} outside [0, {n})")
 
 
-def _next_level(graph, frontier: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
-    """Sorted unvisited vertices adjacent to the frontier."""
-    if isinstance(graph, LazyRealization):
-        return graph.frontier_neighbors(frontier, unvisited)
-    adj = graph.neighbors
-    reached = np.fromiter(chain.from_iterable(adj[u] for u in frontier.tolist()),
-                          dtype=np.int64)
-    return np.unique(reached[unvisited[reached]])
-
-
 def _check_depth(name: str, k) -> None:
     """A hop depth is a nonnegative integer, a numpy one included."""
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise DomainError(f"{name} must be a nonnegative integer, got {k!r}")
 
 
-def hop_distances_from(graph, x: int, max_depth: int | None = None) -> np.ndarray:
-    """BFS hop distances from x; -1 marks vertices beyond reach/depth.
+def _pair_csr(n: int, pairs: np.ndarray, values: np.ndarray | None = None) -> csr_array:
+    """(n, n) CSR of `values` (ones if None) at `pairs`; an explicit 0 is an edge of cost 0."""
+    data = np.ones(len(pairs)) if values is None else values
+    return csr_array((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
 
-    `graph` is a SampledGraph or a LazyRealization, whose edges are then
-    sampled only between each BFS level and the unvisited vertices.
+
+def _check_thresholds(thresholds: list, hop: bool) -> None:
+    """A grid is non-empty and >= 0 (NaN fails), and finite for hops; failing values are named."""
+    if not thresholds:
+        raise DomainError("need at least one threshold")
+    bad = ", ".join(str(t) for t in thresholds if not (0 <= t < math.inf if hop else t >= 0))
+    if bad:
+        raise DomainError(("hop thresholds must be nonnegative and finite" if hop
+                           else "thresholds must be nonnegative") + f", got {bad}")
+
+
+def hop_distances_from(graph, x: int, max_depth: int | None = None) -> np.ndarray:
+    """Hop distances from x, as int64; -1 marks vertices beyond reach/depth.
+
+    On a SampledGraph they are scipy's unweighted Dijkstra over its
+    `edge_array`.  A LazyRealization is searched by a level-synchronous BFS
+    that samples edges only between each level and the unvisited vertices.
     """
     _check_vertex(graph.n, x)
     if max_depth is not None:
         _check_depth("max_depth", max_depth)
+    if not isinstance(graph, LazyRealization):
+        hops = dijkstra(_pair_csr(graph.n, graph.edge_array), directed=False, unweighted=True,
+                        indices=x, limit=np.inf if max_depth is None else max_depth)
+        return np.where(np.isinf(hops), -1, hops).astype(np.int64)
     dist = np.full(graph.n, -1, dtype=np.int64)
     dist[x] = 0
     frontier = np.array([x], dtype=np.int64)
     depth = 0
     while frontier.size and (max_depth is None or depth < max_depth):
         depth += 1
-        frontier = _next_level(graph, frontier, dist < 0)
+        frontier = graph.frontier_neighbors(frontier, dist < 0)
         dist[frontier] = depth
     return dist
 
@@ -137,9 +147,8 @@ def _sparse_cost_search(graph: SampledGraph, costs: CostMap | None, x: int,
             u, v = e[np.argmin(covered)].tolist()
             raise DomainError(f"cost map does not cover edge ({u}, {v})")
         c = costs.cost_array[at]
-    # csgraph keeps an explicit zero entry as an edge of cost 0.
-    mat = csr_array((c, (e[:, 0], e[:, 1])), shape=(graph.n, graph.n))
-    return dijkstra(mat, directed=False, indices=x, limit=np.inf if t_max is None else t_max)
+    return dijkstra(_pair_csr(graph.n, e, c), directed=False, indices=x,
+                    limit=np.inf if t_max is None else t_max)
 
 
 def _dense_cost_search(real: CffpRealization, x: int, t_max: float | None) -> np.ndarray:
@@ -248,18 +257,12 @@ def ball_series(obj, x: int, thresholds, costs: CostMap | None = None) -> BallSe
     thresholds = list(thresholds)
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise DomainError("thresholds must be strictly increasing")
-    if not thresholds:
-        raise DomainError("need at least one threshold")
-    if not all(t >= 0 for t in thresholds):
-        raise DomainError(f"thresholds must be nonnegative, got {thresholds}")
-
     cost_mode = isinstance(obj, CffpRealization) or costs is not None
+    _check_thresholds(thresholds, hop=not cost_mode)
     if cost_mode:
         dist = cost_distances_from(obj, costs, x, t_max=float(thresholds[-1]))
         kind = BallKind.COST
     else:
-        if not all(math.isfinite(t) for t in thresholds):
-            raise DomainError(f"hop thresholds must be finite, got {thresholds}")
         dist = hop_distances_from(obj, x, max_depth=int(thresholds[-1])).astype(float)
         dist[dist < 0] = np.inf
         kind = BallKind.HOP

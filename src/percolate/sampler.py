@@ -261,7 +261,8 @@ class SampledGraph:
 
     @cached_property
     def neighbors(self) -> list[list[int]]:
-        """Each vertex's neighbours, in increasing order."""
+        """Each vertex's neighbours, in increasing order.  No search reads them:
+        only the brute-force oracles of `metrics`, the tests and perfbench's tracer."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in zip(*self.edge_array.T.tolist()):
             adj[u].append(v)

@@ -27,7 +27,9 @@ from percolate import (
     cost_distance,
     graph_distance,
     k_ball,
+    load_graph,
     sample_graph,
+    save_graph,
     t_ball,
 )
 from percolate import metrics, rng, sampler
@@ -480,7 +482,7 @@ def realizations(draw):
     """A small LRP/SFP/GIRG realization, a root and a BFS depth cap."""
     model = draw(st.sampled_from(list(Model)))
     d = draw(st.sampled_from([1, 2]))
-    side = draw(st.integers(2, 40) if d == 1 else st.integers(2, 7))
+    side = draw(st.integers(1, 40) if d == 1 else st.integers(1, 7))
     box = BoxSpec(d=d, side=side,
                   origin=tuple(draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))))
     params = ModelParams(
@@ -516,6 +518,30 @@ class TestLazyRealization:
         assert np.array_equal(real.weights, g.weights)
         n = box.n_vertices
         assert sum(hashed) <= n * (n - 1) // 2
+
+    @pytest.mark.parametrize("model, d, side", [(Model.LRP, 1, 40), (Model.SFP, 2, 6),
+                                                (Model.GIRG, 2, 6)])
+    def test_hop_searches_on_sampled_and_loaded_graphs_read_no_neighbors(self, tmp_path, model,
+                                                                          d, side):
+        box = BoxSpec(d=d, side=side)
+        params = ModelParams(d=d, alpha=1.5, tau=math.inf if model is Model.LRP else 3.0,
+                             lam=0.5)
+        g = sample_graph(box, params, model, 5)
+        save_graph(g, tmp_path / "g.txt")
+        lazy = hop_distances_from(LazyRealization(box, params, model, 5), 0)
+        far = int(np.argmax(lazy))
+
+        def refuse(self):
+            raise AssertionError("a hop search read SampledGraph.neighbors")
+
+        with mock.patch.object(SampledGraph, "neighbors", property(refuse)):
+            loaded, _ = load_graph(tmp_path / "g.txt")
+            for graph in (g, loaded):
+                assert np.array_equal(hop_distances_from(graph, 0), lazy)
+                assert graph_distance(graph, 0, far) == lazy[far] > 1
+                assert k_ball(graph, 0, 2) == set(np.nonzero((lazy >= 0) & (lazy <= 2))[0].tolist())
+                assert ball_series(graph, 0, [0, 1, 2, 3]).sizes == tuple(
+                    int(np.count_nonzero((lazy >= 0) & (lazy <= k))) for k in range(4))
 
     def test_checks_as_sample_graph(self):
         params = lrp(lam=0.5)
