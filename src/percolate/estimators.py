@@ -201,7 +201,7 @@ def mc_tail_grid(
     All cells of one trial share the same realization (seed mixed with the
     trial index), so estimates are monotone in the threshold by construction.
     """
-    ys = [int(y) for y in ys]
+    ys = list(ys)
     if not ys:
         raise DomainError("need at least one target")
     _check_vertex(config.box.n_vertices, *ys)

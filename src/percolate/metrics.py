@@ -17,8 +17,8 @@ rows.  Cost searches read inf beyond `t_max`.
 
 The dense Dijkstra settles vertices in exact Dijkstra order, but fetches
 cost rows in batches, as `CffpRealization.cost_row` pays per call more than
-per pair: at n = 2,001 a call took about 50 us plus 30 us per row (rows of
-1 to 4 vertices, 2-CPU Xeon).  When the vertex it settles has no row yet, it
+per pair: at n = 2,001 a call took about 50 us plus 25 us per row (calls of
+2 to 8 rows inside the search, 2-CPU Xeon).  When the vertex it settles has no row yet, it
 fetches rows in one call for that vertex and the next nearest unsettled, not
 yet fetched vertices within `t_max` (finite ones when there is none), about
 `_ROW_BATCH_PAIRS` pairs in all.  Prefetching is exact: distances only
@@ -64,7 +64,10 @@ class BallKind(str, Enum):
 
 
 def _check_vertex(n: int, *vs: int) -> None:
+    """Each vertex id is an integer, a numpy one included, in [0, n)."""
     for v in vs:
+        if not isinstance(v, (int, np.integer)):
+            raise DomainError(f"vertex id must be an integer, got {v!r}")
         if not 0 <= v < n:
             raise DomainError(f"vertex id {v} outside [0, {n})")
 

@@ -19,9 +19,9 @@ Three walks apply it, and the box's dimension alone picks the eager one:
   cuts the box into slabs along axis 0; a block pairs contiguous slab
   slices, whose vertex ids and states broadcast against each other, and
   reads its pairs' offset ids from one small table per axis-0 offset.
-  The blocks run on the CPUs the process may use, a bounded number in
-  flight, and their edges are joined in block order, so the scan's result
-  does not depend on the CPUs;
+  One worker per CPU the process may use pulls blocks from one shared
+  iterator, and the blocks' edges are joined in block order, so the
+  scan's result does not depend on the CPUs;
 - the block scan (`_scan` over `_pair_blocks`), with which `sample_graph`
   decides all pairs of a 1-d box, whose slabs would be single vertices;
 - the lazy rows of `LazyRealization`, which decide a pair only when a
@@ -54,11 +54,9 @@ import math
 import operator
 import os
 import threading
-from collections import deque
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -322,9 +320,9 @@ def sample_weights(n: int, tau: float, seed: int) -> np.ndarray:
 # maps them or trims them from its heap once freed: a 2-d SFP FPP trial of
 # side 64 whose slab blocks allocated their arrays afresh took a median of
 # 9 k to 15 k minor page faults (getrusage, 2-CPU Xeon), and 0 with
-# MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ at 1 GB.  So the slab
-# scan decides its blocks in per-thread buffers (`_block_buffers`), kept
-# from block to block, and the trial takes about 1.7 k.
+# MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ at 1 GB.  So each
+# worker of the slab scan decides its blocks in buffers it allocates once
+# per scan, and the trial takes 2.3 k to 2.8 k (medians of 12 trials).
 _BLOCK_PAIRS = 131_072
 
 
@@ -470,89 +468,29 @@ def _slab_blocks(box: BoxSpec):
                        (None, slice(None)), ids)
 
 
-# Blocks read ahead per worker of the pool: one being decided and one
-# queued, so a worker seldom waits for the caller and few blocks are held.
-_BLOCKS_PER_WORKER = 2
 # Below about this many pairs per block, handing blocks to threads costs
 # more than a second CPU saves: a small block is many short numpy calls, and
 # each release of the interpreter lock becomes a handoff between threads.
 _POOL_MIN_PAIRS = 32_768
-_pool = None  # (pid, workers, executor): the pool of the process that built it
 
 
-def _block_pool():
-    """(executor, workers): a thread pool with one worker per CPU this
-    process may run on, or None with one CPU.  A forked child inherits the
-    parent's pool without its threads, so the pool is built again in any
-    process other than the one that built it."""
-    global _pool
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        workers = os.cpu_count() or 1
-    if workers < 2:
-        return None
-    if _pool is None or _pool[:2] != (os.getpid(), workers):
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = os.getpid(), workers, ThreadPoolExecutor(workers, "percolate-scan")
-    return _pool[2], workers
-
-
-def _in_order(fn, items, pool):
-    """fn of each item, yielded in the items' order: inline when `pool` is
-    None, else on the `_block_pool` pool, reading at most _BLOCKS_PER_WORKER
-    items per worker ahead of the one whose result is awaited.  A call's
-    exception reaches the caller as raised."""
-    if pool is None:
-        yield from map(fn, items)
-        return
-    executor, workers = pool
-    pending = deque()
-    try:
-        for item in items:
-            pending.append(executor.submit(fn, item))
-            if len(pending) >= _BLOCKS_PER_WORKER * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:  # after an exception: drop the queued calls, let the running ones end
-        for future in pending:
-            future.cancel()
-        futures_wait(pending)
-
-
-_thread_buffers = threading.local()  # `_block_buffers` of each thread that decides blocks
-
-
-def _block_buffers(size: int) -> tuple:
-    """This thread's buffers for a block of `size` pairs: two 8-byte arrays
-    and a bool array of max(_BLOCK_PAIRS, size) elements, kept for the
-    thread's next block and grown only for a larger one."""
-    buffers = getattr(_thread_buffers, "buffers", None)
-    if buffers is None or len(buffers[2]) < size:
-        size = max(_BLOCK_PAIRS, size)
-        buffers = _thread_buffers.buffers = (np.empty(size, np.uint64), np.empty(size, np.uint64),
-                                      np.empty(size, bool))
-    return buffers
-
-
-def _slab_block(real: LazyRealization, slabs: tuple, block) -> tuple:
+def _slab_block(real: LazyRealization, slabs: tuple, block, buffers: tuple) -> tuple:
     """The edges among the pairs of one block of `_slab_blocks`, as two
     vertex arrays (lo, hi).  `slabs` holds the (side, m) vertex ids and hash
     states of the box.
 
-    The block's uniforms, probabilities and selection are made in this
-    thread's `_block_buffers`: the hash in both 8-byte buffers, leaving the
-    uniforms in the second, then the probabilities in the first.  The edges
-    returned are copies, so they outlive the buffers' next use."""
+    The block's uniforms, probabilities and selection are made in `buffers`,
+    two 8-byte arrays and a bool array of at least the block's size: the
+    hash in both 8-byte buffers, leaving the uniforms in the second, then
+    the probabilities in the first.  The edges returned are copies, so they
+    outlive the buffers' next use."""
     vertex, states = slabs
     a, r0, r1, lo, hi, ids = block
     lo, hi = (slice(r0, r1),) + lo, (slice(r0 + a, r1 + a),) + hi
     x, y = vertex[lo], vertex[hi]
     shape = np.broadcast_shapes(x.shape, y.shape)
     size = math.prod(shape)
-    first, second, chosen = _block_buffers(size)
+    first, second, chosen = buffers
     # the hash reads its words as uint64: a view of the vertex ids, not a copy
     u = uniforms_from_states(states[lo], y.view(np.uint64), out=(first, second))
     p = _pair_probs(real, x, y, ids, out=first[:size].view(np.float64).reshape(shape))
@@ -570,26 +508,60 @@ def _slab_scan(real: LazyRealization):
     weights and GIRG coordinates per vertex and reads a lattice pair's rate
     at the block's offset ids, so a lattice pair costs no power of its own.
 
-    `_slab_block` decides each block, in its thread's reused buffers
-    (`_block_buffers`), and returns copies.  The blocks run on the CPUs this
-    process may use (`_block_pool`), with a bounded number in flight, unless
-    the box is too small for threads to pay (`_POOL_MIN_PAIRS`); either way
-    their edges are joined in block order, so the arrays are the same.
+    One worker per CPU this process may use pulls blocks from one shared
+    iterator and decides each by `_slab_block`, in buffers it allocates once
+    for the scan, sized for the largest block.  A box too small for threads
+    to pay (`_POOL_MIN_PAIRS`), or one CPU, has the caller's thread as its
+    one worker; else the workers are threads of their own.  An error in a
+    block, or an interrupt of the caller, stops every worker after its
+    current block.  The edges are joined in block order, so the arrays do
+    not depend on the CPUs.
     """
     side, n = real.box.side, real.n
     vertex = np.arange(n).reshape(side, -1)
     slabs = vertex, real._states.reshape(side, -1)
     # An empty block fills the caches `_pair_probs` reads (weights, their
-    # powers, GIRG coordinate columns, offset tables) before the pool's
-    # threads do, as `cached_property` has no lock from Python 3.12 on.
+    # powers, GIRG coordinate columns, offset tables) before the workers
+    # do, as `cached_property` has no lock from Python 3.12 on.
     _pair_probs(real, vertex[:0, 0], vertex[:0, 0])
+    blocks, edges = enumerate(_slab_blocks(real.box)), {}
+    lock, stop = threading.Lock(), threading.Event()
+    size = max(_BLOCK_PAIRS, n // side)
+
+    def decide():
+        buffers = np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size, bool)
+        try:
+            while not stop.is_set():
+                with lock:
+                    item = next(blocks, None)
+                if item is None:
+                    return
+                edges[item[0]] = _slab_block(real, slabs, item[1], buffers)
+        except BaseException:
+            stop.set()
+            raise
+
+    workers = 1
     # n * m / 2 is the mean number of pairs per axis-0 offset, and a block
     # holds one offset's pairs unless they exceed _BLOCK_PAIRS
-    pool = _block_pool() if n * (n // side) // 2 >= _POOL_MIN_PAIRS else None
-    los, his = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo, hi in _in_order(partial(_slab_block, real, slabs), _slab_blocks(real.box), pool):
-        los.append(lo)
-        his.append(hi)
+    if n * (n // side) // 2 >= _POOL_MIN_PAIRS:
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity masks on this platform
+            workers = os.cpu_count() or 1
+    if workers < 2:
+        decide()
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded by the first pooled scan
+
+        with ThreadPoolExecutor(workers, "percolate-scan") as executor:
+            try:
+                for future in [executor.submit(decide) for _ in range(workers)]:
+                    future.result()
+            finally:  # on an error or an interrupt, no worker takes another block
+                stop.set()
+    # in block order, after an empty pair for a box of no blocks
+    los, his = zip((np.empty(0, dtype=np.int64),) * 2, *(edges[i] for i in range(len(edges))))
     return np.concatenate(los), np.concatenate(his)
 
 

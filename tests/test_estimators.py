@@ -124,6 +124,8 @@ ESTIMATOR_INPUTS = [
     ("shape-negative-k", lambda c: shape_containment(c, 16, [-1], _unit_radius, 2, 1)),
     ("tail-target-99", lambda c: mc_tail_grid(c, 16, [99], [1], 2, 1)),
     ("tail-target-minus-1", lambda c: mc_tail_grid(c, 16, [-1], [1], 2, 1)),
+    ("tail-target-1.5", lambda c: mc_tail_grid(c, 16, [1.5], [1], 2, 1)),
+    ("tail-source-1.5", lambda c: mc_tail_grid(c, 1.5, [7], [1], 2, 1)),
     ("tail-negative-threshold", lambda c: mc_tail_grid(c, 16, [20], [-1], 2, 1)),
     ("growth-no-threshold", lambda c: mc_ball_growth(c, 16, [], 2, 1)),
     ("growth-negative-threshold", lambda c: mc_ball_growth(c, 16, [-1, 1], 2, 1)),

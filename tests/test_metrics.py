@@ -366,6 +366,25 @@ class TestBalls:
         assert np.array_equal(hop_distances_from(g, 10, max_depth=np.int32(2)),
                               hop_distances_from(g, 10, max_depth=2))
 
+    @pytest.mark.parametrize("v", [1.5, np.float64(1.0), "1", None])
+    def test_vertex_ids_must_be_integers(self, v):
+        box = BoxSpec(d=1, side=21)
+        g = sample_graph(box, lrp(lam=0.3), Model.LRP, 2)
+        costs = sampler.sample_fpp_costs(g, 3)
+        real = CffpRealization(box=box, weights=np.ones(21), seed=1,
+                               params=ModelParams(d=1, alpha=1.5, tau=math.inf, lam=1.0))
+        calls = [lambda: graph_distance(g, v, 7), lambda: graph_distance(g, 7, v),
+                 lambda: cost_distance(g, costs, v, 7), lambda: cost_distance(real, None, v, 7),
+                 lambda: hop_distances_from(LazyRealization(box, g.params, g.model, 2), v),
+                 lambda: k_ball(g, v, 2), lambda: t_ball(real, None, v, 1.0)]
+        for call in calls:
+            with pytest.raises(DomainError, match="vertex id must be an integer"):
+                call()
+
+    def test_numpy_integer_vertex_ids_are_vertices(self):
+        g = sample_graph(BoxSpec(d=1, side=21), lrp(lam=0.3), Model.LRP, 2)
+        assert graph_distance(g, np.int64(1), np.uint8(7)) == graph_distance(g, 1, 7)
+
     def test_t_ball_trivia_and_membership(self):
         box = BoxSpec(d=1, side=12)
         params = ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0)

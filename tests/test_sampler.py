@@ -901,13 +901,12 @@ class TestSlabScan:
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("d, sides", [(2, [3, 8, 15, 10, 4, 14]), (3, [2, 4, 5, 3, 4])])
     def test_back_to_back_scans_in_reused_buffers(self, cpus, d, sides):
-        # blocks of 12 pairs, or a slab's m columns when more, so the buffers
-        # grow with the box; each thread starts from no buffers
+        # blocks of 12 pairs, or a slab's m columns when more, so the buffers'
+        # size follows the box
         scans = [(BoxSpec(d=d, side=side), model, seed)
                  for seed, (side, model) in enumerate(itertools.product(sides, Model))]
         returned = []
-        with self.cpus(cpus), mock.patch.multiple(sampler, _BLOCK_PAIRS=12, _POOL_MIN_PAIRS=0,
-                                                  _thread_buffers=threading.local()):
+        with self.cpus(cpus), mock.patch.multiple(sampler, _BLOCK_PAIRS=12, _POOL_MIN_PAIRS=0):
             for i, (box, model, seed) in enumerate(scans):
                 params = ModelParams(d=d, alpha=1.5 + 0.1 * i, lam=0.3,
                                      tau=math.inf if model is Model.LRP else 2.5)
@@ -931,31 +930,72 @@ class TestSlabScan:
         # no scan wrote into the edges an earlier one returned
         assert all(np.array_equal(edges, kept) for edges, kept in returned)
 
-    def test_blocks_read_ahead_are_bounded(self):
+    def test_each_worker_holds_one_block(self):
         box, params = BoxSpec(d=2, side=12), ModelParams(d=2, alpha=1.5, tau=3.0, lam=0.5)
         slab_blocks, slab_block = sampler._slab_blocks, sampler._slab_block
-        read, lead = [], []  # the blocks read so far, in order
+        read, done, held = [], [], []  # blocks read, blocks decided, samples of the difference
 
         def counted_blocks(box):
             for block in slab_blocks(box):
                 read.append(block)
                 yield block
 
-        def leading_block(real, slabs, block):
-            # the blocks read after this one, while it is decided
-            index = next(i for i, b in enumerate(read) if b is block)
-            lead.append(len(read) - 1 - index)
-            out = slab_block(real, slabs, block)
-            lead.append(len(read) - 1 - index)
+        def watched_block(*args):
+            held.append(len(read) - len(done))
+            out = slab_block(*args)
+            held.append(len(read) - len(done))
+            done.append(args[2])
             return out
 
         with self.cpus(2), self.small_blocks(), \
                 mock.patch.multiple(sampler, _slab_blocks=counted_blocks,
-                                    _slab_block=leading_block):
+                                    _slab_block=watched_block):
             edges = sample_graph(box, params, Model.SFP, 4).edge_array.tolist()
-        assert len(read) > 100 * sampler._BLOCKS_PER_WORKER
-        assert max(lead) < 2 * sampler._BLOCKS_PER_WORKER
+        assert len(read) == len(done) > 200
+        # while a block is decided, each of the two workers holds one block at most
+        assert max(held) <= 2
         assert edges == sample_graph(box, params, Model.SFP, 4).edge_array.tolist()
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_an_error_stops_every_worker(self, cpus):
+        box, params = BoxSpec(d=2, side=12), ModelParams(d=2, alpha=1.5, tau=3.0, lam=0.5)
+        slab_block = sampler._slab_block
+        calls, raised, after = itertools.count(), threading.Event(), []
+
+        def failing_block(*args):
+            if next(calls) == 10:
+                raised.set()
+                raise DomainError("a failure in the eleventh block")
+            out = slab_block(*args)
+            if raised.is_set():
+                after.append(args[2])  # decided after the failure
+            return out
+
+        with self.cpus(cpus), self.small_blocks():
+            with mock.patch.object(sampler, "_slab_block", failing_block), \
+                    pytest.raises(DomainError, match="eleventh block"):
+                sample_graph(box, params, Model.SFP, 4)
+            blocks = sum(1 for _ in sampler._slab_blocks(box))
+        # hundreds of blocks were left, and each worker decided one more at most
+        assert blocks > 200
+        assert len(after) <= cpus
+
+    def test_without_affinity_masks_the_scan_uses_cpu_count(self, monkeypatch):
+        box, params = BoxSpec(d=2, side=16), ModelParams(d=2, alpha=1.5, tau=3.0, lam=0.5)
+        want = sample_graph(box, params, Model.SFP, 8).edge_array.tolist()
+        threads = set()
+
+        def recording(states, words, **kwargs):
+            threads.add(threading.current_thread())
+            return rng.uniforms_from_states(states, words, **kwargs)
+
+        monkeypatch.delattr(sampler.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sampler, "uniforms_from_states", recording)
+        with self.small_blocks():
+            assert sample_graph(box, params, Model.SFP, 8).edge_array.tolist() == want
+        assert len(threads) == 2
+        assert threading.current_thread() not in threads
 
     def test_a_forked_child_scans_after_its_parent(self):
         box, params = BoxSpec(d=2, side=16), ModelParams(d=2, alpha=1.5, tau=3.0, lam=0.5)
