@@ -5,12 +5,20 @@ dominance checks flag a violation only when the empirical shortfall exceeds
 three binomial standard errors, computed under the boundary hypothesis
 (the target probability itself), which keeps the criterion meaningful in
 tail regions the trial count cannot resolve.
+
+A blow-up puts the fine box r*u + {0..r-1}^d behind coarse vertex u
+(`blowup_box_map`); u and v are adjacent iff a fine edge joins their boxes,
+and `blowup_lrp` reports the smallest such edge as their witness.  Crossing
+witnesses and walking the grid inside boxes turns a coarse path of length k
+into a fine one of at most 3*d*r*k steps (`stitch_fine_path`,
+`path_stitch_bound`): the paper's overhead on distances.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -61,8 +69,7 @@ class BlowupSpec:
 
     def __post_init__(self):
         # r = 1 is the identity blow-up, useful as a degenerate check.
-        if self.r < 1:
-            raise DomainError(f"blow-up factor must be >= 1, got {self.r}")
+        object.__setattr__(self, "r", *_positive_integers("the blow-up factor", self.r))
 
 
 @dataclass
@@ -78,13 +85,7 @@ class CouplingReport:
             raise DomainError("violations cannot exceed trials")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "trials": self.trials,
-            "violations": self.violations,
-            "parameters": self.parameters,
-            "details": self.details,
-        }
+        return dict(vars(self), kind=self.kind.value)  # the fields, in order
 
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -198,15 +199,15 @@ def fpp_cffp_edge_check(
     )
 
 
-def _as_coord(u, d: int) -> tuple[int, ...]:
-    if isinstance(u, (int, np.integer)):
-        if d != 1:
-            raise DomainError("scalar coarse vertex only valid in dimension 1")
-        return (int(u),)
-    coord = tuple(int(c) for c in u)
-    if len(coord) != d:
-        raise DomainError(f"coarse vertex has {len(coord)} coordinates, expected {d}")
-    return coord
+def _positive_integers(what: str, *values) -> list[int]:
+    """`values` as Python ints, if all are integers >= 1, numpy's included."""
+    try:
+        ints = [operator.index(v) for v in values]
+        if min(ints) >= 1:
+            return ints
+    except TypeError:
+        pass
+    raise DomainError(f"expected positive integers for {what}, got {', '.join(map(repr, values))}")
 
 
 def blowup_box_map(u, r: int, d: int) -> set[tuple[int, ...]]:
@@ -215,16 +216,13 @@ def blowup_box_map(u, r: int, d: int) -> set[tuple[int, ...]]:
     Fine coordinates are r*u + {0..r-1}^d; boxes of distinct coarse
     vertices are disjoint and tile the fine lattice.
     """
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
-    base = np.asarray(_as_coord(u, d)) * r
-    return {tuple(int(c) for c in base + off) for off in BoxSpec(d=d, side=r).coords.T}
+    cell = BoxSpec(d=d, side=r, origin=u if np.ndim(u) else (u,))  # integers only
+    return {tuple(x) for x in (cell.coords.T + np.multiply(cell.side, cell.origin)).tolist()}
 
 
 def path_stitch_bound(r: int, d: int, k: int) -> int:
     """Fine-lattice path budget 3*d*r*k for a coarse path of length k."""
-    if r < 1 or d < 1 or k < 1:
-        raise DomainError("r, d and k must be positive integers")
+    r, d, k = _positive_integers("r, d and k", r, d, k)
     return 3 * d * r * k
 
 
@@ -355,60 +353,40 @@ def combine_blowup_reports(reports: list[CouplingReport]) -> CouplingReport:
             cnt = pooled.setdefault(rec["dist"], [0, 0])
             cnt[0] += rec["pairs"]
             cnt[1] += rec["edges"]
-    params = reports[0].parameters
-    return _blowup_report(pooled, {k: v for k, v in params.items() if k != "witnesses"})
+    params, *others = ({k: v for k, v in rep.parameters.items() if k != "witnesses"}
+                       for rep in reports)
+    for other in others:
+        for key in {**params, **other}:
+            if params.get(key) != other.get(key):
+                raise DomainError(f"cannot pool blow-up reports that differ in {key!r}: "
+                                  f"{params.get(key)!r} against {other.get(key)!r}")
+    return _blowup_report(pooled, params)
 
 
-def _walk_within_box(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-    """Axis-by-axis unit steps from a to b; stays inside the shared box."""
-    path = [a.copy()]
-    cur = a.astype(np.int64).copy()
-    for axis in range(len(a)):
-        step = 1 if b[axis] > cur[axis] else -1
-        while cur[axis] != b[axis]:
-            cur[axis] += step
-            path.append(cur.copy())
-    return path
-
-
-def stitch_fine_path(
-    fine: SampledGraph,
-    fine_box: BoxSpec,
-    coarse_path: list[int],
-    witnesses: dict,
-    r: int,
-    coarse_box: BoxSpec,
-) -> list[int]:
-    """Construct a fine path realizing a coarse path, via witness edges.
-
-    Consecutive coarse vertices are joined by their witness fine edge;
-    within each box the walk proceeds along grid edges one axis at a time.
-    The result length is at most path_stitch_bound(r, d, k).
-    """
+def stitch_fine_path(fine: SampledGraph, coarse_path: list[int], witnesses: dict) -> list[int]:
+    """A fine path realizing a coarse path: the witness edges, as `blowup_lrp`
+    reports them ("u,v" -> [fu, fv] from box(u) to box(v), u < v), joined
+    inside each box by grid steps of `fine.box`, one axis at a time.  It has
+    at most path_stitch_bound(r, d, k) steps."""
     if len(coarse_path) < 2:
         raise DomainError("coarse path needs at least two vertices")
-
-    def fine_index(coord: np.ndarray) -> int:
-        return int(fine_box.index(coord - np.asarray(fine_box.origin)))
-
+    box = fine.box
+    if box is None:
+        raise DomainError("stitching walks the fine graph's lattice box, and it has none")
     path: list[int] = []
-    cur: np.ndarray | None = None
     for cu, cv in zip(coarse_path, coarse_path[1:]):
         key = (min(cu, cv), max(cu, cv))
-        if key not in witnesses:
+        if f"{key[0]},{key[1]}" not in witnesses:
             raise DomainError(f"coarse pair {key} has no witness edge")
-        fu, fv = witnesses[key]
-        if cu > cv:
-            fu, fv = fv, fu
-        a = fine.positions[fu].astype(np.int64)
-        b = fine.positions[fv].astype(np.int64)
-        if cur is None:
-            path.append(fine_index(a))
-        else:
-            for step in _walk_within_box(cur, a)[1:]:
-                path.append(fine_index(step))
-        path.append(fine_index(b))
-        cur = b
+        fu, fv = witnesses[f"{key[0]},{key[1]}"][::1 if cu < cv else -1]
+        if not path:
+            path.append(fu)
+        x = box.coords[:, path[-1]].tolist()
+        for axis, to in enumerate(box.coords[:, fu].tolist()):
+            while x[axis] != to:
+                x[axis] += 1 if to > x[axis] else -1
+                path.append(int(box.index(x)))
+        path.append(fv)
     return path
 
 
@@ -463,8 +441,7 @@ def weight_dominance_test(
         raise DomainError(f"tau' must lie in (3, {hi}), got {tau_prime}")
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if r < 1 or d < 1:
-        raise DomainError("r and d must be positive integers")
+    r, d = _positive_integers("r and d", r, d)
     n = r**d
     floor = aggregate_weight_floor(alpha, r, d, c_agg)
 

@@ -116,7 +116,8 @@ class ModelConfig:
     """What to sample per trial: a model on a box, measured in a metric.
 
     metric is one of "hop" (graph distance), "fpp" (Exp(1) costs on the
-    sampled edges) or "cffp" (complete graph with weight-dependent rates).
+    sampled edges) or "cffp" (complete graph with weight-dependent rates,
+    on the lattice of LRP or SFP).
     """
 
     box: BoxSpec
@@ -129,6 +130,8 @@ class ModelConfig:
             raise DomainError(f"unknown metric {self.metric!r}")
         if self.metric == "cffp" and self.params.lam != 1.0:
             raise DomainError("CFFP is normalized to lambda = 1")
+        if self.metric == "cffp" and self.model is Model.GIRG:
+            raise DomainError("CFFP is defined on the lattice, not on GIRG positions")
 
 
 def _distances_for_trial(
@@ -167,13 +170,6 @@ def _trial_rows(config: ModelConfig, root: int, thresholds, trials: int, seed: i
     cap = max(thresholds)
     return np.array([row(*_distances_for_trial(config, root, trial_seed(seed, i), cap))
                      for i in range(trials)], dtype=np.float64)
-
-
-def interior_vertices(box: BoxSpec) -> np.ndarray:
-    """Vertex ids at L-inf distance >= side/4 from the box boundary."""
-    margin = box.side / 4.0
-    ok = np.all((box.coords >= margin) & (box.coords <= box.side - 1 - margin), axis=0)
-    return np.nonzero(ok)[0]
 
 
 def mc_tail(

@@ -407,6 +407,7 @@ class TestUsageAndConfig:
 
 _LRP = "--model lrp --d 1 --L 33 --alpha 1.5 --lambda 0.1"
 _TAIL = f"tail {_LRP} --source 16 --trials 2 --seed 1"
+_GIRG_CFFP = "--model girg --d 1 --L 33 --alpha 1.5 --tau 3.5 --lambda 1 --metric cffp"
 
 # Vacuous or out-of-range inputs of the Monte Carlo estimators.
 ESTIMATOR_INPUTS = [
@@ -424,6 +425,9 @@ ESTIMATOR_INPUTS = [
     ("growth-no-threshold", f"growth {_LRP} --thresholds , --trials 2 --seed 1"),
     ("growth-negative-threshold", f"growth {_LRP} --thresholds=-1,1 --trials 2 --seed 1"),
     ("growth-nan-threshold", f"growth {_LRP} --thresholds nan,1 --trials 2 --seed 1"),
+    ("tail-girg-cffp", f"tail {_GIRG_CFFP} --source 16 --trials 2 --seed 1 --targets 20 "
+                       "--thresholds 1"),
+    ("growth-girg-cffp", f"growth {_GIRG_CFFP} --thresholds 0.5,1 --trials 2 --seed 1"),
 ]
 
 

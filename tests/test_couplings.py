@@ -155,8 +155,33 @@ class TestBlowupBoxMap:
         assert sum(len(b) for b in boxes) == 64
         assert union == {(i, j) for i in range(8) for j in range(8)}
 
+    def test_numpy_integers_are_integers(self):
+        assert blowup_box_map(np.array([1, -2]), np.int64(2), np.int32(2)) == \
+            blowup_box_map((1, -2), 2, 2)
+
+    @pytest.mark.parametrize("u, r, d", [((1.5, 0), 2, 2), (2.7, 2, 1), ((1, 0), 2.0, 2),
+                                         (1, 0, 1), ((1, 0), 2, 1), (1, 2, 2)])
+    def test_non_integers_and_bad_shapes_are_refused(self, u, r, d):
+        with pytest.raises(DomainError):
+            blowup_box_map(u, r, d)
+
 
 class TestBlowupLrp:
+    def test_blowup_factor_is_an_integer(self):
+        assert type(BlowupSpec(r=np.int64(2), params_small=lrp_small(0.1)).r) is int
+        for r in (2.5, 2.0, "2", 0):
+            with pytest.raises(DomainError):
+                BlowupSpec(r=r, params_small=lrp_small(0.1))
+
+    def test_pooling_refuses_reports_of_different_configs(self):
+        _, _, a = blowup_lrp(BoxSpec(d=1, side=12), BlowupSpec(2, lrp_small(0.1)), 0.1, 1)
+        _, _, b = blowup_lrp(BoxSpec(d=1, side=12), BlowupSpec(3, lrp_small(0.1, 1.9)), 0.3, 1)
+        with pytest.raises(DomainError, match="'r'"):
+            combine_blowup_reports([a, b])
+        _, _, c = blowup_lrp(BoxSpec(d=1, side=12), BlowupSpec(2, lrp_small(0.1)), 0.3, 2)
+        with pytest.raises(DomainError, match="'lambda_goal'"):
+            combine_blowup_reports([a, c])
+
     def test_identity_blowup_matches_fine(self):
         spec = BlowupSpec(r=1, params_small=lrp_small(0.3))
         fine, coarse, rep = blowup_lrp(BoxSpec(d=1, side=32), spec, 0.3, 5)
@@ -298,17 +323,18 @@ class TestStitching:
         with pytest.raises(DomainError):
             path_stitch_bound(0, 1, 1)
 
+    def test_integers_only(self):
+        assert path_stitch_bound(np.int64(2), np.int32(1), 1) == 6
+        for args in ((2.5, 1, 1), (2, 1.0, 1), (2, 1, "3")):
+            with pytest.raises(DomainError):
+                path_stitch_bound(*args)
+
     def test_constructive_stitch_on_sampled_instances(self):
         r = 3
         coarse_box = BoxSpec(d=1, side=16)
-        fine_box = BoxSpec(d=1, side=r * 16)
         spec = BlowupSpec(r=r, params_small=lrp_small(0.08))
         for s in (1, 2, 3, 4, 5):
             fine, coarse, rep = blowup_lrp(coarse_box, spec, 0.2, s)
-            wit = {
-                tuple(int(x) for x in k.split(",")): tuple(v)
-                for k, v in rep.parameters["witnesses"].items()
-            }
             # walk a shortest coarse path from 0 to the far corner
             dist = hop_distances_from(coarse, 0)
             target = 15
@@ -322,9 +348,48 @@ class TestStitching:
                         break
             path.reverse()
             k = len(path) - 1
-            fine_path = stitch_fine_path(fine, fine_box, path, wit, r, coarse_box)
+            fine_path = stitch_fine_path(fine, path, rep.parameters["witnesses"])
             assert all(fine.has_edge(a, b) for a, b in zip(fine_path, fine_path[1:]))
             assert len(fine_path) - 1 <= path_stitch_bound(r, 1, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), r=st.integers(1, 3), data=st.data())
+    def test_stitched_walks_in_any_dimension(self, d, r, data):
+        side = data.draw(st.integers(2, {1: 10, 2: 5, 3: 3}[d]))
+        origin = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)
+                                 .filter(any)))
+        coarse_box = BoxSpec(d=d, side=side, origin=origin)
+        spec = BlowupSpec(r=r, params_small=lrp_small(0.3, d=d))
+        fine, coarse, rep = blowup_lrp(coarse_box, spec, 0.2, data.draw(st.integers(0, 99)))
+        # a random walk on the coarse graph, back and forth steps included
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        path = [int(rng.integers(coarse_box.n_vertices))]
+        for _ in range(data.draw(st.integers(1, 8))):
+            path.append(int(rng.choice(coarse.neighbors[path[-1]])))
+        fine_path = stitch_fine_path(fine, path, rep.parameters["witnesses"])
+        assert all(fine.has_edge(a, b) for a, b in zip(fine_path, fine_path[1:]))
+
+        def box_of(u):
+            return blowup_box_map(coarse.positions[u].astype(int), r, d)
+
+        assert tuple(fine.positions[fine_path[0]].astype(int)) in box_of(path[0])
+        assert tuple(fine.positions[fine_path[-1]].astype(int)) in box_of(path[-1])
+        assert len(fine_path) - 1 <= path_stitch_bound(r, d, len(path) - 1)
+
+    def test_refusals(self):
+        fine, coarse, rep = blowup_lrp(BoxSpec(d=1, side=8), BlowupSpec(2, lrp_small(0.0)),
+                                       0.1, 3)
+        wit = rep.parameters["witnesses"]
+        assert stitch_fine_path(fine, [1, 0], wit) == [2, 1]
+        with pytest.raises(DomainError, match="at least two vertices"):
+            stitch_fine_path(fine, [3], wit)
+        with pytest.raises(DomainError, match=r"coarse pair \(0, 2\) has no witness edge"):
+            stitch_fine_path(fine, [2, 0], wit)
+        boxless = sampler.SampledGraph(model=fine.model, positions=fine.positions,
+                                       weights=fine.weights, edges=fine.edge_array,
+                                       seed=fine.seed, params=fine.params)
+        with pytest.raises(DomainError):
+            stitch_fine_path(boxless, [0, 1], wit)
 
 
 class TestAggregateWeight:

@@ -39,7 +39,6 @@ from percolate.estimators import (
     LogLinearFit,
     StretchedFit,
     fit_selfbound_constant,
-    interior_vertices,
     write_tail_csv,
 )
 from percolate import sampler
@@ -97,11 +96,6 @@ class TestMcTail:
         ests = mc_tail_grid(config, 16, [48], [1, 2, 3, 4, 6, 8, 12], 150, 3)
         ps = [e.p_hat for e in ests]
         assert all(b >= a for a, b in zip(ps, ps[1:]))
-
-    def test_interior_helper(self):
-        box = BoxSpec(d=1, side=16)
-        inner = interior_vertices(box)
-        assert inner.min() >= 4 and inner.max() <= 11
 
     def test_csv(self, tmp_path):
         config = lrp_config(16, 0.0)
@@ -217,6 +211,13 @@ class TestBallGrowth:
         )
         with pytest.raises(DomainError, match="dimension"):
             mc_ball_growth(config, 0, [0.1, 0.2], 2, 1)
+
+    def test_cffp_is_refused_on_girg(self):
+        # CFFP rates live on the lattice; GIRG positions are random
+        with pytest.raises(DomainError, match="GIRG"):
+            ModelConfig(box=BoxSpec(d=1, side=21),
+                        params=ModelParams(d=1, alpha=1.5, tau=3.5, lam=1.0),
+                        model=Model.GIRG, metric="cffp")
 
     def test_budget_guard_for_cffp(self):
         config = ModelConfig(
