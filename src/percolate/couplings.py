@@ -400,6 +400,7 @@ def aggregate_weight(
     c * n^(1/alpha - 1/2) with n = r^d, because every constituent weight
     is at least 1.
     """
+    r, d = _positive_integers("r and d", r, d)
     w = np.asarray(box_weights, dtype=np.float64)
     n = r**d
     if w.ndim < 1 or w.shape[-1] != n:
@@ -414,6 +415,7 @@ def aggregate_weight(
 
 def aggregate_weight_floor(alpha: float, r: int, d: int, c_agg: float = 1.0) -> float:
     """The deterministic lower bound c * n^(1/alpha - 1/2), n = r^d."""
+    r, d = _positive_integers("r and d", r, d)
     n = r**d
     return float(c_agg * n ** (1.0 / alpha - 0.5))
 

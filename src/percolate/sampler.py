@@ -50,6 +50,7 @@ its bins all read these.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 import os
@@ -228,10 +229,11 @@ class SampledGraph:
     """One realization: positions, weights, symmetric edge set, and its seed.
 
     Its edges are kept as `edge_array`, the sorted (m, 2) int64 array of
-    (lo, hi) rows, which `edges` may be given as.  `edges`, the frozenset
-    of (lo, hi) pairs, is built from it on its first read: the searches,
-    costs, couplings and the text format read the array.  A graph given a
-    set of pairs keeps that set, and sorts it into `edge_array` when read.
+    (lo, hi) rows, which `edges` may be given as: `sample_graph` and
+    `load_graph` give it.  `edges`, the frozenset of (lo, hi) pairs, is
+    built from it on its first read: the searches, costs, couplings and
+    the text format read the array.  A graph given a set of pairs keeps
+    that set, and sorts it into `edge_array` when read.
 
     `box` is the window it was sampled on; hand-built graphs may leave it
     out, and are then taken to sit on a box at the origin.
@@ -274,10 +276,10 @@ class CostMap:
 
     They are kept as `pair_array`, an (m, 2) int64 array of (lo, hi) rows
     sorted by pair, and `cost_array`, the (m,) costs in that order, which
-    `costs` may be given as, a tuple (pairs, values).  `costs`, the dict
-    {(lo, hi): cost}, is built from them, in their order, on its first
-    read.  A map given a dict keeps it, and sorts it into the arrays when
-    they are read.
+    `costs` may be given as, a tuple (pairs, values): the cost samplers and
+    `load_graph` give them.  `costs`, the dict {(lo, hi): cost}, is built
+    from them, in their order, on its first read.  A map given a dict keeps
+    it, and sorts it into the arrays when they are read.
     """
 
     costs: dict = _ArrayBacked("_arrays", tuple, lambda arrays: _pair_dict(*arrays))
@@ -802,11 +804,13 @@ def sample_cffp_costs(box: BoxSpec, weights: np.ndarray, params: ModelParams,
 
 
 # ---------------------------------------------------------------------------
-# Text serialization: header `model d L alpha tau lambda seed kernel
-# origin_1 .. origin_d`, one `w <index> <weight>` line per vertex, `e <u> <v>`
-# per edge, and optional `c <u> <v> <cost>` lines.  Reals use 17
-# significant digits so doubles round-trip exactly, in these files and in
-# the CSV files of `_write_csv`.
+# Text serialization, one record per line, fields parted by single spaces: the
+# header `model d L alpha tau lambda seed kernel origin_1 .. origin_d`, then
+# `w <index> <weight>` for each vertex in index order, `e <u> <v>` for each
+# edge, and `c <u> <v> <cost>` for each cost if there are costs, u < v and
+# both blocks sorted by (u, v).  `load_graph` reads this layout and no other.
+# Reals use 17 significant digits so doubles round-trip exactly, in these
+# files and in the CSV files of `_write_csv`.
 # ---------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
@@ -841,79 +845,109 @@ def save_graph(graph: SampledGraph, path, costs: CostMap | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_RECORD_FIELDS = {"w": 3, "e": 3, "c": 4}  # of each body record, its kind included
+_RECORD_DTYPES = {"w": [("u", np.int64), ("x", np.float64)],  # the fields after the kind
+                  "e": [("u", np.int64), ("v", np.int64)],
+                  "c": [("u", np.int64), ("v", np.int64), ("x", np.float64)]}
+
+
+def _read_block(text: str, kind: str, n: int) -> np.ndarray | None:
+    """The records of one block, a structured array of the fields after their
+    kind, or None if a line breaks the layout: another kind or field count, a
+    field that does not parse, `w` ids other than 0..n-1, or pairs (lo, hi)
+    outside 0 <= lo < hi < n or not sorted and unique."""
+    lines, dtype = text.count("\n"), _RECORD_DTYPES[kind]
+    # each line has the kind and one space per field, since usecols would drop extra fields
+    if text.count(" ") != len(dtype) * lines or ("\n" + text).count(f"\n{kind} ") != lines:
+        return None
+    try:  # loadtxt warns of an empty block
+        rows = (np.loadtxt(io.StringIO(text), dtype, comments=None, delimiter=" ",
+                           usecols=range(1, len(dtype) + 1), ndmin=1)
+                if lines else np.empty(0, dtype))
+    except ValueError:
+        return None
+    if kind == "w":
+        return rows if np.array_equal(rows["u"], np.arange(n)) else None
+    lo, hi = rows["u"], rows["v"]
+    ok = ((0 <= lo) & (lo < hi) & (hi < n)).all() and (np.diff(lo * n + hi) > 0).all()
+    return rows if ok else None
+
+
+def _bad_line(path, blocks, n: int) -> DomainError:
+    """The error naming the first line of the `w`, `e` and `c` blocks that
+    breaks the layout, looked for once `_read_block` has refused a block."""
+    line = 1
+    for kind, text in zip("wec", blocks):
+        last = -1
+        for line, record in enumerate(text.splitlines(), line + 1):
+            parts = record.split(" ")
+            try:
+                if parts[0] != kind or len(parts) != len(_RECORD_DTYPES[kind]) + 1:
+                    raise ValueError(f"malformed record {record!r}, where {kind!r} records belong")
+                u, v = int(parts[1]), int(parts[1 if kind == "w" else 2])
+                if kind != "e":
+                    float(parts[-1])
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"vertex id outside [0, {n})")
+                if kind == "w" and u != last + 1:
+                    raise ValueError(f"the weight of vertex {u} where vertex {last + 1}'s belongs")
+                if kind != "w" and (u >= v or u * n + v <= last):
+                    raise ValueError(f"self-pair ({u}, {v})" if u == v
+                                     else f"pair ({u}, {v}) out of (lo, hi) order")
+            except ValueError as exc:
+                return DomainError(f"{path}, line {line}: {exc}")
+            last = u if kind == "w" else u * n + v
+        if kind == "w" and last < n - 1:
+            return DomainError(f"{path}: no weight record for vertex {last + 1}")
+    return DomainError(f"{path}: a number that numpy does not parse")
 
 
 def load_graph(path) -> tuple[SampledGraph, CostMap | None]:
-    """Read a graph (and costs, if present) written by `save_graph`.
+    """Read a graph (and costs, if present) in `save_graph`'s layout.
 
-    A file that breaks the format raises DomainError naming the line: a
-    malformed header, a record with the wrong number of fields or a number
-    that does not parse, a vertex id outside [0, n), a self-pair, or a
-    second weight for a vertex.  Every vertex needs its one `w` record.
-    GIRG positions are not part of the format; they are regenerated from
-    the stored seed and box, as `sample_graph` drew them.
+    The file is read once and cut into its `w`, `e` and `c` blocks, at its
+    first `e` record and the first `c` record after that.  numpy parses each
+    block whole (`_read_block`), and the arrays go to `SampledGraph` and
+    `CostMap` as they are; the costs are UNIT_RATE if all their pairs are
+    edges.  A malformed header or a block that breaks the layout raises
+    DomainError, which names the first bad line.  GIRG positions are not part
+    of the format; they are regenerated from the stored seed and box, as
+    `sample_graph` drew them.
     """
     with open(path) as fh:
-        lines = fh.readlines()
-    # split lazily: a list of all split lines would be rescanned by the garbage collector
-    records = ((i, ln.split()) for i, ln in enumerate(lines, 1) if ln.strip())
-    line, header = next(records, (0, None))
-    if header is None:
+        header, _, body = fh.read().partition("\n")
+    if not header.split() and not body.strip():
         raise DomainError(f"{path}: empty graph file")
     try:
-        model_s, d_s, side_s, alpha_s, tau_s, lam_s, seed_s, kernel_s, *origin = header
+        model_s, d_s, side_s, alpha_s, tau_s, lam_s, seed_s, kernel_s, *origin = header.split()
         d = int(d_s)
         model, seed = Model(model_s), int(seed_s)
         params = ModelParams(d=d, alpha=float(alpha_s), tau=float(tau_s), lam=float(lam_s),
                              kernel_variant=KernelVariant(kernel_s))
         box = BoxSpec(d=d, side=int(side_s), origin=tuple(int(o) for o in origin))
     except ValueError as exc:  # DomainError included
-        raise DomainError(f"{path}, line {line}: malformed graph header ({exc})") from None
+        raise DomainError(f"{path}, line 1: malformed graph header ({exc})") from None
     n = box.n_vertices
 
-    weights = {}
-    edges = set()
-    costs = {}
-    for line, parts in records:
-        kind = parts[0]
-        try:
-            if len(parts) != _RECORD_FIELDS.get(kind):
-                raise ValueError(f"malformed record {' '.join(parts)!r}")
-            u = int(parts[1])
-            v = u if kind == "w" else int(parts[2])
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex id outside [0, {n})")
-            if kind == "w":
-                if u in weights:
-                    raise ValueError(f"a second weight for vertex {u}")
-                weights[u] = float(parts[2])
-            elif u == v:
-                raise ValueError(f"self-pair ({u}, {v})")
-            elif kind == "e":
-                edges.add((u, v) if u < v else (v, u))
-            else:
-                costs[(u, v) if u < v else (v, u)] = float(parts[3])
-        except ValueError as exc:
-            raise DomainError(f"{path}, line {line}: {exc}") from None
-    if len(weights) < n:
-        missing = next(v for v in range(n) if v not in weights)
-        raise DomainError(f"{path}: no weight record for vertex {missing}")
-
+    body += "\n" if body and not body.endswith("\n") else ""
+    c_at = body.find("\nc ", body.find("\ne ") + 1) + 1 or len(body)  # the first c after an e
+    e_at = body.find("\ne ", 0, c_at) + 1 or c_at
+    blocks = body[:e_at], body[e_at:c_at], body[c_at:]
+    w, e, c = (_read_block(text, kind, n) for text, kind in zip(blocks, "wec"))
+    if w is None or e is None or c is None:
+        raise _bad_line(path, blocks, n)
     graph = SampledGraph(
         model=model,
         positions=_positions(box, model, seed),
-        weights=np.array([weights[v] for v in range(n)], dtype=np.float64),
-        edges=frozenset(edges),
+        weights=np.ascontiguousarray(w["x"]),
+        edges=np.stack((e["u"], e["v"]), axis=1),
         seed=seed,
         params=params,
         box=box,
     )
-    cost_map = None
-    if costs:
-        unit = costs.keys() <= edges
-        cost_map = CostMap(
-            costs=costs,
-            rate_model=RateModel.UNIT_RATE if unit else RateModel.CFFP_RATE,
-        )
-    return graph, cost_map
+    if not len(c):
+        return graph, None
+    edge_keys, cost_keys = e["u"] * n + e["v"], c["u"] * n + c["v"]
+    at = np.searchsorted(edge_keys, cost_keys)  # both sorted: each cost's pair is an edge iff found
+    unit = at[-1] < len(edge_keys) and np.array_equal(edge_keys[at], cost_keys)
+    return graph, CostMap(costs=(np.stack((c["u"], c["v"]), axis=1), np.ascontiguousarray(c["x"])),
+                          rate_model=RateModel.UNIT_RATE if unit else RateModel.CFFP_RATE)

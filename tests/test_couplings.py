@@ -425,6 +425,12 @@ class TestAggregateWeight:
         with pytest.raises(DomainError):
             aggregate_weight(np.ones((9, 4)), 1.5, 3, 2, 0.7)
 
+    def test_r_and_d_must_be_integers(self):
+        with pytest.raises(DomainError):
+            aggregate_weight(np.ones(4), 1.0, 2.0, 2)
+        with pytest.raises(DomainError):
+            aggregate_weight_floor(1.0, 2.5, 1)
+
 
 class TestWeightDominance:
     def test_valid_configuration_accepted(self):

@@ -657,6 +657,79 @@ class TestSerialization:
         if where is not None:
             assert f"line {len(lines) if where == 'last' else where}:" in str(err.value)
 
+    # A saved 1-d LRP graph on L = 8 with FPP costs; `bad` is the 0-based
+    # index of the line that breaks the layout after the change.
+    @pytest.mark.parametrize("change", ["swap e", "repeat e", "w after e", "c before e"])
+    def test_record_out_of_layout_is_rejected(self, tmp_path, change):
+        g = sample_graph(BoxSpec(d=1, side=8), ModelParams(d=1, alpha=1.5, tau=math.inf,
+                                                           lam=0.3), Model.LRP, 7)
+        path = tmp_path / "g.txt"
+        save_graph(g, path, costs=sample_fpp_costs(g, 7))
+        lines = path.read_text().splitlines()
+        first_e = next(i for i, ln in enumerate(lines) if ln.startswith("e "))
+        first_c = next(i for i, ln in enumerate(lines) if ln.startswith("c "))
+        if change == "swap e":
+            lines[first_e:first_e + 2] = lines[first_e + 1], lines[first_e]
+            bad = first_e + 1
+        elif change == "repeat e":
+            lines.insert(first_e + 1, lines[first_e])
+            bad = first_e + 1
+        elif change == "w after e":
+            lines.insert(first_c, "w 3 1.0")
+            bad = first_c
+        else:
+            lines.insert(first_e, lines[first_c])
+            bad = first_e
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match=f"line {bad + 1}: "):
+            load_graph(path)
+
+    def test_reload_keeps_arrays(self, tmp_path):
+        params = ModelParams(d=2, alpha=2.0, tau=3.5, lam=1.0)
+        g = sample_graph(BoxSpec(d=2, side=8), params, Model.GIRG, 4)
+        costs = sample_fpp_costs(g, 4)
+        path, path2 = tmp_path / "g.txt", tmp_path / "g2.txt"
+        save_graph(g, path, costs=costs)
+        g2, c2 = load_graph(path)
+        save_graph(g2, path2, costs=c2)
+        assert path2.read_bytes() == path.read_bytes()
+        assert "edges" not in g2.__dict__ and "costs" not in c2.__dict__
+        m = len(g.edge_array)
+        for saved, loaded, shape in [(g.edge_array, g2.edge_array, (m, 2)),
+                                     (costs.pair_array, c2.pair_array, (m, 2)),
+                                     (costs.cost_array, c2.cost_array, (m,)),
+                                     (g.weights, g2.weights, (g.n,))]:
+            assert loaded.dtype == saved.dtype and loaded.shape == saved.shape == shape
+            assert loaded.tobytes() == saved.tobytes()
+
+    @pytest.mark.parametrize("case", ["side 1", "no costs", "cffp", "fpp"])
+    def test_edge_case_round_trips(self, tmp_path, case):
+        box = BoxSpec(d=1, side=1 if case == "side 1" else 30)
+        params = ModelParams(d=1, alpha=1.5, tau=3.5, lam=1.0)
+        path, path2 = tmp_path / "g.txt", tmp_path / "g2.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = sample_graph(box, params, Model.SFP, 8)
+            costs = (None if case == "no costs"
+                     else sample_cffp_costs(box, g.weights, params, 8) if case == "cffp"
+                     else sample_fpp_costs(g, 8))
+            save_graph(g, path, costs=costs)
+            g2, c2 = load_graph(path)
+            save_graph(g2, path2, costs=c2)
+        assert path2.read_bytes() == path.read_bytes()
+        assert g2.edge_array.dtype == np.int64 and g2.edge_array.shape == g.edge_array.shape
+        assert np.array_equal(g2.edge_array, g.edge_array)
+        assert g2.weights.tobytes() == g.weights.tobytes()
+        if case == "side 1":
+            assert g.edge_array.shape == (0, 2) and len(costs) == 0 and c2 is None
+        elif case == "no costs":
+            assert c2 is None
+        else:
+            assert c2.rate_model is costs.rate_model is (
+                RateModel.CFFP_RATE if case == "cffp" else RateModel.UNIT_RATE)
+            assert np.array_equal(c2.pair_array, costs.pair_array)
+            assert c2.cost_array.tobytes() == costs.cost_array.tobytes()
+
 
 MIN, EXP = KernelVariant.MIN, KernelVariant.EXP
 
