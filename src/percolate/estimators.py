@@ -425,6 +425,8 @@ def sum_exp_tail(
     if trials < 1:
         raise DomainError("trials must be >= 1")
     dists = np.asarray(dists, dtype=np.float64)
+    if dists.ndim != 1:
+        raise DomainError("dists must be a 1-d sequence of hop distances")
     if np.any(dists < 1):
         raise DomainError("distances must be >= 1")
     k = len(dists)

@@ -318,7 +318,7 @@ def brute_force_distance(
                 walk(v, length + 1)
                 visited[v] = False
 
-    if graph.has_edge(x, y):
+    if y in adj[x]:
         return 1
     walk(x, 0)
     return best[0]
@@ -334,6 +334,7 @@ def brute_force_cost_distance(
     if x == y:
         return 0.0
     adj = graph.neighbors
+    cost = dict(zip(map(tuple, costs.pair_array.tolist()), costs.cost_array.tolist()))
     best: list[float] = [np.inf]
     visited = [False] * graph.n
     visited[x] = True
@@ -342,7 +343,7 @@ def brute_force_cost_distance(
         if acc >= best[0]:
             return
         for v in adj[u]:
-            c = acc + costs.cost(u, v)
+            c = acc + cost[min(u, v), max(u, v)]
             if v == y:
                 if c < best[0]:
                     best[0] = c

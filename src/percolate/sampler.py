@@ -33,12 +33,12 @@ realization is the scanned one, bit for bit, wherever it is observed.
 CFFP cost rows read slices of the cost stream's vertex states and a window of
 that table, mirrored, at lam = 1 without the grid.
 
-Graphs and cost maps are arrays.  `sample_graph` gives its edges as the
-sorted `SampledGraph.edge_array`, and `sample_fpp_costs` and
-`sample_cffp_costs` give sorted pair and cost arrays (`CostMap.pair_array`,
-`cost_array`): costs, searches, couplings and the text format read these.
-The frozenset `SampledGraph.edges` and the dict `CostMap.costs` are views,
-built only when read.
+Graphs and cost maps store one form of pairs, made once at construction by
+`_canonical_pairs` from whatever they are given: (lo, hi) rows, lo < hi, sorted
+and unique (`SampledGraph.edge_array`, `CostMap.pair_array` with its costs in
+that order as `cost_array`).  Costs, searches, couplings and the text format
+read these; the frozenset `SampledGraph.edges` and the dict `CostMap.costs`
+are views, built only when read.
 
 `BoxSpec` holds the lattice's one layout: vertex i is the point origin +
 `coords[:, i]`, in row-major order.  `index` gives the vertex of lattice
@@ -190,16 +190,14 @@ class BoxSpec:
 class _ArrayBacked:
     """A dataclass field, with no default, that an instance keeps as arrays.
 
-    Set to arrays (of `array_type`), it stores them in the instance's __dict__
-    at `arrays_key`, and `view` of them builds the field's Python container
-    on its first read, cached.  Set to the container, it keeps it as given;
-    the arrays at `arrays_key`, a `cached_property`, are derived from it when
-    first read.  Read on the class, it raises AttributeError, so dataclasses
-    finds no default.
+    Set to a value, it stores the arrays `canonical(instance, value)` returns
+    as the instance's attributes `names`, and `view` of them builds the
+    field's Python container on its first read, cached.  Read on the class,
+    it raises AttributeError, so dataclasses finds no default.
     """
 
-    def __init__(self, arrays_key: str, array_type: type, view):
-        self.arrays_key, self.array_type, self.view = arrays_key, array_type, view
+    def __init__(self, names: tuple, canonical, view):
+        self.names, self.canonical, self.view = names, canonical, view
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -209,11 +207,42 @@ class _ArrayBacked:
             raise AttributeError(f"{owner.__name__}.{self.name} has no default")
         cache = obj.__dict__
         if self.name not in cache:
-            cache[self.name] = self.view(cache[self.arrays_key])
+            cache[self.name] = self.view(*(cache[name] for name in self.names))
         return cache[self.name]
 
     def __set__(self, obj, value):  # once, from the frozen dataclass's __init__
-        obj.__dict__[self.arrays_key if isinstance(value, self.array_type) else self.name] = value
+        obj.__dict__.update(zip(self.names, self.canonical(obj, value)))
+
+
+def _canonical_pairs(pairs, values=None, n: int | None = None) -> tuple:
+    """(pairs, values) as stored: (m, 2) int64 (lo, hi) rows, lo < hi, sorted and unique, and
+    float64 values in their order.  `pairs` is an array, an iterable of pairs or a dict of the
+    values, in any order and orientation; an array already so is kept after an O(m) check.
+    A self pair, a pair given twice or a vertex id outside [0, n) raises DomainError."""
+    if isinstance(pairs, dict):
+        pairs, values = list(pairs), list(pairs.values())
+    if not isinstance(pairs, np.ndarray):
+        pairs = np.array(list(pairs) or np.empty((0, 2), np.int64))
+    values = None if values is None else np.asarray(values, dtype=np.float64)
+    if (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
+            or values is not None and values.shape != pairs.shape[:1]):
+        raise DomainError(f"need (m, 2) integer pairs, m values: got {pairs.dtype} {pairs.shape}")
+    pairs = pairs.astype(np.int64, copy=False)
+    if len(pairs) and (pairs.min() < 0 or n is not None and pairs.max() >= n):
+        raise DomainError(f"a vertex id outside [0, {'inf' if n is None else n})")
+    top = int(pairs.max(initial=-1)) + 1 if n is None else n
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    if not ((lo < hi).all() and (np.diff(lo * top + hi) > 0).all()):  # orient and sort
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        key = lo * top + hi
+        order = np.argsort(key)
+        pairs = np.stack((lo[order], hi[order]), axis=1)
+        values = None if values is None else values[order]
+        bad = np.flatnonzero(np.append(np.diff(key[order]) == 0, False) | (lo == hi)[order])
+        if len(bad):
+            u, v = pairs[bad[0]].tolist()
+            raise DomainError(f"pair ({u}, {v}) {'is a self pair' if u == v else 'given twice'}")
+    return pairs, values
 
 
 def _pair_set(pairs: np.ndarray) -> frozenset:
@@ -228,12 +257,11 @@ def _pair_dict(pairs: np.ndarray, values: np.ndarray) -> dict:
 class SampledGraph:
     """One realization: positions, weights, symmetric edge set, and its seed.
 
-    Its edges are kept as `edge_array`, the sorted (m, 2) int64 array of
-    (lo, hi) rows, which `edges` may be given as: `sample_graph` and
-    `load_graph` give it.  `edges`, the frozenset of (lo, hi) pairs, is
-    built from it on its first read: the searches, costs, couplings and
-    the text format read the array.  A graph given a set of pairs keeps
-    that set, and sorts it into `edge_array` when read.
+    Its edges are stored as `edge_array`, the (m, 2) int64 array of (lo, hi)
+    rows, lo < hi, sorted and unique, which `_canonical_pairs` makes of the
+    `edges` given: such an array, or pairs in any order and orientation.
+    `edges`, the frozenset of (lo, hi) pairs, is built from it on its first
+    read.  Positions, weights and the box, if given, count the same vertices.
 
     `box` is the window it was sampled on; hand-built graphs may leave it
     out, and are then taken to sit on a box at the origin.
@@ -241,23 +269,21 @@ class SampledGraph:
 
     model: Model
     positions: np.ndarray
-    weights: np.ndarray
-    edges: frozenset = _ArrayBacked("edge_array", np.ndarray, lambda pairs: _pair_set(pairs))
+    weights: np.ndarray  # before `edges`, whose ids are checked against n
+    edges: frozenset = _ArrayBacked(("edge_array",), lambda g, e: _canonical_pairs(e, n=g.n),
+                                    lambda pairs: _pair_set(pairs))
     seed: int
     params: ModelParams
     box: BoxSpec | None = None
 
+    def __post_init__(self):
+        if len(self.positions) != self.n or self.box and self.box.n_vertices != self.n:
+            raise DomainError(f"sizes differ: {len(self.positions)} positions, {self.n} weights, "
+                              f"{self.box}")
+
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as an (m, 2) int64 array of (lo, hi) rows in sorted order."""
-        return np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
 
     @cached_property
     def neighbors(self) -> list[list[int]]:
@@ -274,34 +300,16 @@ class SampledGraph:
 class CostMap:
     """Nonnegative costs keyed by unordered vertex pairs.
 
-    They are kept as `pair_array`, an (m, 2) int64 array of (lo, hi) rows
-    sorted by pair, and `cost_array`, the (m,) costs in that order, which
-    `costs` may be given as, a tuple (pairs, values): the cost samplers and
-    `load_graph` give them.  `costs`, the dict {(lo, hi): cost}, is built
-    from them, in their order, on its first read.  A map given a dict keeps
-    it, and sorts it into the arrays when they are read.
+    They are stored as `pair_array`, the (m, 2) int64 array of (lo, hi) rows,
+    lo < hi, sorted and unique, and `cost_array`, the (m,) costs in that order,
+    which `_canonical_pairs` makes of the `costs` given: a tuple (pairs, values)
+    or a dict {pair: cost}, in any order and orientation.  `costs`, the dict
+    {(lo, hi): cost}, is built from them, in pair order, on its first read.
     """
 
-    costs: dict = _ArrayBacked("_arrays", tuple, lambda arrays: _pair_dict(*arrays))
+    costs: dict = _ArrayBacked(("pair_array", "cost_array"), lambda _, costs: _canonical_pairs(
+        *(costs if isinstance(costs, tuple) else (costs,))), lambda *arrays: _pair_dict(*arrays))
     rate_model: RateModel
-
-    @cached_property
-    def _arrays(self) -> tuple:
-        pairs = np.array(list(self.costs), dtype=np.int64).reshape(-1, 2)
-        values = np.fromiter(self.costs.values(), np.float64, len(pairs))
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order], values[order]
-
-    @property
-    def pair_array(self) -> np.ndarray:
-        return self._arrays[0]
-
-    @property
-    def cost_array(self) -> np.ndarray:
-        return self._arrays[1]
-
-    def cost(self, u: int, v: int) -> float:
-        return self.costs[(min(u, v), max(u, v))]
 
     def __len__(self) -> int:
         return len(self.cost_array)
@@ -614,15 +622,11 @@ def sample_graph(box: BoxSpec, params: ModelParams, model: Model, seed: int) -> 
     """
     real = LazyRealization(box, params, model, seed)
     model, n = real.model, real.n
-    pairs = np.stack(_slab_scan(real) if box.d >= 2 else _scan(real, _pair_blocks(n)), axis=1)
-    # the scan finds each pair once, so sorting their keys gives `edge_array`
-    # without sorting the edge tuples
-    pairs = pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
     return SampledGraph(
         model=model,
         positions=real.positions,
         weights=real.weights,
-        edges=pairs,
+        edges=np.stack(_slab_scan(real) if box.d >= 2 else _scan(real, _pair_blocks(n)), axis=1),
         seed=seed,
         params=params,
         box=box,
@@ -829,6 +833,8 @@ def _write_csv(path, columns, rows) -> None:
 def save_graph(graph: SampledGraph, path, costs: CostMap | None = None) -> None:
     params = graph.params
     box = graph.box or BoxSpec(d=params.d, side=round(graph.n ** (1.0 / params.d)))
+    if box.n_vertices != graph.n:
+        raise DomainError(f"a boxless graph needs n = side^d: n = {graph.n}, d = {params.d}")
     lines = [
         f"{graph.model.value} {params.d} {box.side} "
         f"{_fmt(params.alpha)} {_fmt(params.tau)} "

@@ -294,6 +294,11 @@ class TestSumExpTail:
         with pytest.raises(DomainError):
             sum_exp_tail([1.0], math.nan, 100, 1, 1.2, 1, [1.0])
 
+    @pytest.mark.parametrize("dists", [2.0, [[1.0, 2.0]]])
+    def test_dists_must_be_a_1d_sequence(self, dists):
+        with pytest.raises(DomainError, match="1-d sequence of hop distances"):
+            sum_exp_tail([1.0], 1.0, 100, 1, 1.2, 1, dists)
+
     def test_k1_bound_linear_in_t(self):
         _, b1 = sum_exp_tail([1.0], 0.5, 10, 1, 1.2, 1, [2.0], c=2.0)
         _, b2 = sum_exp_tail([1.0], 1.0, 10, 1, 1.2, 1, [2.0], c=2.0)

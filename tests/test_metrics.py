@@ -124,7 +124,7 @@ class TestCostDistance:
             rate_model=RateModel.UNIT_RATE,
         )
         for u, v in g.edges:
-            assert cost_distance(g, cm, u, v) <= cm.cost(u, v) + 1e-12
+            assert cost_distance(g, cm, u, v) <= cm.costs[(u, v)] + 1e-12
 
     def test_lowering_cost_never_increases_distance(self):
         rng = np.random.default_rng(6)

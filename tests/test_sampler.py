@@ -259,7 +259,7 @@ class TestFppCosts:
         assert a.rate_model is RateModel.UNIT_RATE
         # cost uniforms differ from the existence uniforms of the same pairs
         (u, v) = next(iter(g.edges))
-        assert a.cost(u, v) != -math.log1p(-edge_uniform(4, u, v))
+        assert a.costs[(u, v)] != -math.log1p(-edge_uniform(4, u, v))
 
 
 class TestArrayViews:
@@ -292,7 +292,7 @@ class TestArrayViews:
             assert h.edge_array.dtype == np.int64 and h.edge_array.shape == (len(pairs), 2)
             assert h.edge_array.tolist() == [list(e) for e in pairs]
             assert h.neighbors == adjacent
-            assert all(h.has_edge(u, v) == (v in adjacent[u])
+            assert all(((min(u, v), max(u, v)) in h.edges) == (v in adjacent[u])
                        for u in range(n) for v in range(n) if u != v)
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.edges = frozenset()
@@ -309,7 +309,7 @@ class TestArrayViews:
                             dataclasses.replace(h, edges=h.edge_array[1:])):
                 assert dropped.edges == g.edges - {first}
                 assert np.array_equal(dropped.edge_array, g.edge_array[1:])
-                assert not dropped.has_edge(*first) and h.has_edge(*first)
+                assert first not in dropped.edges and first in h.edges
                 assert first[1] not in dropped.neighbors[first[0]]
 
     def test_a_cost_map_from_arrays_equals_one_from_a_dict(self):
@@ -321,11 +321,11 @@ class TestArrayViews:
         from_dict = CostMap(reordered, RateModel.UNIT_RATE)
         assert len(cm) == len(from_dict) == len(items) > 0
         assert list(cm.costs.items()) == items
-        assert list(from_dict.costs.items()) == items[::-1]
+        assert list(from_dict.costs.items()) == items  # in pair order, as stored
         assert np.array_equal(from_dict.pair_array, cm.pair_array)
         assert np.array_equal(from_dict.cost_array, cm.cost_array)
         for (u, v), c in items:
-            assert cm.cost(u, v) == cm.cost(v, u) == from_dict.cost(v, u) == c
+            assert cm.costs[(u, v)] == from_dict.costs[(u, v)] == c
         for root in (0, 40):
             assert np.array_equal(cost_distances_from(g, cm, root),
                                   cost_distances_from(g, from_dict, root))
@@ -364,6 +364,86 @@ class TestArrayViews:
         alias[(u - 1, n + v)] = 0.0
         with pytest.raises(DomainError, match=re.escape(f"cover edge ({u}, {v})")):
             cost_distances_from(g, CostMap(alias, RateModel.UNIT_RATE), 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=st.sampled_from([Model.SFP, Model.LRP, Model.GIRG]), d=st.sampled_from([1, 2]),
+           as_set=st.booleans(), data=st.data())
+    def test_edges_in_any_order_and_orientation_are_stored_canonically(self, model, d, as_set,
+                                                                        data):
+        g = self.graph(model, d, 12 if d == 1 else 5, data.draw(st.integers(0, 99)))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        shuffled = gen.permutation(g.edge_array)
+        flip = gen.random(len(shuffled)) < 0.5
+        shuffled[flip] = shuffled[flip][:, ::-1]
+        edges = frozenset(map(tuple, shuffled.tolist())) if as_set else shuffled
+        h = dataclasses.replace(g, edges=edges)
+        assert h.edge_array.dtype == np.int64
+        assert h.edge_array.tobytes() == g.edge_array.tobytes()
+        assert h.edges == g.edges
+        for root in (0, g.n - 1):
+            assert np.array_equal(hop_distances_from(h, root), hop_distances_from(g, root))
+        costs = sample_fpp_costs(g, 5)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("g.txt", "h.txt", "h2.txt")]
+            save_graph(g, paths[0], costs=costs)
+            save_graph(h, paths[1], costs=sample_fpp_costs(h, 5))
+            h2, c2 = load_graph(paths[1])
+            save_graph(h2, paths[2], costs=c2)
+            texts = [open(path, "rb").read() for path in paths]
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_a_cost_map_in_any_order_and_orientation_is_stored_canonically(self):
+        g = self.graph()
+        cm = sample_fpp_costs(g, 3)
+        order = np.random.default_rng(1).permutation(len(cm))
+        flipped = cm.pair_array.copy()
+        flipped[::2] = flipped[::2, ::-1]
+        shuffled = cm.pair_array[order], cm.cost_array[order]
+        items = list(zip(map(tuple, shuffled[0][:, ::-1].tolist()), shuffled[1].tolist()))
+        for other in (CostMap(shuffled, RateModel.UNIT_RATE),
+                      CostMap((flipped, cm.cost_array), RateModel.UNIT_RATE),
+                      CostMap(dict(items), RateModel.UNIT_RATE)):
+            assert other.pair_array.tobytes() == cm.pair_array.tobytes()
+            assert other.cost_array.tobytes() == cm.cost_array.tobytes()
+            assert other.costs == cm.costs
+            for root in (0, 40):
+                assert np.array_equal(cost_distances_from(g, other, root),
+                                      cost_distances_from(g, cm, root))
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 2)], "pair (2, 2) is a self pair"),
+        ([(0, 1), (1, 9)], "outside [0, 9)"),
+        ([(0, 1), (-1, 2)], "outside [0, 9)"),
+        ([(3, 4), (0, 1), (3, 4)], "pair (3, 4) given twice"),
+        ([(0, 1), (4, 3), (3, 4)], "pair (3, 4) given twice"),
+        (np.array([[0, 1], [1, 0]]), "pair (0, 1) given twice"),
+        (np.array([[0.0, 1.0]]), "need (m, 2) integer pairs"),
+        (np.array([0, 1]), "need (m, 2) integer pairs"),
+    ])
+    def test_a_graph_refuses_a_bad_pair(self, edges, message):
+        g = self.graph(side=3)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            dataclasses.replace(g, edges=edges)
+
+    def test_a_cost_map_refuses_a_bad_pair(self):
+        for costs, message in [
+            ((np.array([[0, 1], [1, 0]]), np.ones(2)), "pair (0, 1) given twice"),
+            ({(0, 1): 1.0, (1, 0): 2.0}, "pair (0, 1) given twice"),
+            ({(0, 1): 1.0, (5, 5): 2.0}, "pair (5, 5) is a self pair"),
+            ({(0, 1): 1.0, (-1, 5): 2.0}, "outside [0, inf)"),
+            ((np.array([[0, 1], [1, 2]]), np.ones(3)), "need (m, 2) integer pairs, m values"),
+        ]:
+            with pytest.raises(DomainError, match=re.escape(message)):
+                CostMap(costs, RateModel.UNIT_RATE)
+
+    def test_positions_weights_and_box_must_count_the_same_vertices(self):
+        g = dataclasses.replace(self.graph(side=5), edges=[(0, 1)])
+        for changes in (dict(weights=g.weights[:3]), dict(positions=g.positions[:5]),
+                        dict(box=BoxSpec(d=2, side=4)), dict(box=None, weights=g.weights[:3])):
+            with pytest.raises(DomainError, match="sizes differ"):
+                dataclasses.replace(g, **changes)
+        with pytest.raises(DomainError, match="sizes differ"):  # a side-5 box and 3 weights
+            dataclasses.replace(g, positions=g.positions[:3], weights=g.weights[:3])
 
 
 @st.composite
@@ -701,6 +781,18 @@ class TestSerialization:
                                      (g.weights, g2.weights, (g.n,))]:
             assert loaded.dtype == saved.dtype and loaded.shape == saved.shape == shape
             assert loaded.tobytes() == saved.tobytes()
+
+    def test_a_boxless_graph_saves_only_when_n_is_a_power_of_d(self, tmp_path):
+        box = BoxSpec(d=2, side=3)
+        g = SampledGraph(Model.LRP, box.lattice_positions(), np.ones(9), [(0, 1), (1, 4)], 2,
+                         lrp(d=2))
+        save_graph(g, tmp_path / "g.txt")
+        g2, _ = load_graph(tmp_path / "g.txt")
+        assert g2.box == box and g2.edges == g.edges
+        ten = dataclasses.replace(g, positions=np.zeros((10, 2)), weights=np.ones(10))
+        with pytest.raises(DomainError, match="n = 10, d = 2"):
+            save_graph(ten, tmp_path / "ten.txt")
+        assert not (tmp_path / "ten.txt").exists()
 
     @pytest.mark.parametrize("case", ["side 1", "no costs", "cffp", "fpp"])
     def test_edge_case_round_trips(self, tmp_path, case):
