@@ -16,17 +16,25 @@ distances equal those on `sample_graph`'s realization.  On a
 rows.  Cost searches read inf beyond `t_max`.
 
 The dense Dijkstra settles vertices in exact Dijkstra order, but fetches
-cost rows in batches, as `CffpRealization.cost_row` pays per call more than
-per pair: at n = 2,001 a call took about 50 us plus 25 us per row (calls of
-2 to 8 rows inside the search, 2-CPU Xeon).  When the vertex it settles has no row yet, it
-fetches rows in one call for that vertex and the next nearest unsettled, not
-yet fetched vertices within `t_max` (finite ones when there is none), about
+cost rows in batches, as a `CffpRealization.cost_row` call costs more than
+a pair.  When the vertex it settles has no row yet, it fetches rows in one
+call for that vertex and the next nearest unsettled, not yet fetched
+vertices within `t_max` (finite ones when there is none), about
 `_ROW_BATCH_PAIRS` pairs in all.  Prefetching is exact: distances only
 fall, so each fetched vertex stays within `t_max` and is settled before the
 search stops.  The rows fetched are the rows settled, so the pairs hashed
 and the distances are those of one row per settled vertex, bit for bit.  It
 is a speculative form of the multi-vertex settling of Delta-stepping (Meyer
 and Sanders, J. Algorithms 49, 2003).
+
+Each row is fetched capped at `t_max` (the largest float when there is
+none): `cost_row` screens its uniforms by the cap and gives back only the
+costs <= t_max, and a settled vertex relaxes only those.  That is exact: a
+distance settled is d_v = fl(d_u + c_uv) <= t_max with d_u >= 0, and
+rounding is monotone, so c_uv <= t_max.  A cost above the cap only ever
+made a tentative distance above t_max, which is never settled.  At the
+`cffp_growth` scale (n = 2,001, t_max = 1) about 8 of a row's 2,000 costs
+pass, so neither the log of a row nor its relaxation is n wide.
 """
 
 from __future__ import annotations
@@ -164,9 +172,9 @@ def _dense_cost_search(real: CffpRealization, x: int, t_max: float | None) -> np
     tentative = np.full(n, np.inf)  # of unsettled vertices; inf once settled
     tentative[x] = 0.0
     unsettled = np.ones(n, dtype=bool)
-    rows: dict[int, np.ndarray] = {}  # fetched, unsettled vertex -> its cost row
+    rows: dict[int, tuple] = {}  # fetched, unsettled vertex -> its (vertices, costs) <= limit
     for _ in range(n):
-        u = int(np.argmin(tentative))
+        u = int(tentative.argmin())
         du = tentative[u]
         if not du <= limit:
             break
@@ -177,13 +185,15 @@ def _dense_cost_search(real: CffpRealization, x: int, t_max: float | None) -> np
             ahead[u] = -np.inf
             us = np.argpartition(ahead, min(batch, n) - 1)[:batch]
             us = us[ahead[us] <= limit]
-            rows.update(zip(us.tolist(), real.cost_row(us)))
+            indptr, vs, cs = real.cost_row(us, cap=limit)
+            ptr = indptr.tolist()
+            for b, v in enumerate(us.tolist()):
+                rows[v] = vs[ptr[b]:ptr[b + 1]], cs[ptr[b]:ptr[b + 1]]
         dist[u] = du
         tentative[u] = np.inf
         unsettled[u] = False
-        row = rows.pop(u)
-        row += du
-        np.minimum(tentative, row, out=tentative, where=unsettled)
+        vs, cs = rows.pop(u)  # settled vertices among vs stay at inf
+        tentative[vs] = np.where(unsettled[vs], np.minimum(tentative[vs], cs + du), np.inf)
     return dist
 
 
@@ -290,9 +300,12 @@ def brute_force_distance(
     """Exhaustive simple-path search; the oracle for `graph_distance`.
 
     Only admissible on tiny inputs: <= 12 vertices, or an explicit
-    max_len <= 6.
+    max_len <= 6.  Paths longer than max_len, a nonnegative integer, are
+    not searched.
     """
     _check_vertex(graph.n, x, y)
+    if max_len is not None:
+        _check_depth("max_len", max_len)
     if graph.n > _BRUTE_MAX_VERTICES and (max_len is None or max_len > _BRUTE_MAX_LEN):
         raise BudgetError(
             f"brute force needs <= {_BRUTE_MAX_VERTICES} vertices or "
@@ -318,7 +331,7 @@ def brute_force_distance(
                 walk(v, length + 1)
                 visited[v] = False
 
-    if y in adj[x]:
+    if cap >= 1 and y in adj[x]:
         return 1
     walk(x, 0)
     return best[0]

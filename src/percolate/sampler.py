@@ -105,6 +105,9 @@ DEFAULT_COMPLETE_BUDGET = 4_000
 BUDGET_ENV = "PERCOLATE_BUDGET_VERTICES"
 # CFFP cost rows are fetched in batches of about this many pairs.
 _ROW_BATCH_PAIRS = 16384
+# A capped cost row keeps uniforms up to cap * rate * (1 + this): far above the
+# few ulps by which the log, the divide and the product can round.
+_SCREEN_MARGIN = 2.0**-40
 
 
 class Model(str, Enum):
@@ -659,6 +662,17 @@ class CffpRealization:
     batches.  `rate` and `cost` read `_offset_rates` in the rows' order and
     equal them bit for bit.  Ids outside [0, n), and u == v, raise
     DomainError.  Materializing via `sample_cffp_costs` yields the same values.
+
+    `cost_row(u, cap)` gives only the costs <= cap, in compressed-row form:
+    `(indptr, vertices, costs)`, where row b's entries are
+    `vertices[indptr[b]:indptr[b + 1]]`, ascending, and their costs, equal
+    bit for bit to the entries <= cap of the dense row.  As -log1p(-x) >= x,
+    a cost <= cap has a uniform <= cap * rate, so the uniforms above that
+    (widened by `_SCREEN_MARGIN` against rounding) are dropped before the
+    log and the divide, which only the survivors take.  The pairs hashed are
+    the dense row's.  A search to distance t_max reads no cost above it, and
+    at the `cffp_growth` scale (n = 2,001, t_max = 1) about 8 entries of a
+    row survive.
     """
 
     box: BoxSpec
@@ -710,9 +724,13 @@ class CffpRealization:
         rate = self.rate(u, v)  # checks the ids
         return float(-np.log1p(-edge_uniform(self._cost_seed, u, v)) / rate)
 
-    def cost_row(self, u) -> np.ndarray:
+    def cost_row(self, u, cap: float | None = None):
         """Costs from vertex u to every vertex, inf at u itself.  For a 1-d int
-        array u of B vertices, the (B, n) array whose row b is cost_row(u[b])."""
+        array u of B vertices, the (B, n) array whose row b is cost_row(u[b]).
+        With `cap`, a nonnegative finite number, the rows' entries <= cap as
+        (indptr, vertices, costs), one row for a single u."""
+        if cap is not None and not 0 <= cap < math.inf:
+            raise DomainError(f"cap must be a nonnegative finite number, got {cap}")
         us = self._vertices(u)
         rows, n, batch = us.reshape(-1), self.n, us.size
         # {u, v} hashes (state min, word max), as edge_uniform does.  Row u's n - 1 pairs
@@ -721,17 +739,47 @@ class CffpRealization:
         hi = np.repeat(np.arange(1, n, dtype=np.uint64)[None], batch, axis=0)
         for b, v in enumerate(rows.tolist()):
             lo[b, v:], hi[b, :v] = self._states[v], v
-        u01 = uniforms_from_states(lo, hi).reshape(batch, n - 1)
-        out = np.empty((batch, n))
-        for b, v in enumerate(rows.tolist()):
-            out[b, :v], out[b, v], out[b, v + 1:] = u01[b, :v], 0.0, u01[b, v:]
+        u01 = uniforms_from_states(lo, hi)
+        del lo, hi  # freed first, so the rows and rates reuse their memory
+        # the rows, flat: u01 with a 0 at each (u, u), in batch + 1 runs shifted by 0 .. batch
+        diagonal = np.arange(0, batch * n, n) + rows
+        out, start = np.empty(batch * n), 0
+        for k, end in enumerate(diagonal.tolist() + [batch * n]):
+            out[start:end] = u01[start - k:end - k]
+            start = end + 1
+        out[diagonal] = 0.0
+        del u01
         starts = tuple(self.box.side - 1 - self.box.coords[:, rows])  # of u's rate blocks
         rates = self._w_alpha[rows, None] * self._w_alpha
         rates *= _rate_window(self.box, self.params)[starts].reshape(batch, n)
+        if cap is not None:
+            return _screened_rows(out, rates.reshape(-1), diagonal, n, cap)
         np.negative(np.log1p(np.negative(out, out=out), out=out), out=out)
-        out[np.arange(batch), rows] = np.inf  # inf / 0 at u, whose rate is 0
-        out /= rates  # -log1p(-u01) / rates, in place
+        out[diagonal] = np.inf  # inf / 0 at u, whose rate is 0
+        out /= rates.reshape(-1)  # -log1p(-u01) / rates, in place
         return out.reshape(us.shape + (n,))
+
+
+def _screened_rows(u01: np.ndarray, rates: np.ndarray, diagonal: np.ndarray, n: int,
+                   cap: float) -> tuple:
+    """The costs <= cap of flat rows of n uniforms and rates, as (indptr,
+    vertices, costs); `diagonal` holds the flat indices of the pairs (u, u),
+    which are left out.  Only the pairs that pass the screen take the log
+    and the divide."""
+    bound = min(float(cap) * (1 + _SCREEN_MARGIN), np.finfo(np.float64).max)
+    with np.errstate(over="ignore"):  # an inf bound keeps its pair, as it should
+        keep = u01 <= rates * bound
+    keep[diagonal] = False
+    flat = np.flatnonzero(keep)
+    costs = u01[flat]
+    np.negative(np.log1p(np.negative(costs, out=costs), out=costs), out=costs)
+    costs /= rates[flat]
+    kept = costs <= cap
+    flat, costs = flat[kept], costs[kept]
+    row_starts = np.arange(0, len(u01) + 1, n)
+    indptr = np.searchsorted(flat, row_starts)
+    # each vertex is its flat index less its row's start (an int64 % n is 4x slower)
+    return indptr, flat - np.repeat(row_starts[:-1], np.diff(indptr)), costs
 
 
 @dataclass(frozen=True, eq=False)

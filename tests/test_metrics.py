@@ -1,6 +1,7 @@
 """Distances and balls against brute-force oracles and lattice closed forms."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -263,9 +264,9 @@ def recorded_search(real, x, t_max):
     calls = []
     row = CffpRealization.cost_row
 
-    def recording(self, u):
+    def recording(self, u, *args, **kwargs):
         calls.append(np.atleast_1d(u).tolist())
-        return row(self, u)
+        return row(self, u, *args, **kwargs)
 
     with mock.patch.object(CffpRealization, "cost_row", recording):
         return _dense_cost_search(real, x, t_max), calls
@@ -297,9 +298,11 @@ class TestBatchedDenseSearch:
     @given(cffp_searches())
     def test_batched_search_equals_the_per_row_search(self, case):
         real, root, t_max, pairs = case
-        want, settled = per_row_search(real, root, t_max)
-        with mock.patch.object(metrics, "_ROW_BATCH_PAIRS", pairs):
-            dist, calls = recorded_search(real, root, t_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # t_max=None caps rows at the largest float
+            want, settled = per_row_search(real, root, t_max)
+            with mock.patch.object(metrics, "_ROW_BATCH_PAIRS", pairs):
+                dist, calls = recorded_search(real, root, t_max)
         assert dist.tobytes() == want.tobytes()
         fetched = [u for call in calls for u in call]
         assert sorted(fetched) == sorted(settled)
@@ -488,6 +491,16 @@ class TestBruteForce:
         # explicit small max_len is admissible on larger graphs
         assert brute_force_distance(g, 0, 4, max_len=6) == 4
         assert brute_force_distance(g, 0, 10, max_len=6) is None
+
+    def test_max_len_bounds_the_direct_edge(self):
+        g = make_graph(20, {(i, i + 1) for i in range(19)})
+        assert brute_force_distance(g, 0, 1, max_len=0) is None
+        assert brute_force_distance(g, 0, 1, max_len=1) == 1
+        assert brute_force_distance(g, 0, 3, max_len=2) is None
+        assert brute_force_distance(g, 0, 0, max_len=0) == 0
+        for bad in (-1, 1.5, "2"):
+            with pytest.raises(DomainError):
+                brute_force_distance(g, 0, 1, max_len=bad)
 
     def test_cost_budget(self):
         g = make_graph(20, {(i, i + 1) for i in range(19)})

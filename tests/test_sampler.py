@@ -519,6 +519,51 @@ class TestCffpCosts:
             assert row[u] == math.inf
             assert row[:u] + row[u + 1:] == [real.cost(u, v) for v in range(real.n) if v != u]
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=cffp_rows(), data=st.data())
+    def test_capped_rows_are_the_dense_entries_within_the_cap(self, case, data):
+        real, us = case
+        dense = real.cost_row(us)
+        costs = np.sort(dense[np.isfinite(dense)])
+        caps = st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, np.finfo(float).max]) | st.floats(0, 50)
+        if costs.size:  # a cost itself, and the float just below it
+            caps |= st.sampled_from(costs.tolist()).flatmap(
+                lambda c: st.sampled_from([c, np.nextafter(c, 0)]))
+        cap = data.draw(caps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in cap * rate, no 0 * inf at u
+            indptr, vertices, capped = real.cost_row(us, cap=cap)
+            one = [real.cost_row(u, cap=cap) for u in us.tolist()]
+        assert vertices.dtype == np.int64 and capped.dtype == np.float64
+        assert indptr.tolist() == [0] + np.cumsum((dense <= cap).sum(axis=1)).tolist()
+        for b, row in enumerate(dense):
+            want = np.flatnonzero(row <= cap)
+            got = slice(indptr[b], indptr[b + 1])
+            assert vertices[got].tobytes() == want.astype(np.int64).tobytes()
+            assert capped[got].tobytes() == row[want].tobytes()
+            assert [part.tobytes() for part in one[b]] == [
+                np.array([0, len(want)]).tobytes(), vertices[got].tobytes(),
+                capped[got].tobytes()]
+
+    def test_a_cost_at_the_cap_is_kept_where_its_uniform_is_small(self):
+        # -log1p(-x) exceeds x by about x^2 / 2, so a small uniform whose cost is the cap
+        # sits just under the screen's bound cap * rate
+        real = CffpRealization(box=BoxSpec(d=1, side=2001), params=self.params, seed=4,
+                               weights=sample_weights(2001, 4.0, 4))
+        u, row = 1000, real.cost_row(1000)
+        vs = np.delete(np.arange(real.n), u)
+        exp1 = row[vs] * np.array([real.rate(u, v) for v in vs.tolist()])  # -log1p(-uniform)
+        for v in vs[np.argsort(exp1)[:20]].tolist():
+            _, vertices, costs = real.cost_row(u, cap=row[v])
+            assert costs[vertices == v].tobytes() == row[v].tobytes()
+
+    def test_the_cap_must_be_a_nonnegative_finite_number(self):
+        real = CffpRealization(box=BoxSpec(d=1, side=5), weights=np.ones(5),
+                               params=self.params, seed=1)
+        for bad in (-1.0, -5e-324, math.nan, math.inf):
+            with pytest.raises(DomainError, match="cap"):
+                real.cost_row(2, cap=bad)
+
     def test_the_rate_window_is_built_once_and_read_only(self):
         # once per (box, params), not per realization: every trial is a realization
         box = BoxSpec(d=2, side=5, origin=(1, 2))
