@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integers
 from .kernels import (
     ModelParams,
     alpha_reduced_params,
@@ -69,7 +68,7 @@ class BlowupSpec:
 
     def __post_init__(self):
         # r = 1 is the identity blow-up, useful as a degenerate check.
-        object.__setattr__(self, "r", *_positive_integers("the blow-up factor", self.r))
+        object.__setattr__(self, "r", integers("the blow-up factor r", self.r, 1))
 
 
 @dataclass
@@ -158,8 +157,7 @@ def fpp_cffp_edge_check(
         raise DomainError("dist must be >= 1")
     if not t >= 0:
         raise DomainError("t must be nonnegative")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    trials = integers("trials", trials, 1)
 
     p_exist = float(connection_prob(wu, wv, dist, params))
     # lambda multiplies the CFFP rate so that domination also holds away
@@ -199,17 +197,6 @@ def fpp_cffp_edge_check(
     )
 
 
-def _positive_integers(what: str, *values) -> list[int]:
-    """`values` as Python ints, if all are integers >= 1, numpy's included."""
-    try:
-        ints = [operator.index(v) for v in values]
-        if min(ints) >= 1:
-            return ints
-    except TypeError:
-        pass
-    raise DomainError(f"expected positive integers for {what}, got {', '.join(map(repr, values))}")
-
-
 def blowup_box_map(u, r: int, d: int) -> set[tuple[int, ...]]:
     """The r^d fine lattice points associated with coarse vertex u.
 
@@ -222,7 +209,7 @@ def blowup_box_map(u, r: int, d: int) -> set[tuple[int, ...]]:
 
 def path_stitch_bound(r: int, d: int, k: int) -> int:
     """Fine-lattice path budget 3*d*r*k for a coarse path of length k."""
-    r, d, k = _positive_integers("r, d and k", r, d, k)
+    r, d, k = integers("r", r, 1), integers("d", d, 1), integers("k", k, 1)
     return 3 * d * r * k
 
 
@@ -240,8 +227,8 @@ def blowup_lrp(
     frequency falls more than 3 sigma short of min{1, lambda_goal *
     dist^(-alpha d)}.
     """
-    if lambda_goal <= 0:
-        raise DomainError("lambda_goal must be positive")
+    if not lambda_goal > 0:  # NaN included
+        raise DomainError(f"lambda_goal must be positive, got {lambda_goal}")
     params = spec.params_small
     if coarse_box.d != params.d:
         raise DomainError("box dimension must match the model dimension")
@@ -400,22 +387,24 @@ def aggregate_weight(
     c * n^(1/alpha - 1/2) with n = r^d, because every constituent weight
     is at least 1.
     """
-    r, d = _positive_integers("r and d", r, d)
+    r, d = integers("r", r, 1), integers("d", d, 1)
     w = np.asarray(box_weights, dtype=np.float64)
     n = r**d
     if w.ndim < 1 or w.shape[-1] != n:
         raise DomainError(f"expected r^d = {n} weights, got {w.shape[-1:] or 'a scalar'}")
     if np.any(w < 1):
         raise DomainError("weights must be >= 1")
-    if alpha <= 0 or c_agg <= 0:
-        raise DomainError("alpha and c_agg must be positive")
+    if not (alpha > 0 and c_agg > 0):  # NaN included
+        raise DomainError(f"alpha and c_agg must be positive, got {alpha}, {c_agg}")
     out = c_agg * (w**alpha).sum(axis=-1) ** (1.0 / alpha) / r ** (d / 2.0)
     return float(out) if out.ndim == 0 else out
 
 
 def aggregate_weight_floor(alpha: float, r: int, d: int, c_agg: float = 1.0) -> float:
     """The deterministic lower bound c * n^(1/alpha - 1/2), n = r^d."""
-    r, d = _positive_integers("r and d", r, d)
+    r, d = integers("r", r, 1), integers("d", d, 1)
+    if not (alpha > 0 and c_agg > 0):  # NaN included
+        raise DomainError(f"alpha and c_agg must be positive, got {alpha}, {c_agg}")
     n = r**d
     return float(c_agg * n ** (1.0 / alpha - 0.5))
 
@@ -441,9 +430,8 @@ def weight_dominance_test(
     hi = tau_prime_max(tau, alpha)
     if not 3.0 < tau_prime < hi:
         raise DomainError(f"tau' must lie in (3, {hi}), got {tau_prime}")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    r, d = _positive_integers("r and d", r, d)
+    trials = integers("trials", trials, 1)
+    r, d = integers("r", r, 1), integers("d", d, 1)
     n = r**d
     floor = aggregate_weight_floor(alpha, r, d, c_agg)
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, integers
 from .kernels import ModelParams, delta_exponent, pareto_quantile
-from .metrics import (_ball_profile, _check_thresholds, _check_vertex, cost_distances_from,
+from .metrics import (_ball_profile, _check_thresholds, cost_distances_from,
                       hop_distances_from)
 from .rng import trial_seed, trial_seeds, vertex_uniform_each
 from .sampler import (
@@ -65,10 +65,8 @@ _Z95 = 1.959963984540054
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if not 0 <= successes <= trials:
-        raise DomainError("successes must lie in [0, trials]")
+    trials = integers("trials", trials, 1)
+    successes = integers("successes", successes, 0, trials + 1)
     p = successes / trials
     z = _Z95
     denom = 1.0 + z * z / trials
@@ -163,9 +161,8 @@ def _trial_rows(config: ModelConfig, root: int, thresholds, trials: int, seed: i
     Trial i searches the realization of the i-th trial seed of `seed` from
     `root`, with its distances cut off at the largest threshold.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    _check_vertex(config.box.n_vertices, root)
+    trials = integers("trials", trials, 1)
+    root = integers("vertex id", root, 0, config.box.n_vertices)
     _check_thresholds(thresholds, hop=config.metric == "hop")
     cap = max(thresholds)
     return np.array([row(*_distances_for_trial(config, root, trial_seed(seed, i), cap))
@@ -197,10 +194,9 @@ def mc_tail_grid(
     All cells of one trial share the same realization (seed mixed with the
     trial index), so estimates are monotone in the threshold by construction.
     """
-    ys = list(ys)
-    if not ys:
+    ys = integers("vertex id", list(ys), 0, config.box.n_vertices)
+    if not ys.size:
         raise DomainError("need at least one target")
-    _check_vertex(config.box.n_vertices, *ys)
     thresholds = list(thresholds)
     rows = _trial_rows(config, x, thresholds, trials, seed, lambda dist, _: dist[ys])
     if config.model is Model.GIRG:
@@ -422,8 +418,9 @@ def sum_exp_tail(
     """
     if not t >= 0:  # NaN included
         raise DomainError(f"t must be nonnegative, got {t}")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    trials = integers("trials", trials, 1)
+    if not (alpha > 0 and c > 0):  # NaN included
+        raise DomainError(f"alpha and c must be positive, got {alpha}, {c}")
     dists = np.asarray(dists, dtype=np.float64)
     if dists.ndim != 1:
         raise DomainError("dists must be a 1-d sequence of hop distances")
@@ -432,7 +429,7 @@ def sum_exp_tail(
     k = len(dists)
     if k < 1:
         raise DomainError("need at least one hop")
-    ad = alpha * d
+    ad = alpha * integers("d", d, 1)
 
     bound = 0.0 if t == 0 else (math.e * c * t / k) ** k * float(
         np.prod(dists ** (-ad))
@@ -537,10 +534,9 @@ def bk_brute_force(n_edges: int, probs, event_a, event_b) -> tuple[float, float]
 
 def bk_brute_force_k(n_edges: int, probs, events) -> tuple[float, float]:
     """k-ary disjoint occurrence versus the product of the probabilities."""
+    n_edges = integers("n_edges", n_edges, 1)
     if n_edges > _BK_MAX_EDGES:
         raise BudgetError(f"enumeration capped at {_BK_MAX_EDGES} edges")
-    if n_edges < 1:
-        raise DomainError("need at least one edge")
     probs = np.asarray(probs, dtype=np.float64)
     if len(probs) != n_edges:
         raise DomainError("probs length must equal n_edges")
@@ -614,7 +610,7 @@ def shape_containment(
     seed: int,
 ) -> list[dict]:
     """Per-k frequency of max geo radius of B(root, k) staying within r(k)."""
-    ks = [int(k) for k in ks]
+    ks = integers("ks", list(ks)).tolist()
     radii = _hop_ball_radii(config, root, ks, trials, seed)
     out = []
     for j, k in enumerate(ks):
@@ -643,8 +639,7 @@ def fit_shape_constant(
     """Fit c in r(k) = exp(c k^(1/delta)) to a quantile of the k0-ball radius."""
     if not 0 < quantile < 1:
         raise DomainError("quantile must lie in (0, 1)")
-    if k0 < 1:
-        raise DomainError(f"k0 must be >= 1, got {k0}")
+    k0 = integers("k0", k0, 1)
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
     radii = _hop_ball_radii(config, root, [k0], trials, seed)[:, 0]
@@ -677,6 +672,7 @@ def fkt_h_functional(
         raise DomainError(f"t must be nonnegative, got {t}")
     if math.isnan(delta_rate):
         raise DomainError("delta_rate must be a number, got nan")
+    d = integers("d", d, 1)
     ts, gs = _pinned_at_zero(g_hat)
     if t > ts[-1]:
         raise DomainError(f"t={t} outside the series range [0, {ts[-1]}]")
@@ -692,6 +688,7 @@ def fkt_h_functional(
 
 def fit_selfbound_constant(g_hat: GrowthSeries, alpha: float, d: int) -> float:
     """Smallest c with g(t)^alpha <= c (t^(alpha d) int g(t-y)g(y) dy + 1)."""
+    d = integers("d", d, 1)
     ts, gs = _pinned_at_zero(g_hat)
     worst = 1.0
     for t, g_t in zip(ts, gs):

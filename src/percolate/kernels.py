@@ -8,13 +8,12 @@ quantiles).  Nothing in this module draws randomness.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integers
 
 
 class KernelVariant(str, Enum):
@@ -41,15 +40,8 @@ class ModelParams:
     kernel_variant: KernelVariant = KernelVariant.MIN
 
     def __post_init__(self):
-        # d of any integer kind, kept as a Python int, as `BoxSpec` keeps it;
         # the ranges read `not x >= lo`, as NaN fails every comparison
-        try:
-            d = operator.index(self.d)
-        except TypeError:
-            raise DomainError(f"dimension must be a positive integer, got {self.d!r}") from None
-        if d < 1:
-            raise DomainError(f"dimension must be a positive integer, got {d}")
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", integers("the dimension d", self.d, 1))
         if not self.alpha >= 1:
             raise DomainError(f"alpha must be >= 1, got {self.alpha}")
         if not self.tau > 1:

@@ -47,7 +47,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, integers
 from .sampler import (_ROW_BATCH_PAIRS, CffpRealization, CostMap, LazyRealization, RateModel,
                       SampledGraph, _write_csv)
 
@@ -69,21 +69,6 @@ __all__ = [
 class BallKind(str, Enum):
     HOP = "hop"
     COST = "cost"
-
-
-def _check_vertex(n: int, *vs: int) -> None:
-    """Each vertex id is an integer, a numpy one included, in [0, n)."""
-    for v in vs:
-        if not isinstance(v, (int, np.integer)):
-            raise DomainError(f"vertex id must be an integer, got {v!r}")
-        if not 0 <= v < n:
-            raise DomainError(f"vertex id {v} outside [0, {n})")
-
-
-def _check_depth(name: str, k) -> None:
-    """A hop depth is a nonnegative integer, a numpy one included."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {k!r}")
 
 
 def _pair_csr(n: int, pairs: np.ndarray, values: np.ndarray | None = None) -> csr_array:
@@ -109,18 +94,17 @@ def hop_distances_from(graph, x: int, max_depth: int | None = None) -> np.ndarra
     `edge_array`.  A LazyRealization is searched by a level-synchronous BFS
     that samples edges only between each level and the unvisited vertices.
     """
-    _check_vertex(graph.n, x)
-    if max_depth is not None:
-        _check_depth("max_depth", max_depth)
+    x = integers("vertex id", x, 0, graph.n)
+    limit = np.inf if max_depth is None else integers("max_depth", max_depth)
     if not isinstance(graph, LazyRealization):
         hops = dijkstra(_pair_csr(graph.n, graph.edge_array), directed=False, unweighted=True,
-                        indices=x, limit=np.inf if max_depth is None else max_depth)
+                        indices=x, limit=limit)
         return np.where(np.isinf(hops), -1, hops).astype(np.int64)
     dist = np.full(graph.n, -1, dtype=np.int64)
     dist[x] = 0
     frontier = np.array([x], dtype=np.int64)
     depth = 0
-    while frontier.size and (max_depth is None or depth < max_depth):
+    while frontier.size and depth < limit:
         depth += 1
         frontier = graph.frontier_neighbors(frontier, dist < 0)
         dist[frontier] = depth
@@ -129,7 +113,7 @@ def hop_distances_from(graph, x: int, max_depth: int | None = None) -> np.ndarra
 
 def graph_distance(graph: SampledGraph, x: int, y: int) -> int | None:
     """Shortest-path hop count between x and y, or None if unreachable."""
-    _check_vertex(graph.n, x, y)
+    x, y = integers("vertex id", x, 0, graph.n), integers("vertex id", y, 0, graph.n)
     d = int(hop_distances_from(graph, x)[y])
     return None if d < 0 else d
 
@@ -204,7 +188,7 @@ def cost_distance(obj, costs: CostMap | None, x: int, y: int) -> float | None:
     edges, CFFP costs every pair) or a CffpRealization, whose
     complete-graph costs are derived on demand.
     """
-    _check_vertex(obj.n, x, y)
+    x, y = integers("vertex id", x, 0, obj.n), integers("vertex id", y, 0, obj.n)
     d = float(cost_distances_from(obj, costs, x)[y])
     return d if np.isfinite(d) else None
 
@@ -213,7 +197,7 @@ def cost_distances_from(
     obj, costs: CostMap | None, x: int, t_max: float | None = None
 ) -> np.ndarray:
     """Cost distances from x to every vertex; inf beyond reach or `t_max`."""
-    _check_vertex(obj.n, x)
+    x = integers("vertex id", x, 0, obj.n)
     if t_max is not None and not t_max >= 0:
         raise DomainError(f"t_max must be a nonnegative number, got {t_max}")
     if isinstance(obj, CffpRealization):
@@ -223,7 +207,7 @@ def cost_distances_from(
 
 def k_ball(graph: SampledGraph, x: int, k: int) -> set[int]:
     """All vertices within hop distance k of x (contains x)."""
-    _check_depth("k", k)
+    k = integers("k", k)
     dist = hop_distances_from(graph, x, max_depth=k)
     return {int(v) for v in np.nonzero(dist >= 0)[0]}
 
@@ -303,9 +287,9 @@ def brute_force_distance(
     max_len <= 6.  Paths longer than max_len, a nonnegative integer, are
     not searched.
     """
-    _check_vertex(graph.n, x, y)
+    x, y = integers("vertex id", x, 0, graph.n), integers("vertex id", y, 0, graph.n)
     if max_len is not None:
-        _check_depth("max_len", max_len)
+        max_len = integers("max_len", max_len)
     if graph.n > _BRUTE_MAX_VERTICES and (max_len is None or max_len > _BRUTE_MAX_LEN):
         raise BudgetError(
             f"brute force needs <= {_BRUTE_MAX_VERTICES} vertices or "
@@ -341,7 +325,7 @@ def brute_force_cost_distance(
     graph: SampledGraph, costs: CostMap, x: int, y: int
 ) -> float | None:
     """Exhaustive minimum over simple paths; the oracle for `cost_distance`."""
-    _check_vertex(graph.n, x, y)
+    x, y = integers("vertex id", x, 0, graph.n), integers("vertex id", y, 0, graph.n)
     if graph.n > _BRUTE_MAX_VERTICES:
         raise BudgetError(f"brute force needs <= {_BRUTE_MAX_VERTICES} vertices")
     if x == y:

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import io
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -62,7 +61,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, integers
 from .kernels import (KernelVariant, ModelParams, apply_kernel, connection_prob,
                       distance_rate, pareto_quantile)
 from .rng import (
@@ -130,22 +129,12 @@ class BoxSpec:
     origin: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        # integers of any kind, numpy's included, kept as Python ints: a
-        # fractional origin would not survive the text format
-        try:
-            d, side = operator.index(self.d), operator.index(self.side)
-            origin = ((0,) * d if self.origin is None
-                      else tuple(operator.index(o) for o in self.origin))
-        except TypeError:
-            raise DomainError("d, side and origin must be integers, got "
-                              f"{self.d!r}, {self.side!r}, {self.origin!r}") from None
-        if d < 1:
-            raise DomainError(f"dimension must be >= 1, got {d}")
-        if side < 1:
-            raise DomainError(f"side must be >= 1, got {side}")
-        if len(origin) != d:
-            raise DomainError("origin length must equal the dimension")
-        for name, value in (("d", d), ("side", side), ("origin", origin)):
+        # Python ints: a fractional origin would not survive the text format
+        d, side = integers("d", self.d, 1), integers("side", self.side, 1)
+        origin = integers("origin", (0,) * d if self.origin is None else self.origin, None)
+        if np.shape(origin) != (d,):
+            raise DomainError(f"origin must be d = {d} integers, got {self.origin!r}")
+        for name, value in (("d", d), ("side", side), ("origin", tuple(origin.tolist()))):
             object.__setattr__(self, name, value)
 
     @property
@@ -320,8 +309,7 @@ class CostMap:
 
 def sample_weights(n: int, tau: float, seed: int) -> np.ndarray:
     """n reproducible Pareto(tau) weights, one per vertex index."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = integers("n", n, 1)
     u = vertex_uniforms(seed, np.arange(n))
     return np.asarray(pareto_quantile(u, tau), dtype=np.float64)
 
@@ -707,15 +695,8 @@ class CffpRealization:
     def _states(self) -> np.ndarray:
         return absorb_indices(seed_state(self._cost_seed), np.arange(self.n))
 
-    def _vertices(self, u) -> np.ndarray:
-        """u as an int64 array, whose ids must be integers in [0, n)."""
-        us = np.asarray(u)
-        if us.dtype.kind not in "iu" or ((us < 0) | (us >= self.n)).any():
-            raise DomainError(f"vertex ids must be integers in [0, {self.n})")
-        return us.astype(np.int64, copy=False)
-
     def rate(self, u: int, v: int) -> float:
-        if self._vertices(u) == self._vertices(v):
+        if integers("vertex id", u, 0, self.n) == integers("vertex id", v, 0, self.n):
             raise DomainError("no self-loop rates")
         rates = _offset_rates(self.box, self.params, False)
         return float(self._w_alpha[u] * self._w_alpha[v] * rates[self.box.offset_index(u, v)])
@@ -731,7 +712,7 @@ class CffpRealization:
         (indptr, vertices, costs), one row for a single u."""
         if cap is not None and not 0 <= cap < math.inf:
             raise DomainError(f"cap must be a nonnegative finite number, got {cap}")
-        us = self._vertices(u)
+        us = np.asarray(integers("vertex id", u, 0, self.n))
         rows, n, batch = us.reshape(-1), self.n, us.size
         # {u, v} hashes (state min, word max), as edge_uniform does.  Row u's n - 1 pairs
         # start as (state j, word j + 1); then columns j >= u take state u, j < u word u
@@ -835,7 +816,7 @@ class LazyRealization:
         at most once.  Grid neighbours are among them: their offsets' rate
         inf decides their pairs as edges, as it does in the scans.
         """
-        frontier = np.asarray(frontier, dtype=np.int64)
+        frontier = integers("frontier", frontier, 0, self.n)
         reached = np.concatenate(_scan(self, _cross_blocks(frontier, np.flatnonzero(unvisited))))
         return np.unique(reached[unvisited[reached]])
 

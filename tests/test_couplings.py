@@ -188,6 +188,13 @@ class TestBlowupLrp:
         assert coarse.edges == fine.edges
         assert rep.kind is CouplingKind.BLOWUP_LRP
 
+    @pytest.mark.parametrize("lambda_goal", [math.nan, 0.0, -1.0])
+    def test_lambda_goal_must_be_positive(self, lambda_goal):
+        # nan ran, and on a side-12 box reported 10 violations
+        spec = BlowupSpec(r=2, params_small=lrp_small(0.1))
+        with pytest.raises(DomainError, match="lambda_goal must be positive"):
+            blowup_lrp(BoxSpec(d=1, side=12), spec, lambda_goal, 1)
+
     def test_zero_lambda_gives_only_grid(self):
         spec = BlowupSpec(r=3, params_small=lrp_small(0.0))
         fine, coarse, rep = blowup_lrp(BoxSpec(d=1, side=16), spec, 1e-6, 2)
@@ -431,6 +438,15 @@ class TestAggregateWeight:
             aggregate_weight(np.ones(4), 1.0, 2.0, 2)
         with pytest.raises(DomainError):
             aggregate_weight_floor(1.0, 2.5, 1)
+
+    @pytest.mark.parametrize("alpha, c_agg", [(math.nan, 1.0), (1.0, math.nan), (0.0, 1.0),
+                                              (1.0, 0.0), (-1.0, 1.0)])
+    def test_alpha_and_c_agg_must_be_positive(self, alpha, c_agg):
+        # nan returned nan, and the floor divided by alpha = 0
+        with pytest.raises(DomainError, match="alpha and c_agg must be positive"):
+            aggregate_weight(np.ones(2), alpha, 2, 1, c_agg)
+        with pytest.raises(DomainError, match="alpha and c_agg must be positive"):
+            aggregate_weight_floor(alpha, 2, 1, c_agg)
 
 
 class TestWeightDominance:

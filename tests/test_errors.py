@@ -1,0 +1,139 @@
+"""`errors.integers`, the package's one integer check, and the public calls it guards."""
+
+import math
+
+import numpy as np
+import pytest
+
+from percolate import (
+    BoxSpec,
+    DomainError,
+    LazyRealization,
+    Model,
+    ModelConfig,
+    ModelParams,
+    bk_brute_force_k,
+    fit_shape_constant,
+    fkt_h_functional,
+    fpp_cffp_edge_check,
+    mc_ball_growth,
+    mc_tail_grid,
+    sample_weights,
+    shape_containment,
+    sum_exp_tail,
+    weight_dominance_test,
+    wilson_interval,
+)
+from percolate.errors import integers
+from percolate.estimators import (GrowthSeries, LogLinearFit, StretchedFit,
+                                  fit_selfbound_constant)
+
+
+class TestIntegers:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), np.int32(3), np.array(3)])
+    def test_integer_scalars_come_back_as_python_ints(self, value):
+        got = integers("k", value)
+        assert got == 3 and type(got) is int
+
+    def test_bools_are_integers(self):
+        assert integers("d", True, 1) == 1 and integers("k", False) == 0
+
+    @pytest.mark.parametrize("value", [[1, 2], (1, 2), np.array([1, 2], dtype=np.uint16),
+                                       np.array([[0], [4]], dtype=np.int32)])
+    def test_integer_arrays_come_back_as_int64_in_their_shape(self, value):
+        got = integers("ks", value, 0, 5)
+        assert got.dtype == np.int64 and got.shape == np.shape(value)
+        assert got.tolist() == np.asarray(value).tolist()
+
+    def test_an_int64_array_is_returned_as_it_is(self):
+        ks = np.arange(4)
+        assert integers("ks", ks) is ks
+
+    def test_an_empty_sequence_passes(self):
+        for value in ([], (), np.empty(0, dtype=np.int64)):
+            got = integers("ks", value)
+            assert got.dtype == np.int64 and got.size == 0
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, np.float64(2.0), math.nan, "2", None,
+                                       np.True_, np.array(True), np.array([True, False]),
+                                       [2.0], np.array([1.0]), ["1"]])
+    def test_non_integers_are_refused(self, value):
+        with pytest.raises(DomainError, match="^the depth must be"):
+            integers("the depth", value)
+
+    @pytest.mark.parametrize("value, low, high", [
+        (-1, 0, None), (0, 1, None), (5, 0, 5), (-1, 0, 5), (2**63, None, None),
+        (-2**63 - 1, None, None), ([0, 5], 0, 5), ([-1, 2], 0, 5), (np.array([1]), 2, None),
+        (np.array([2**63], dtype=np.uint64), 0, None),
+    ])
+    def test_values_out_of_range_are_refused(self, value, low, high):
+        with pytest.raises(DomainError, match="^x must be"):
+            integers("x", value, low, high)
+
+    def test_bounds_are_inclusive_below_and_exclusive_above(self):
+        assert integers("v", 0, 0, 5) == 0 and integers("v", 4, 0, 5) == 4
+        assert integers("o", -7, None) == -7
+
+    @pytest.mark.parametrize("args, message", [
+        (("k", 1.5), "k must be a nonnegative integer, got 1.5"),
+        (("r", 0, 1), "r must be a positive integer, got 0"),
+        (("vertex id", 5, 0, 5), "vertex id must be an integer in [0, 5), got 5"),
+        (("k0", 1, 2), "k0 must be an integer >= 2, got 1"),
+        (("origin", 0.5, None), "origin must be an integer, got 0.5"),
+        (("ks", [1.5]), "ks must be nonnegative integers, got [1.5]"),
+        (("frontier", [-1], 0, 8), "frontier must be integers in [0, 8), got [-1]"),
+    ])
+    def test_the_message_names_the_argument_and_its_range(self, args, message):
+        with pytest.raises(DomainError) as err:
+            integers(*args)
+        assert str(err.value) == message
+
+
+def _lrp(side=33, lam=0.3):
+    return ModelConfig(box=BoxSpec(d=1, side=side),
+                       params=ModelParams(d=1, alpha=1.5, tau=math.inf, lam=lam),
+                       model=Model.LRP, metric="hop")
+
+
+def _series():
+    return GrowthSeries(thresholds=(0.5, 1.0), mean_sizes=(2.0, 4.0),
+                        loglinear=LogLinearFit(0.0, 0.0, 1.0, (0.0,)),
+                        stretched=StretchedFit(0.0, 0.0, 1.0, 1.0))
+
+
+def _frontier_of_minus_one():
+    real = LazyRealization(BoxSpec(d=1, side=8), _lrp().params, Model.LRP, 1)
+    return real.frontier_neighbors([-1], np.ones(8, dtype=bool))
+
+
+_EXP = ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0)
+
+# Integer arguments given a non-integer or out-of-range value, and the name
+# the error must carry.  Each call once truncated, wrapped or failed elsewhere.
+REFUSED = [
+    ("wilson-trials-2.5", "trials", lambda: wilson_interval(1, 2.5)),
+    ("wilson-successes-0.5", "successes", lambda: wilson_interval(0.5, 3)),
+    ("weights-n-2.5", "n", lambda: sample_weights(2.5, 3.0, 1)),
+    ("frontier-minus-1", "frontier", _frontier_of_minus_one),
+    ("shape-fit-k0-1.5", "k0", lambda: fit_shape_constant(_lrp(), 16, 1.5, 1.5, 2, 1)),
+    ("shape-ks-1.5", "ks", lambda: shape_containment(_lrp(), 16, [1.5], lambda k: 1.0, 2, 1)),
+    ("shape-ks-2.0", "ks", lambda: shape_containment(_lrp(), 16, [2.0], lambda k: 1.0, 2, 1)),
+    ("sum-exp-d-1.5", "d", lambda: sum_exp_tail([1.0], 1.0, 10, 1, 1.2, 1.5, [1.0])),
+    ("fkt-d-1.5", "d", lambda: fkt_h_functional(_series(), 1.0, 1.2, 1.5, 1.0)),
+    ("selfbound-d-1.5", "d", lambda: fit_selfbound_constant(_series(), 1.2, 1.5)),
+    ("bk-n-edges-2.5", "n_edges",
+     lambda: bk_brute_force_k(2.5, [0.5, 0.5], [lambda s: s[0], lambda s: s[1]])),
+    ("tail-trials-2.5", "trials", lambda: mc_tail_grid(_lrp(), 16, [20], [1], 2.5, 1)),
+    ("growth-trials-2.5", "trials", lambda: mc_ball_growth(_lrp(), 16, [1, 2], 2.5, 1)),
+    ("sum-exp-trials-2.5", "trials", lambda: sum_exp_tail([1.0], 1.0, 2.5, 1, 1.2, 1, [1.0])),
+    ("edge-check-trials-2.5", "trials",
+     lambda: fpp_cffp_edge_check(1.0, 1.0, 2.0, 1.0, 2.5, 1, _EXP)),
+    ("weight-dominance-trials-2.5", "trials",
+     lambda: weight_dominance_test(4.0, 3.4, 1.0, 2, 1, 1.0, 2.5, 5)),
+]
+
+
+@pytest.mark.parametrize("name, what, call", REFUSED, ids=[row[0] for row in REFUSED])
+def test_integer_arguments_are_refused_by_name(name, what, call):
+    with pytest.raises(DomainError, match=f"^{what} must be"):
+        call()

@@ -294,6 +294,13 @@ class TestSumExpTail:
         with pytest.raises(DomainError):
             sum_exp_tail([1.0], math.nan, 100, 1, 1.2, 1, [1.0])
 
+    @pytest.mark.parametrize("alpha, c", [(math.nan, math.e), (1.2, math.nan), (0.0, math.e),
+                                          (1.2, -1.0)])
+    def test_alpha_and_c_must_be_positive(self, alpha, c):
+        # nan gave a p-hat beside a nan bound
+        with pytest.raises(DomainError, match="alpha and c must be positive"):
+            sum_exp_tail([1.0], 1.0, 100, 1, alpha, 1, [1.0], c=c)
+
     @pytest.mark.parametrize("dists", [2.0, [[1.0, 2.0]]])
     def test_dists_must_be_a_1d_sequence(self, dists):
         with pytest.raises(DomainError, match="1-d sequence of hop distances"):

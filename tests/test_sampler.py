@@ -1378,7 +1378,7 @@ class TestBoxLayout:
         dict(d=1, side=4, origin=1),
     ])
     def test_non_integers_are_rejected(self, kwargs):
-        with pytest.raises(DomainError, match="integers"):
+        with pytest.raises(DomainError, match="integer"):
             BoxSpec(**kwargs)
 
     def test_integers_are_kept_as_python_ints(self):
