@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, reals
 from .kernels import (
     BoundConstants,
     KernelVariant,
@@ -186,13 +186,10 @@ def _cmd_tail(args) -> int:
     config = ModelConfig(box=box, params=params, model=Model(args.model),
                          metric=args.metric)
     thresholds = _numbers("--thresholds", args.thresholds)
-    if args.metric == "hop":
-        # whole hop counts; mc_tail_grid rejects the thresholds that are not finite
-        thresholds = [int(t) if math.isfinite(t) else t for t in thresholds]
+    if args.metric == "hop":  # whole hop counts as ints; 1.5 stays 1.5, not 1
+        thresholds = [int(t) if t.is_integer() else t for t in thresholds]
     estimates = mc_tail_grid(config, args.source, _numbers("--targets", args.targets, int),
                              thresholds, args.trials, args.seed)
-    if args.out:
-        write_tail_csv(estimates, args.out)
     result = {
         "points": len(estimates),
         "out": args.out,
@@ -205,7 +202,7 @@ def _cmd_tail(args) -> int:
             raise UsageError(f"--eps-grid: {args.eps_grid!r} is not lo:hi:count") from None
         report = bound_compliance(
             estimates,
-            lambda k, dist, eps: tail_bound_lrp(int(k), dist, eps, params),
+            lambda k, dist, eps: tail_bound_lrp(k, dist, eps, params),
             grid.tolist(),
         )
         result["best_eps"] = report.best_constants
@@ -218,7 +215,7 @@ def _cmd_tail(args) -> int:
         ]
         report = bound_compliance(
             estimates,
-            lambda k, dist, bc: tail_bound_sfp(int(k), dist, bc, params),
+            lambda k, dist, bc: tail_bound_sfp(k, dist, bc, params),
             grid,
         )
         result["best_constants"] = {
@@ -229,6 +226,8 @@ def _cmd_tail(args) -> int:
     if args.bound:
         result.update(compliant=report.compliant, margin=report.margin,
                       margin_upper=report.margin_upper)
+    if args.out:  # only once the bound has accepted every threshold
+        write_tail_csv(estimates, args.out)
     _emit("tail", args, result)
     return 0
 
@@ -307,12 +306,9 @@ def _cmd_coupling(args) -> int:
                                        args.r, args.d, args.c_agg,
                                        args.trials, args.seed)
     else:  # min-exp grid
-        step = args.step
-        # an empty grid would pass vacuously; NaN fails every comparison
-        if not 0 < step < math.inf:
-            raise DomainError(f"--step must be finite and positive, got {step}")
-        if not 0 <= args.grid_max < math.inf:
-            raise DomainError(f"--grid-max must be finite and nonnegative, got {args.grid_max}")
+        # finite, or the grid below is empty or endless
+        step = reals("--step", args.step, 0, math.inf, "()")
+        reals("--grid-max", args.grid_max, 0, math.inf, "[)")
         grid = np.arange(0.0, args.grid_max + step / 2, step)
         violations = 0
         worst = 0.0
@@ -420,13 +416,10 @@ def _cmd_shape(args) -> int:
     delta = args.delta
     if delta is None:
         delta = delta_exponent(min(params.alpha, params.tau - 2))
-    if not delta > 0:  # r(k) = exp(c k^(1/delta))
-        raise DomainError(f"delta must be positive, got {delta}")
-    if args.c is not None and not math.isfinite(args.c):
-        raise DomainError(f"--c must be finite, got {args.c}")
+    reals("delta", delta, 0, ends="(]")  # r(k) = exp(c k^(1/delta))
     ks = _numbers("--ks", args.ks, int)
     if args.c is not None:
-        c = args.c
+        c = reals("--c", args.c, -math.inf, math.inf, "()")
     else:
         c = fit_shape_constant(config, root, args.fit_k, delta,
                                args.fit_trials, trial_seed(args.seed, 10**6),

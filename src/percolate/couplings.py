@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, integers
+from .errors import DomainError, integers, reals
 from .kernels import (
     ModelParams,
     alpha_reduced_params,
@@ -126,8 +126,8 @@ def couple_alpha(
 
 def min_exp_inequality(a: float, b: float) -> tuple[float, float]:
     """Both sides of min{1, a}(1 - e^-b) <= 1 - e^-(ab), for a, b >= 0."""
-    if not (a >= 0 and b >= 0):  # NaN included
-        raise DomainError("a and b must be nonnegative")
+    reals("a", a, 0)
+    reals("b", b, 0)
     lhs = min(1.0, a) * -math.expm1(-b)
     rhs = -math.expm1(-a * b)
     return lhs, rhs
@@ -150,13 +150,10 @@ def fpp_cffp_edge_check(
     flagged only when p_hat(X <= t) exceeds p_hat(Y <= t) by more than three
     pooled standard errors.
     """
-    # `not x >= lo`, as NaN fails every comparison
-    if not (wu >= 1 and wv >= 1):
-        raise DomainError("weights must be >= 1")
-    if not dist >= 1:
-        raise DomainError("dist must be >= 1")
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
+    reals("wu", wu, 1)
+    reals("wv", wv, 1)
+    reals("dist", dist, 1)
+    reals("t", t, 0)
     trials = integers("trials", trials, 1)
 
     p_exist = float(connection_prob(wu, wv, dist, params))
@@ -227,8 +224,7 @@ def blowup_lrp(
     frequency falls more than 3 sigma short of min{1, lambda_goal *
     dist^(-alpha d)}.
     """
-    if not lambda_goal > 0:  # NaN included
-        raise DomainError(f"lambda_goal must be positive, got {lambda_goal}")
+    reals("lambda_goal", lambda_goal, 0, ends="(]")
     params = spec.params_small
     if coarse_box.d != params.d:
         raise DomainError("box dimension must match the model dimension")
@@ -392,10 +388,9 @@ def aggregate_weight(
     n = r**d
     if w.ndim < 1 or w.shape[-1] != n:
         raise DomainError(f"expected r^d = {n} weights, got {w.shape[-1:] or 'a scalar'}")
-    if np.any(w < 1):
-        raise DomainError("weights must be >= 1")
-    if not (alpha > 0 and c_agg > 0):  # NaN included
-        raise DomainError(f"alpha and c_agg must be positive, got {alpha}, {c_agg}")
+    reals("weights", w, 1)
+    reals("alpha", alpha, 0, ends="(]")
+    reals("c_agg", c_agg, 0, ends="(]")
     out = c_agg * (w**alpha).sum(axis=-1) ** (1.0 / alpha) / r ** (d / 2.0)
     return float(out) if out.ndim == 0 else out
 
@@ -403,8 +398,8 @@ def aggregate_weight(
 def aggregate_weight_floor(alpha: float, r: int, d: int, c_agg: float = 1.0) -> float:
     """The deterministic lower bound c * n^(1/alpha - 1/2), n = r^d."""
     r, d = integers("r", r, 1), integers("d", d, 1)
-    if not (alpha > 0 and c_agg > 0):  # NaN included
-        raise DomainError(f"alpha and c_agg must be positive, got {alpha}, {c_agg}")
+    reals("alpha", alpha, 0, ends="(]")
+    reals("c_agg", c_agg, 0, ends="(]")
     n = r**d
     return float(c_agg * n ** (1.0 / alpha - 0.5))
 
@@ -427,9 +422,7 @@ def weight_dominance_test(
     3 sigma falls below the target are flagged; for large enough r none
     should be.
     """
-    hi = tau_prime_max(tau, alpha)
-    if not 3.0 < tau_prime < hi:
-        raise DomainError(f"tau' must lie in (3, {hi}), got {tau_prime}")
+    reals("tau'", tau_prime, 3, tau_prime_max(tau, alpha), "()")
     trials = integers("trials", trials, 1)
     r, d = integers("r", r, 1), integers("d", d, 1)
     n = r**d

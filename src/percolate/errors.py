@@ -1,10 +1,14 @@
-"""The package's exception types and its one integer check.
+"""The package's exception types and its two argument checks.
 
-`integers` decides every integer argument: sides, dimensions, blow-up
-factors, hop depths, counts and vertex ids.  It refuses a float even when
-it is whole, so nothing is truncated or wrapped on the way in.
+`integers` decides every integer argument (sides, dimensions, blow-up
+factors, hop counts and depths, trial counts, vertex ids and seeds), and
+`reals` every real argument that has a range.  Neither truncates, wraps or
+lets NaN pass, and both raise `DomainError` naming the argument, its range
+and the value refused.  Checks that relate several arguments, such as
+2 alpha < tau - 1, are written where they apply.
 """
 
+import math
 import operator
 
 import numpy as np
@@ -40,3 +44,27 @@ def integers(what: str, values, low: int | None = 0, high: int | None = None):
     bound = f" in [{lo}, {high})" if high is not None else "" if sign or low is None else f" >= {low}"
     rule = f"{sign}integers{bound}" if many else f"{'a' if sign else 'an'} {sign}integer{bound}"
     raise DomainError(f"{what} must be {rule}, got {values!r}")
+
+
+def reals(what: str, values, low: float = -math.inf, high: float = math.inf, ends="[]"):
+    """`values`, unchanged, if each is a number from low to high, else DomainError
+    naming `what`, the interval and the first value outside it.  `ends` closes
+    an end by "[" or "]" and opens it by "(" or ")"; NaN lies in no interval.
+    Anything but a scalar must make a real array; an empty one passes."""
+    try:  # a scalar; an array of several values fails its truth test
+        if (low <= values <= high if ends == "[]" else low < values <= high if ends == "(]"
+                else low < values < high if ends == "()" else low <= values < high):
+            return values
+    except (TypeError, ValueError):
+        pass
+    arr, bad = np.asarray(values), values
+    if arr.dtype.kind in "biuf":  # else bad is not a number
+        ok = arr > low if ends[0] == "(" else arr >= low  # NaN fails here
+        if high < math.inf or ends[1] == ")":
+            ok &= arr < high if ends[1] == ")" else arr <= high
+        if ok.all():
+            return values
+        bad = arr.flat[np.argmin(ok)].item()
+    rule = (("positive" if ends[0] == "(" else "nonnegative") + " and finite" * (ends[1] == ")")
+            if low == 0 and high == math.inf else f"a number in {ends[0]}{low}, {high}{ends[1]}")
+    raise DomainError(f"{what} must be {rule}, got {bad!r}")

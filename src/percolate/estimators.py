@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import BudgetError, DomainError, integers
+from .errors import BudgetError, DomainError, integers, reals
 from .kernels import ModelParams, delta_exponent, pareto_quantile
 from .metrics import (_ball_profile, _check_thresholds, cost_distances_from,
                       hop_distances_from)
-from .rng import trial_seed, trial_seeds, vertex_uniform_each
+from .rng import trial_seeds, vertex_uniform_each
 from .sampler import (
     BoxSpec,
     CffpRealization,
@@ -165,8 +165,8 @@ def _trial_rows(config: ModelConfig, root: int, thresholds, trials: int, seed: i
     root = integers("vertex id", root, 0, config.box.n_vertices)
     _check_thresholds(thresholds, hop=config.metric == "hop")
     cap = max(thresholds)
-    return np.array([row(*_distances_for_trial(config, root, trial_seed(seed, i), cap))
-                     for i in range(trials)], dtype=np.float64)
+    return np.array([row(*_distances_for_trial(config, root, s, cap))
+                     for s in trial_seeds(seed, trials).tolist()], dtype=np.float64)
 
 
 def mc_tail(
@@ -244,9 +244,8 @@ def bound_compliance(estimates, bound_fn, constants_grid) -> ComplianceReport:
     constants_grid = list(constants_grid)
     if not estimates or not constants_grid:
         raise DomainError("need at least one estimate and one constants choice")
-    if not all(math.isfinite(e.dist) for e in estimates):
-        # A NaN bound never lowers the margin, so the check would pass vacuously.
-        raise DomainError("bound compliance needs a finite distance for every estimate")
+    # a NaN bound never lowers the margin, so the check would pass vacuously
+    reals("the estimates' distances", [e.dist for e in estimates], -math.inf, math.inf, "()")
 
     best = None
     for constants in constants_grid:
@@ -416,19 +415,14 @@ def sum_exp_tail(
     rate_i = (w_i w_{i+1})^alpha dist_i^(-alpha d); requires 2 alpha < tau-1.
     Fixed `rates` skip the weight layer (the k=1 closed-form mode).
     """
-    if not t >= 0:  # NaN included
-        raise DomainError(f"t must be nonnegative, got {t}")
+    reals("t", t, 0)
     trials = integers("trials", trials, 1)
-    if not (alpha > 0 and c > 0):  # NaN included
-        raise DomainError(f"alpha and c must be positive, got {alpha}, {c}")
+    reals("alpha", alpha, 0, ends="(]")
+    reals("c", c, 0, ends="(]")
     dists = np.asarray(dists, dtype=np.float64)
-    if dists.ndim != 1:
-        raise DomainError("dists must be a 1-d sequence of hop distances")
-    if np.any(dists < 1):
-        raise DomainError("distances must be >= 1")
-    k = len(dists)
-    if k < 1:
-        raise DomainError("need at least one hop")
+    if dists.ndim != 1 or not (k := len(dists)):
+        raise DomainError("dists must be a 1-d sequence of hop distances, one or more")
+    reals("dists", dists, 1)
     ad = alpha * integers("d", d, 1)
 
     bound = 0.0 if t == 0 else (math.e * c * t / k) ** k * float(
@@ -437,11 +431,9 @@ def sum_exp_tail(
 
     seeds = trial_seeds(seed, trials)
     if rates is not None:
-        rates = np.asarray(rates, dtype=np.float64)
+        rates = reals("rates", np.asarray(rates, dtype=np.float64), 0, ends="(]")
         if len(rates) != k:
             raise DomainError("rates and dists must have equal length")
-        if np.any(rates <= 0):
-            raise DomainError("rates must be positive")
         rate_matrix = np.broadcast_to(rates, (trials, k))
     else:
         if tau is None:
@@ -537,11 +529,9 @@ def bk_brute_force_k(n_edges: int, probs, events) -> tuple[float, float]:
     n_edges = integers("n_edges", n_edges, 1)
     if n_edges > _BK_MAX_EDGES:
         raise BudgetError(f"enumeration capped at {_BK_MAX_EDGES} edges")
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = reals("probs", np.asarray(probs, dtype=np.float64), 0, 1)
     if len(probs) != n_edges:
         raise DomainError("probs length must equal n_edges")
-    if np.any((probs < 0) | (probs > 1)):
-        raise DomainError("probabilities must lie in [0, 1]")
     events = list(events)
     if len(events) < 2:
         raise DomainError("need at least two events")
@@ -577,13 +567,13 @@ def fit_distance_exponent(
     delta_exponent(min{alpha, tau - 2}) for reference.
     """
     samples = [(float(a), float(b)) for a, b in samples]
+    reals("dist", [a for a, _ in samples], 1, ends="(]")
+    reals("median", [b for _, b in samples], 0, ends="(]")
     dists = sorted({a for a, _ in samples})
     if len(dists) < 4:
         raise DomainError("need at least 4 distinct distances")
     if dists[-1] / dists[0] < 100:
         raise DomainError("distances must span at least two decades")
-    if any(a <= 1 or b <= 0 for a, b in samples):
-        raise DomainError("need dist > 1 and positive medians")
 
     line = _fit_loglinear(np.log(np.log([a for a, _ in samples])),
                           np.log([b for _, b in samples]))
@@ -637,11 +627,9 @@ def fit_shape_constant(
     quantile: float = 0.95,
 ) -> float:
     """Fit c in r(k) = exp(c k^(1/delta)) to a quantile of the k0-ball radius."""
-    if not 0 < quantile < 1:
-        raise DomainError("quantile must lie in (0, 1)")
+    reals("quantile", quantile, 0, 1, "()")
     k0 = integers("k0", k0, 1)
-    if not delta > 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    reals("delta", delta, 0, ends="(]")
     radii = _hop_ball_radii(config, root, [k0], trials, seed)[:, 0]
     q = float(np.quantile(radii, quantile))
     if q < 1:
@@ -668,15 +656,10 @@ def fkt_h_functional(
     Trapezoidal quadrature on the measured grid; g is interpolated linearly
     between grid points and pinned to g(0) = 1.
     """
-    if not t >= 0:  # NaN included
-        raise DomainError(f"t must be nonnegative, got {t}")
-    if math.isnan(delta_rate):
-        raise DomainError("delta_rate must be a number, got nan")
+    reals("delta_rate", delta_rate)
     d = integers("d", d, 1)
     ts, gs = _pinned_at_zero(g_hat)
-    if t > ts[-1]:
-        raise DomainError(f"t={t} outside the series range [0, {ts[-1]}]")
-    if t == 0:
+    if reals("t", t, 0, ts[-1]) == 0:  # within the series
         return 1.0
 
     ys = np.unique(np.concatenate([ts[ts <= t], [t]]))

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, integers
+from .errors import DomainError, integers, reals
 
 
 class KernelVariant(str, Enum):
@@ -40,14 +40,10 @@ class ModelParams:
     kernel_variant: KernelVariant = KernelVariant.MIN
 
     def __post_init__(self):
-        # the ranges read `not x >= lo`, as NaN fails every comparison
         object.__setattr__(self, "d", integers("the dimension d", self.d, 1))
-        if not self.alpha >= 1:
-            raise DomainError(f"alpha must be >= 1, got {self.alpha}")
-        if not self.tau > 1:
-            raise DomainError(f"tau must exceed 1, got {self.tau}")
-        if not self.lam >= 0:
-            raise DomainError(f"lambda must be nonnegative, got {self.lam}")
+        reals("alpha", self.alpha, 1)
+        reals("tau", self.tau, 1, ends="(]")
+        reals("lambda", self.lam, 0)
 
 
 @dataclass(frozen=True)
@@ -60,10 +56,9 @@ class BoundConstants:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 > 0 and self.beta_exp > 0):  # NaN included
-            raise DomainError("c1, c2 and beta must be strictly positive")
-        if not self.epsilon >= 0:
-            raise DomainError("epsilon must be nonnegative")
+        for what, value in (("c1", self.c1), ("c2", self.c2), ("beta", self.beta_exp)):
+            reals(what, value, 0, ends="(]")
+        reals("epsilon", self.epsilon, 0)
 
 
 @dataclass(frozen=True)
@@ -76,15 +71,10 @@ class EnvelopeParams:
     c_theta: float
 
     def __post_init__(self):
-        # the ranges read `not x >= lo`, as NaN fails every comparison
-        if not 0.5 < self.theta < 1.0:
-            raise DomainError(f"theta must lie in (1/2, 1), got {self.theta}")
-        if not self.beta_env >= 0:
-            raise DomainError("beta_env must be nonnegative")
-        if not self.lambda_env > 0:
-            raise DomainError("lambda_env must be positive")
-        if not self.c_theta > 1:
-            raise DomainError(f"c_theta must exceed 1, got {self.c_theta}")
+        reals("theta", self.theta, 0.5, 1, "()")
+        reals("beta_env", self.beta_env, 0)
+        reals("lambda_env", self.lambda_env, 0, ends="(]")
+        reals("c_theta", self.c_theta, 1, ends="(]")
 
 
 def delta_exponent(beta: float) -> float:
@@ -92,8 +82,7 @@ def delta_exponent(beta: float) -> float:
 
     Strictly increasing in beta; diverges as beta -> 2.
     """
-    if not 0 < beta < 2:
-        raise DomainError(f"delta_exponent requires beta in (0, 2), got {beta}")
+    reals("beta", beta, 0, 2, "()")
     return 1.0 / math.log2(2.0 / beta)
 
 
@@ -105,11 +94,9 @@ def connection_prob(wx, wy, dist, params: ModelParams):
     `distance_rate` factor from a table per offset, and `apply_kernel` is K.
     """
     wx, wy, dist = (np.asarray(a, dtype=np.float64) for a in (wx, wy, dist))
-    # the ranges read `not x >= lo`, as NaN fails every comparison
-    if not (dist > 0).all():
-        raise DomainError("connection_prob requires strictly positive distances")
-    if not ((wx >= 1).all() and (wy >= 1).all()):
-        raise DomainError("weights must be >= 1 (Pareto floor)")
+    reals("dist", dist, 0, ends="(]")
+    reals("weights", wx, 1)  # the Pareto floor
+    reals("weights", wy, 1)
     arg = wx**params.alpha * wy**params.alpha * distance_rate(dist, params)
     return apply_kernel(arg, params.kernel_variant)
 
@@ -138,11 +125,8 @@ def pareto_quantile(u, tau: float):
     Maps uniform u in [0, 1) to (1-u)^(-1/(tau-1)).  Accepts arrays.
     `tau == inf` yields the constant 1.
     """
-    if not tau > 1:  # NaN included
-        raise DomainError(f"pareto_quantile requires tau > 1, got {tau}")
-    u = np.asarray(u, dtype=np.float64)
-    if not ((u >= 0) & (u < 1)).all():  # NaN included
-        raise DomainError("pareto_quantile requires u in [0, 1)")
+    reals("tau", tau, 1, ends="(]")
+    u = reals("u", np.asarray(u, dtype=np.float64), 0, 1, "[)")
     if math.isinf(tau):
         out = np.ones_like(u)
     else:
@@ -166,10 +150,8 @@ def tail_bound_sfp(k: int, dist: float, bc: BoundConstants, params: ModelParams)
     with Delta' = delta_exponent(min{alpha, tau - 2 - eps}).  The value may
     exceed 1: it is a bound, not a probability.
     """
-    if not k >= 1:  # NaN included
-        raise DomainError(f"k must be >= 1, got {k}")
-    if not dist >= 1:
-        raise DomainError(f"dist must be >= 1, got {dist}")
+    k = integers("k", k, 1)
+    reals("dist", dist, 1)
     dprime = _delta_prime_sfp(params, bc.epsilon)
     if math.isinf(dist):
         return 0.0
@@ -184,15 +166,11 @@ def tail_bound_sfp(k: int, dist: float, bc: BoundConstants, params: ModelParams)
 
 def tail_bound_lrp(k: int, dist: float, eps: float, params: ModelParams) -> float:
     """Upper bound dist^(-alpha d) * exp(alpha d * k^(1/(Delta+eps))) for LRP."""
-    if not k >= 1:  # NaN included
-        raise DomainError(f"k must be >= 1, got {k}")
-    if not dist >= 1:
-        raise DomainError(f"dist must be >= 1, got {dist}")
-    if not eps > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    if not 1 < params.alpha < 2:
-        raise DomainError(f"LRP tail bound requires alpha in (1, 2), got {params.alpha}")
-    dprime = delta_exponent(params.alpha) + eps
+    k = integers("k", k, 1)
+    reals("dist", dist, 1)
+    reals("eps", eps, 0, ends="(]")
+    # delta_exponent(alpha), written out: this is a hot path, and (1, 2) is in its range
+    dprime = 1.0 / math.log2(2.0 / reals("alpha", params.alpha, 1, 2, "()")) + eps
     ad = params.alpha * params.d
     if math.isinf(dist):
         return 0.0
@@ -209,12 +187,9 @@ def tail_bound_fpp_log(
     delta_exponent(alpha), valid when 2 alpha < tau - 1; otherwise the
     caller must supply the adjusted exponent.
     """
-    if not t >= 0:  # NaN included
-        raise DomainError(f"t must be nonnegative, got {t}")
-    if not dist >= 1:
-        raise DomainError(f"dist must be >= 1, got {dist}")
-    if not c > 0:
-        raise DomainError("c must be positive")
+    reals("t", t, 0)
+    reals("dist", dist, 1)
+    reals("c", c, 0, ends="(]")
     if delta is None:
         if not 2 * params.alpha < params.tau - 1:
             raise DomainError(
@@ -237,9 +212,7 @@ def envelope_G_log(t: float, ep: EnvelopeParams) -> float:
     The stretched-exponential envelope of the expected ball size;
     G(0) = 1, i.e. the log is 0 at t = 0.
     """
-    if not t >= 0:  # NaN included
-        raise DomainError(f"t must be nonnegative, got {t}")
-    if t == 0:
+    if reals("t", t, 0) == 0:
         return 0.0
     e_outer = math.log2(2.0 * ep.theta)
     e_inner = math.log2(1.0 / ep.theta)
@@ -252,10 +225,9 @@ def envelope_G_log(t: float, ep: EnvelopeParams) -> float:
 
 def shape_radii(k: int, delta: float, eps: float) -> tuple[float, float]:
     """Inner and outer sandwich radii (q, r) = (e^(k^(1/D-e)), e^(k^(1/D+e)))."""
-    if not k >= 1:  # NaN included
-        raise DomainError(f"k must be >= 1, got {k}")
-    if not (delta > 0 and eps > 0):  # NaN included
-        raise DomainError("delta and eps must be positive")
+    k = integers("k", k, 1)
+    reals("delta", delta, 0, ends="(]")
+    reals("eps", eps, 0, ends="(]")
     if 1.0 / delta - eps < 0:
         raise DomainError(f"1/delta - eps = {1.0 / delta - eps} is negative")
     q = math.exp(k ** (1.0 / delta - eps))
@@ -270,10 +242,7 @@ def alpha_reduced_params(params: ModelParams, alpha_prime: float) -> ModelParams
     pointwise increases every connection probability, so the original graph
     is a subgraph of the reduced one under shared uniforms.
     """
-    if not 1 < alpha_prime < params.alpha:
-        raise DomainError(
-            f"alpha' must lie strictly between 1 and alpha={params.alpha}, got {alpha_prime}"
-        )
+    reals("alpha'", alpha_prime, 1, params.alpha, "()")
     return replace(
         params, alpha=alpha_prime, lam=params.lam ** (alpha_prime / params.alpha)
     )
@@ -287,8 +256,6 @@ def tau_prime_max(tau: float, alpha: float) -> float:
     finite: the tail x^(1-tau) of tau = inf is 0 beyond x = 1, which every
     weight law dominates, so a check against it would pass vacuously.
     """
-    if not 3 < tau < math.inf:
-        raise DomainError(f"tau must be finite and exceed 3, got {tau}")
-    if not 1 <= alpha < 2:
-        raise DomainError(f"alpha must lie in [1, 2), got {alpha}")
+    reals("tau", tau, 3, math.inf, "()")
+    reals("alpha", alpha, 1, 2, "[)")
     return tau * (1.0 - alpha / 2.0) + 3.0 * alpha / 2.0

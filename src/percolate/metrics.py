@@ -47,7 +47,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import BudgetError, DomainError, integers
+from .errors import BudgetError, DomainError, integers, reals
 from .sampler import (_ROW_BATCH_PAIRS, CffpRealization, CostMap, LazyRealization, RateModel,
                       SampledGraph, _write_csv)
 
@@ -106,7 +106,7 @@ def hop_distances_from(graph, x: int, max_depth: int | None = None) -> np.ndarra
     depth = 0
     while frontier.size and depth < limit:
         depth += 1
-        frontier = graph.frontier_neighbors(frontier, dist < 0)
+        frontier = graph._frontier_neighbors(frontier, dist < 0)
         dist[frontier] = depth
     return dist
 
@@ -198,8 +198,8 @@ def cost_distances_from(
 ) -> np.ndarray:
     """Cost distances from x to every vertex; inf beyond reach or `t_max`."""
     x = integers("vertex id", x, 0, obj.n)
-    if t_max is not None and not t_max >= 0:
-        raise DomainError(f"t_max must be a nonnegative number, got {t_max}")
+    if t_max is not None:
+        reals("t_max", t_max, 0)
     if isinstance(obj, CffpRealization):
         return _dense_cost_search(obj, x, t_max=t_max)
     return _sparse_cost_search(obj, costs, x, t_max=t_max)
@@ -214,8 +214,6 @@ def k_ball(graph: SampledGraph, x: int, k: int) -> set[int]:
 
 def t_ball(obj, costs: CostMap | None, x: int, t: float) -> set[int]:
     """All vertices within cost distance t of x (contains x)."""
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
     dist = cost_distances_from(obj, costs, x, t_max=t)
     return {int(v) for v in np.nonzero(dist <= t)[0]}
 

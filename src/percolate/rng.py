@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integers
 
 _MASK = (1 << 64) - 1
 _IV = 0x6A09E667F3BCC909
@@ -41,7 +41,8 @@ def _absorb(h: int, w: int) -> int:
 
 
 def _hash_words(seed: int, *words: int) -> int:
-    h = _mix64((seed & _MASK) ^ _IV)
+    """The words' hash under a seed in [0, 2^64); every public seed is checked here."""
+    h = _mix64(integers("seed", seed, 0, 2**64) ^ _IV)
     for w in words:
         h = _absorb(h, w)
     return h
@@ -122,7 +123,7 @@ def _absorb_vec(h: np.ndarray, w: np.ndarray, z: np.ndarray | None = None,
 
 def seed_state(seed: int) -> np.uint64:
     """Pre-mixed per-seed state reused across vectorized calls."""
-    return np.uint64(_mix64((seed & _MASK) ^ _IV))
+    return np.uint64(_hash_words(seed))
 
 
 def absorb_indices(state: np.uint64, idx: np.ndarray) -> np.ndarray:
@@ -186,7 +187,7 @@ def position_uniforms(seed: int, n: int, d: int) -> np.ndarray:
 
 def trial_seeds(seed: int, n: int) -> np.ndarray:
     """uint64 array of trial_seed(seed, 0..n-1), bit-identical to the scalar."""
-    h1 = np.uint64(_absorb(_mix64((seed & _MASK) ^ _IV), TRIAL_STREAM))
+    h1 = np.uint64(_hash_words(seed, TRIAL_STREAM))
     return _absorb_vec(np.broadcast_to(h1, (n,)), np.arange(n, dtype=np.uint64))
 
 

@@ -61,7 +61,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetError, DomainError, integers
+from .errors import BudgetError, DomainError, integers, reals
 from .kernels import (KernelVariant, ModelParams, apply_kernel, connection_prob,
                       distance_rate, pareto_quantile)
 from .rng import (
@@ -577,13 +577,15 @@ def _vertex_budget(default: int) -> int:
         raise DomainError(f"{BUDGET_ENV} must be an integer, got {text!r}") from None
 
 
-def _check_box(box: BoxSpec, params: ModelParams, default: int, budget: str) -> None:
-    """The box has the params' dimension and at most the named vertex budget."""
-    if box.d != params.d:
-        raise DomainError(f"box dimension {box.d} != params dimension {params.d}")
+def _check_box(real, default: int, budget: str) -> None:
+    """A realization's box has its params' dimension and at most the named
+    vertex budget, and its seed is one of the 2^64 that the hash tells apart."""
+    integers("seed", real.seed, 0, 2**64)
+    if real.box.d != real.params.d:
+        raise DomainError(f"box dimension {real.box.d} != params dimension {real.params.d}")
     limit = _vertex_budget(default)
-    if box.n_vertices > limit:
-        raise BudgetError(f"{box.n_vertices} vertices exceed the {budget} of {limit}")
+    if real.n > limit:
+        raise BudgetError(f"{real.n} vertices exceed the {budget} of {limit}")
 
 
 def _positions(box: BoxSpec, model: Model, seed: int) -> np.ndarray:
@@ -673,7 +675,8 @@ class CffpRealization:
             raise DomainError("weights length must equal the box vertex count")
         if self.params.lam != 1.0:
             raise DomainError("CFFP is normalized to lambda = 1")
-        _check_box(self.box, self.params, DEFAULT_COMPLETE_BUDGET, "complete-graph budget")
+        reals("weights", self.weights, 1)
+        _check_box(self, DEFAULT_COMPLETE_BUDGET, "complete-graph budget")
 
     @property
     def n(self) -> int:
@@ -710,8 +713,8 @@ class CffpRealization:
         array u of B vertices, the (B, n) array whose row b is cost_row(u[b]).
         With `cap`, a nonnegative finite number, the rows' entries <= cap as
         (indptr, vertices, costs), one row for a single u."""
-        if cap is not None and not 0 <= cap < math.inf:
-            raise DomainError(f"cap must be a nonnegative finite number, got {cap}")
+        if cap is not None:
+            reals("cap", cap, 0, math.inf, "[)")
         us = np.asarray(integers("vertex id", u, 0, self.n))
         rows, n, batch = us.reshape(-1), self.n, us.size
         # {u, v} hashes (state min, word max), as edge_uniform does.  Row u's n - 1 pairs
@@ -780,7 +783,7 @@ class LazyRealization:
 
     def __post_init__(self):
         object.__setattr__(self, "model", Model(self.model))
-        _check_box(self.box, self.params, DEFAULT_SPARSE_BUDGET, "budget")
+        _check_box(self, DEFAULT_SPARSE_BUDGET, "budget")
 
     @property
     def n(self) -> int:
@@ -816,7 +819,10 @@ class LazyRealization:
         at most once.  Grid neighbours are among them: their offsets' rate
         inf decides their pairs as edges, as it does in the scans.
         """
-        frontier = integers("frontier", frontier, 0, self.n)
+        return self._frontier_neighbors(integers("frontier", frontier, 0, self.n), unvisited)
+
+    def _frontier_neighbors(self, frontier: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
+        """`frontier_neighbors` of an int64 array of vertex ids, unchecked, for the BFS."""
         reached = np.concatenate(_scan(self, _cross_blocks(frontier, np.flatnonzero(unvisited))))
         return np.unique(reached[unvisited[reached]])
 

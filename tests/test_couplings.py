@@ -443,9 +443,9 @@ class TestAggregateWeight:
                                               (1.0, 0.0), (-1.0, 1.0)])
     def test_alpha_and_c_agg_must_be_positive(self, alpha, c_agg):
         # nan returned nan, and the floor divided by alpha = 0
-        with pytest.raises(DomainError, match="alpha and c_agg must be positive"):
+        with pytest.raises(DomainError, match="^(alpha|c_agg) must be positive"):
             aggregate_weight(np.ones(2), alpha, 2, 1, c_agg)
-        with pytest.raises(DomainError, match="alpha and c_agg must be positive"):
+        with pytest.raises(DomainError, match="^(alpha|c_agg) must be positive"):
             aggregate_weight_floor(alpha, 2, 1, c_agg)
 
 

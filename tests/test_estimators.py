@@ -298,7 +298,7 @@ class TestSumExpTail:
                                           (1.2, -1.0)])
     def test_alpha_and_c_must_be_positive(self, alpha, c):
         # nan gave a p-hat beside a nan bound
-        with pytest.raises(DomainError, match="alpha and c must be positive"):
+        with pytest.raises(DomainError, match="^(alpha|c) must be positive"):
             sum_exp_tail([1.0], 1.0, 100, 1, alpha, 1, [1.0], c=c)
 
     @pytest.mark.parametrize("dists", [2.0, [[1.0, 2.0]]])

@@ -70,7 +70,7 @@ class TestEdgeUniform:
         )
         vv = rng.vertex_uniforms(3, np.arange(50))
         assert all(vv[i] == vertex_uniform(3, i) for i in range(50))
-        for seed in (3, 2**63 + 5, -7):
+        for seed in (3, 2**63 + 5):
             pos = rng.position_uniforms(seed, 20, 3)
             assert all(pos[i, a] == rng.position_uniform(seed, i, a)
                        for i in range(20) for a in range(3))
@@ -78,10 +78,6 @@ class TestEdgeUniform:
             assert seeds.tolist() == [rng.trial_seed(seed, i) for i in range(30)]
             each = rng.vertex_uniform_each(seeds, 1000)
             assert all(each[i] == vertex_uniform(int(seeds[i]), 1000) for i in range(30))
-        # vector seeds are uint64; a negative scalar seed is its two's complement
-        raw = [3, 2**63 + 5, -7]
-        each = rng.vertex_uniform_each(np.array([s % 2**64 for s in raw], dtype=np.uint64), 2)
-        assert each.tolist() == [vertex_uniform(s, 2) for s in raw]
 
     @pytest.mark.parametrize("shapes", [
         ((3, 4, 1), (3, 1, 5)), ((6, 7), (6, 7)), ((), (40,)), ((9,), ()), ((2, 1), (5,)),
