@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import BudgetError, DomainError, integers, reals
 from .kernels import ModelParams, delta_exponent, pareto_quantile
@@ -319,6 +318,9 @@ def _fit_loglinear(ts: np.ndarray, logg: np.ndarray) -> LogLinearFit:
 
 
 def _fit_stretched(ts: np.ndarray, logg: np.ndarray) -> StretchedFit:
+    """Least squares fit of a + b t^s to log g by a bounded search over s; loads scipy.optimize."""
+    from scipy.optimize import minimize_scalar  # loaded by the first stretched fit
+
     def sse(s: float) -> float:
         reg = ts**s
         b, a = np.polyfit(reg, logg, 1)

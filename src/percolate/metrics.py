@@ -7,9 +7,11 @@ Every search on a `SampledGraph` is scipy's Dijkstra over one CSR of
 pairs (`_pair_csr`), with no Python container built: hop distances run it
 unweighted over the graph's `edge_array`; FPP costs weight those edges with
 the costs found in the CostMap's sorted `pair_array`, and CFFP costs use
-the map's own pairs.  A `LazyRealization` is searched by a level-synchronous
-BFS, which samples only the pairs between each frontier and the unvisited
-vertices; the hop estimators use it.  Each pair's edge is a pure function
+the map's own pairs.  scipy is loaded by the first search on a
+`SampledGraph`, so a run that searches nothing else never imports it.  A
+`LazyRealization` is searched by a level-synchronous BFS, which samples
+only the pairs between each frontier and the unvisited vertices; the hop
+estimators use it.  Each pair's edge is a pure function
 of (seed, {u, v}), decided by the same arithmetic as the full scan, so the
 distances equal those on `sample_graph`'s realization.  On a
 `CffpRealization` cost distances come from a dense Dijkstra over its cost
@@ -44,8 +46,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import BudgetError, DomainError, integers, reals
 from .sampler import (_ROW_BATCH_PAIRS, CffpRealization, CostMap, LazyRealization, RateModel,
@@ -71,8 +71,10 @@ class BallKind(str, Enum):
     COST = "cost"
 
 
-def _pair_csr(n: int, pairs: np.ndarray, values: np.ndarray | None = None) -> csr_array:
+def _pair_csr(n: int, pairs: np.ndarray, values: np.ndarray | None = None):
     """(n, n) CSR of `values` (ones if None) at `pairs`; an explicit 0 is an edge of cost 0."""
+    from scipy.sparse import csr_array  # loaded by the first search on a SampledGraph
+
     data = np.ones(len(pairs)) if values is None else values
     return csr_array((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
 
@@ -97,6 +99,8 @@ def hop_distances_from(graph, x: int, max_depth: int | None = None) -> np.ndarra
     x = integers("vertex id", x, 0, graph.n)
     limit = np.inf if max_depth is None else integers("max_depth", max_depth)
     if not isinstance(graph, LazyRealization):
+        from scipy.sparse.csgraph import dijkstra  # loaded by the first search on a SampledGraph
+
         hops = dijkstra(_pair_csr(graph.n, graph.edge_array), directed=False, unweighted=True,
                         indices=x, limit=limit)
         return np.where(np.isinf(hops), -1, hops).astype(np.int64)
@@ -142,6 +146,8 @@ def _sparse_cost_search(graph: SampledGraph, costs: CostMap | None, x: int,
             u, v = e[np.argmin(covered)].tolist()
             raise DomainError(f"cost map does not cover edge ({u}, {v})")
         c = costs.cost_array[at]
+    from scipy.sparse.csgraph import dijkstra  # loaded by the first search on a SampledGraph
+
     return dijkstra(_pair_csr(graph.n, e, c), directed=False, indices=x,
                     limit=np.inf if t_max is None else t_max)
 
@@ -276,6 +282,15 @@ _BRUTE_MAX_VERTICES = 12
 _BRUTE_MAX_LEN = 6
 
 
+def _adjacency(graph: SampledGraph) -> list[list[int]]:
+    """Each vertex's neighbours, in increasing order, read off `edge_array`."""
+    adj: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v in zip(*graph.edge_array.T.tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def brute_force_distance(
     graph: SampledGraph, x: int, y: int, max_len: int | None = None
 ) -> int | None:
@@ -296,7 +311,7 @@ def brute_force_distance(
     if x == y:
         return 0
     cap = graph.n - 1 if max_len is None else max_len
-    adj = graph.neighbors
+    adj = _adjacency(graph)
     best: list[int | None] = [None]
     visited = [False] * graph.n
     visited[x] = True
@@ -328,7 +343,7 @@ def brute_force_cost_distance(
         raise BudgetError(f"brute force needs <= {_BRUTE_MAX_VERTICES} vertices")
     if x == y:
         return 0.0
-    adj = graph.neighbors
+    adj = _adjacency(graph)
     cost = dict(zip(map(tuple, costs.pair_array.tolist()), costs.cost_array.tolist()))
     best: list[float] = [np.inf]
     visited = [False] * graph.n

@@ -272,6 +272,7 @@ class SampledGraph:
         if len(self.positions) != self.n or self.box and self.box.n_vertices != self.n:
             raise DomainError(f"sizes differ: {len(self.positions)} positions, {self.n} weights, "
                               f"{self.box}")
+        integers("seed", self.seed, 0, 2**64)  # so that `save_graph` writes what loads
 
     @property
     def n(self) -> int:
@@ -279,8 +280,8 @@ class SampledGraph:
 
     @cached_property
     def neighbors(self) -> list[list[int]]:
-        """Each vertex's neighbours, in increasing order.  No search reads them:
-        only the brute-force oracles of `metrics`, the tests and perfbench's tracer."""
+        """Each vertex's neighbours, in increasing order.  Nothing in the package
+        reads them: only the tests and perfbench's tracer."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in zip(*self.edge_array.T.tolist()):
             adj[u].append(v)
@@ -961,7 +962,7 @@ def load_graph(path) -> tuple[SampledGraph, CostMap | None]:
     try:
         model_s, d_s, side_s, alpha_s, tau_s, lam_s, seed_s, kernel_s, *origin = header.split()
         d = int(d_s)
-        model, seed = Model(model_s), int(seed_s)
+        model, seed = Model(model_s), integers("seed", int(seed_s), 0, 2**64)
         params = ModelParams(d=d, alpha=float(alpha_s), tau=float(tau_s), lam=float(lam_s),
                              kernel_variant=KernelVariant(kernel_s))
         box = BoxSpec(d=d, side=int(side_s), origin=tuple(int(o) for o in origin))

@@ -14,6 +14,7 @@ from percolate import (
     Model,
     ModelConfig,
     ModelParams,
+    SampledGraph,
     aggregate_weight,
     bk_brute_force,
     bk_brute_force_k,
@@ -219,11 +220,13 @@ _SEED_CALLS = {
     "couple_alpha": lambda seed: couple_alpha(BoxSpec(d=1, side=16), _LRP_15, 1.2, seed),
     "CffpRealization": lambda seed: CffpRealization(box=BoxSpec(d=1, side=5), weights=np.ones(5),
                                                     params=_EXP, seed=seed),
+    "SampledGraph": lambda seed: SampledGraph(Model.LRP, np.zeros((2, 1)), np.ones(2), [(0, 1)],
+                                              seed, _LRP_15),
 }
 
 # Real arguments given NaN, fractional hop counts and seeds outside [0, 2^64),
 # and the name the error must carry.  Each call once returned a number, wrapped
-# the seed or failed with a TypeError.
+# or kept the seed, or failed with a TypeError.
 REFUSED_REALS = [
     ("sum-exp-dists-nan", "dists", lambda: sum_exp_tail([1.0], 1.0, 10, 1, 1.5, 1, [math.nan])),
     ("sum-exp-rates-nan", "rates", lambda: sum_exp_tail([math.nan], 1.0, 10, 1, 1.5, 1, [2.0])),

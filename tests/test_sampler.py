@@ -778,6 +778,23 @@ class TestSerialization:
         if where is not None:
             assert f"line {len(lines) if where == 'last' else where}:" in str(err.value)
 
+    # The header's seventh field is the seed; GIRG positions are drawn from it.
+    @pytest.mark.parametrize("model", [Model.LRP, Model.GIRG])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_stored_seed_outside_its_range_is_rejected(self, tmp_path, model, seed):
+        params = ModelParams(d=1, alpha=1.5, tau=math.inf if model is Model.LRP else 3.5,
+                             lam=0.3)
+        path = tmp_path / "g.txt"
+        save_graph(sample_graph(BoxSpec(d=1, side=8), params, model, 7), path)
+        header, body = path.read_text().split("\n", 1)
+        fields = header.split()
+        fields[6] = str(seed)
+        path.write_text(" ".join(fields) + "\n" + body)
+        with pytest.raises(DomainError) as err:
+            load_graph(path)
+        assert str(err.value) == (f"{path}, line 1: malformed graph header (seed must be an "
+                                  f"integer in [0, {2**64}), got {seed})")
+
     # A saved 1-d LRP graph on L = 8 with FPP costs; `bad` is the 0-based
     # index of the line that breaks the layout after the change.
     @pytest.mark.parametrize("change", ["swap e", "repeat e", "w after e", "c before e"])
