@@ -10,7 +10,10 @@ The tail grid, the ball growth and the shape check share one per-trial
 pipeline, `_trial_rows`.  It checks the trial count, the root and the
 thresholds once, searches each trial's realization up to the largest
 threshold (`_distances_for_trial`) and stacks one row per trial: the
-distances to the targets, the ball sizes or the ball radii.
+distances to the targets, the ball sizes or the ball radii.  The tail grid
+reads only its targets, so it passes them on: the last level of its hop
+search then samples only the pairs to targets not yet reached.  The ball
+estimators read every vertex and pass none.
 """
 
 from __future__ import annotations
@@ -132,16 +135,18 @@ class ModelConfig:
 
 
 def _distances_for_trial(
-    config: ModelConfig, root: int, s: int, cap
+    config: ModelConfig, root: int, s: int, cap, targets=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distances from `root` for one realization, truncated at `cap`, and its positions.
 
     Hop distances search a `LazyRealization`, which samples only the pairs
     the BFS looks at; the realization is the one `sample_graph` returns.
+    Given `targets`, its last level looks only at them (`hop_distances_from`).
     """
     if config.metric == "hop":
         real = LazyRealization(config.box, config.params, config.model, s)
-        dist = hop_distances_from(real, root, max_depth=int(cap)).astype(np.float64)
+        dist = hop_distances_from(real, root, max_depth=int(cap),
+                                  targets=targets).astype(np.float64)
         dist[dist < 0] = np.inf
         return dist, real.positions
     if config.metric == "fpp":
@@ -154,17 +159,19 @@ def _distances_for_trial(
 
 
 def _trial_rows(config: ModelConfig, root: int, thresholds, trials: int, seed: int,
-                row) -> np.ndarray:
+                row, targets=None) -> np.ndarray:
     """(trials, ...) float array of row(dist, positions), one row per trial.
 
     Trial i searches the realization of the i-th trial seed of `seed` from
-    `root`, with its distances cut off at the largest threshold.
+    `root`, with its distances cut off at the largest threshold.  A row that
+    reads only the distances to `targets` may pass them: a hop search then
+    finds no other vertex at the largest threshold, so those read inf.
     """
     trials = integers("trials", trials, 1)
     root = integers("vertex id", root, 0, config.box.n_vertices)
     _check_thresholds(thresholds, hop=config.metric == "hop")
     cap = max(thresholds)
-    return np.array([row(*_distances_for_trial(config, root, s, cap))
+    return np.array([row(*_distances_for_trial(config, root, s, cap, targets))
                      for s in trial_seeds(seed, trials).tolist()], dtype=np.float64)
 
 
@@ -197,7 +204,8 @@ def mc_tail_grid(
     if not ys.size:
         raise DomainError("need at least one target")
     thresholds = list(thresholds)
-    rows = _trial_rows(config, x, thresholds, trials, seed, lambda dist, _: dist[ys])
+    rows = _trial_rows(config, x, thresholds, trials, seed, lambda dist, _: dist[ys],
+                       targets=ys)
     if config.model is Model.GIRG:
         # GIRG positions are re-drawn per trial; no fixed geometric distance.
         geo = np.full(len(ys), np.nan)

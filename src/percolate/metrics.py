@@ -11,7 +11,10 @@ the map's own pairs.  scipy is loaded by the first search on a
 `SampledGraph`, so a run that searches nothing else never imports it.  A
 `LazyRealization` is searched by a level-synchronous BFS, which samples
 only the pairs between each frontier and the unvisited vertices; the hop
-estimators use it.  Each pair's edge is a pure function
+estimators use it.  A caller that reads only some `targets` (the tail grid)
+names them, and the level at `max_depth` then samples only the pairs to the
+unvisited targets: no later level reads what it finds, so vertices of that
+depth matter only as targets.  Each pair's edge is a pure function
 of (seed, {u, v}), decided by the same arithmetic as the full scan, so the
 distances equal those on `sample_graph`'s realization.  On a
 `CffpRealization` cost distances come from a dense Dijkstra over its cost
@@ -89,15 +92,24 @@ def _check_thresholds(thresholds: list, hop: bool) -> None:
                            else "thresholds must be nonnegative") + f", got {bad}")
 
 
-def hop_distances_from(graph, x: int, max_depth: int | None = None) -> np.ndarray:
+def hop_distances_from(graph, x: int, max_depth: int | None = None,
+                       targets=None) -> np.ndarray:
     """Hop distances from x, as int64; -1 marks vertices beyond reach/depth.
 
     On a SampledGraph they are scipy's unweighted Dijkstra over its
     `edge_array`.  A LazyRealization is searched by a level-synchronous BFS
     that samples edges only between each level and the unvisited vertices.
+
+    `targets`, vertex ids, names the vertices whose distances the caller
+    reads.  On a LazyRealization the level at `max_depth` then samples only
+    the pairs to unvisited targets: the targets and every vertex at depth
+    < max_depth keep their exact distances, and another vertex at depth
+    max_depth reads -1.  Elsewhere `targets` changes nothing.
     """
     x = integers("vertex id", x, 0, graph.n)
     limit = np.inf if max_depth is None else integers("max_depth", max_depth)
+    if targets is not None:
+        targets = integers("vertex id", targets, 0, graph.n)
     if not isinstance(graph, LazyRealization):
         from scipy.sparse.csgraph import dijkstra  # loaded by the first search on a SampledGraph
 
@@ -110,7 +122,12 @@ def hop_distances_from(graph, x: int, max_depth: int | None = None) -> np.ndarra
     depth = 0
     while frontier.size and depth < limit:
         depth += 1
-        frontier = graph._frontier_neighbors(frontier, dist < 0)
+        unvisited = dist < 0
+        if depth == limit and targets is not None:  # the last level: only targets are read
+            wanted = np.zeros(graph.n, dtype=bool)
+            wanted[targets] = True
+            unvisited &= wanted
+        frontier = graph._frontier_neighbors(frontier, unvisited)
         dist[frontier] = depth
     return dist
 

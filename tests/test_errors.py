@@ -40,6 +40,7 @@ from percolate.errors import integers, reals
 from percolate.estimators import (GrowthSeries, LogLinearFit, StretchedFit,
                                   fit_selfbound_constant)
 from percolate.kernels import BoundConstants
+from percolate.metrics import hop_distances_from
 
 
 class TestIntegers:
@@ -179,6 +180,11 @@ def _frontier_of_minus_one():
     return real.frontier_neighbors([-1], np.ones(8, dtype=bool))
 
 
+def _search_to(targets):
+    real = LazyRealization(BoxSpec(d=1, side=8), _lrp().params, Model.LRP, 1)
+    return hop_distances_from(real, 0, 2, targets=targets)
+
+
 _EXP = ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0)
 
 # Integer arguments given a non-integer or out-of-range value, and the name
@@ -188,6 +194,9 @@ REFUSED = [
     ("wilson-successes-0.5", "successes", lambda: wilson_interval(0.5, 3)),
     ("weights-n-2.5", "n", lambda: sample_weights(2.5, 3.0, 1)),
     ("frontier-minus-1", "frontier", _frontier_of_minus_one),
+    ("targets-minus-1", "vertex id", lambda: _search_to([3, -1])),
+    ("targets-n", "vertex id", lambda: _search_to([8])),
+    ("targets-1.5", "vertex id", lambda: _search_to([1.5])),
     ("shape-fit-k0-1.5", "k0", lambda: fit_shape_constant(_lrp(), 16, 1.5, 1.5, 2, 1)),
     ("shape-ks-1.5", "ks", lambda: shape_containment(_lrp(), 16, [1.5], lambda k: 1.0, 2, 1)),
     ("shape-ks-2.0", "ks", lambda: shape_containment(_lrp(), 16, [2.0], lambda k: 1.0, 2, 1)),

@@ -11,6 +11,7 @@ from percolate import (
     BudgetError,
     CffpRealization,
     DomainError,
+    LazyRealization,
     Model,
     ModelConfig,
     ModelParams,
@@ -42,8 +43,8 @@ from percolate.estimators import (
     write_tail_csv,
 )
 from percolate import sampler
-from percolate.metrics import cost_distances_from
-from percolate.rng import trial_seed
+from percolate.metrics import cost_distances_from, hop_distances_from
+from percolate.rng import trial_seed, trial_seeds, uniforms_from_states
 
 
 def lrp_config(side, lam, alpha=1.5, metric="hop"):
@@ -105,6 +106,35 @@ class TestMcTail:
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("dist,threshold")
         assert len(lines) == 3
+
+    def test_grid_equals_untargeted_searches_and_hashes_only_the_last_level_targets(self):
+        # the benchmark's lrp_tail grid: its last level pairs F = {dist == 7} with
+        # the unvisited targets in place of every unvisited vertex U
+        config = lrp_config(2049, 0.05)
+        x, ys, ks, trials, seed = 512, [520, 544, 640, 1024], list(range(1, 9)), 3, 100
+        hashed = []
+
+        def counting(states, words):
+            hashed.append(len(words))
+            return uniforms_from_states(states, words)
+
+        with mock.patch.object(sampler, "uniforms_from_states", counting):
+            ests = mc_tail_grid(config, x, ys, ks, trials, seed)
+        targeted, hashed[:] = sum(hashed), []
+        rows, saved = [], 0
+        with mock.patch.object(sampler, "uniforms_from_states", counting):
+            for s in trial_seeds(seed, trials).tolist():
+                real = LazyRealization(config.box, config.params, config.model, s)
+                dist = hop_distances_from(real, x, max_depth=ks[-1])
+                rows.append(np.where(dist[ys] < 0, np.inf, dist[ys]))
+                unvisited = (dist == ks[-1]) | (dist < 0)
+                saved += np.count_nonzero(dist == ks[-1] - 1) * (
+                    np.count_nonzero(unvisited) - np.count_nonzero(unvisited[ys]))
+        rows = np.array(rows)
+        assert targeted == sum(hashed) - saved and saved > 0
+        assert ests == [TailEstimate.from_counts(abs(y - x), k, trials,
+                                                 int(np.count_nonzero(rows[:, j] <= k)))
+                        for j, y in enumerate(ys) for k in ks]
 
 
 def _unit_radius(k):

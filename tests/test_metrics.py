@@ -509,6 +509,16 @@ class TestBruteForce:
             brute_force_cost_distance(g, cm, 0, 19)
 
 
+def _hashing(calls):
+    """A stand-in for `uniforms_from_states` that counts the pairs it hashes."""
+
+    def counting(states, words):
+        calls.append(len(words))
+        return rng.uniforms_from_states(states, words)
+
+    return counting
+
+
 @st.composite
 def realizations(draw):
     """A small LRP/SFP/GIRG realization, a root and a BFS depth cap."""
@@ -538,12 +548,7 @@ class TestLazyRealization:
         g = sample_graph(box, params, model, seed)
         real = LazyRealization(box, params, model, seed)
         hashed = []
-
-        def counting(states, words):
-            hashed.append(len(words))
-            return rng.uniforms_from_states(states, words)
-
-        with mock.patch.object(sampler, "uniforms_from_states", counting):
+        with mock.patch.object(sampler, "uniforms_from_states", _hashing(hashed)):
             lazy = hop_distances_from(real, root, max_depth=cap)
         assert np.array_equal(lazy, hop_distances_from(g, root, max_depth=cap))
         assert np.array_equal(real.positions, g.positions)
@@ -584,3 +589,60 @@ class TestLazyRealization:
         real = LazyRealization(BoxSpec(d=1, side=8), params, Model.LRP, 1)
         with pytest.raises(DomainError):
             hop_distances_from(real, 8)
+
+
+@st.composite
+def targeted_searches(draw):
+    """A small 1-d LRP or SFP, or 2-d LRP or GIRG, realization, a root and a depth."""
+    model, d = draw(st.sampled_from([(Model.LRP, 1), (Model.SFP, 1), (Model.LRP, 2),
+                                     (Model.GIRG, 2)]))
+    box = BoxSpec(d=d, side=draw(st.integers(1, 40) if d == 1 else st.integers(1, 7)))
+    params = ModelParams(d=d, alpha=draw(st.floats(1.0, 3.0)),
+                         tau=math.inf if model is Model.LRP else draw(st.floats(1.5, 5.0)),
+                         lam=draw(st.floats(0.0, 2.0)))
+    real = LazyRealization(box, params, model, draw(st.integers(0, 2**64 - 1)))
+    return real, draw(st.integers(0, box.n_vertices - 1)), draw(st.integers(0, 6))
+
+
+class TestTargetedSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(case=targeted_searches(), data=st.data())
+    def test_targets_keep_their_distances_and_the_last_level_hashes_only_them(self, case, data):
+        real, root, k = case
+        full, targeted = [], []
+        with mock.patch.object(sampler, "uniforms_from_states", _hashing(full)):
+            dist = hop_distances_from(real, root, max_depth=k)
+        # the root, a vertex reached before the last level, one at it, one never
+        # reached, and any others, with repeats
+        vertices = st.integers(0, real.n - 1)
+        picks = [root] + [data.draw(st.sampled_from(np.flatnonzero(where).tolist()))
+                          for where in ((dist >= 0) & (dist < k), dist == k, dist < 0)
+                          if where.any()]
+        targets = np.array(picks + data.draw(st.lists(vertices, max_size=8)))
+        targets = targets[data.draw(st.permutations(range(len(targets))))]
+        with mock.patch.object(sampler, "uniforms_from_states", _hashing(targeted)):
+            got = hop_distances_from(real, root, max_depth=k, targets=targets)
+        assert np.array_equal(got[targets], dist[targets])
+        shallow = (dist >= 0) & (dist < k)
+        assert np.array_equal(got[shallow], dist[shallow])
+        assert np.array_equal(got >= 0, shallow | (dist == k) & np.isin(np.arange(real.n), targets))
+        # the last level pairs its frontier F with the unvisited targets, not all of U
+        frontier = np.count_nonzero(dist == k - 1) if k else 0
+        unvisited = (dist == k) | (dist < 0)
+        missed = np.count_nonzero(unvisited) - np.count_nonzero(unvisited[np.unique(targets)])
+        assert sum(targeted) == sum(full) - frontier * missed
+
+    @pytest.mark.parametrize("model, d, side", [(Model.LRP, 1, 40), (Model.GIRG, 2, 6)])
+    def test_targets_change_nothing_on_a_sampled_graph_or_without_a_depth(self, model, d, side):
+        box = BoxSpec(d=d, side=side)
+        params = ModelParams(d=d, alpha=1.5, tau=math.inf if model is Model.LRP else 3.0,
+                             lam=0.5)
+        g = sample_graph(box, params, model, 5)
+        real = LazyRealization(box, params, model, 5)
+        for depth in (0, 1, 2, 5, None):
+            want = hop_distances_from(g, 3, max_depth=depth)
+            for targets in ([3], [0, 7, 7], np.arange(box.n_vertices)):
+                assert np.array_equal(hop_distances_from(g, 3, depth, targets=targets), want)
+        assert np.array_equal(hop_distances_from(real, 3, targets=[0]), hop_distances_from(g, 3))
+        assert np.array_equal(hop_distances_from(real, 3, 2, targets=[]) >= 0,
+                              (want >= 0) & (want < 2))
