@@ -258,7 +258,7 @@ def bound_compliance(estimates, bound_fn, constants_grid) -> ComplianceReport:
     for constants in constants_grid:
         margin = math.inf
         margin_up = math.inf
-        recs = []
+        bounds = []
         for e in estimates:
             bound = bound_fn(e.threshold, e.dist, constants)
             m_low = (
@@ -267,28 +267,29 @@ def bound_compliance(estimates, bound_fn, constants_grid) -> ComplianceReport:
             m_up = math.log(bound) - math.log(e.ci_high)
             margin = min(margin, m_low)
             margin_up = min(margin_up, m_up)
-            recs.append(
-                {
-                    "dist": e.dist,
-                    "threshold": e.threshold,
-                    "p_hat": e.p_hat,
-                    "ci_low": e.ci_low,
-                    "ci_high": e.ci_high,
-                    "bound": bound,
-                }
-            )
-        candidate = (margin, margin_up, constants, recs)
+            bounds.append(bound)
+        candidate = (margin, margin_up, constants, bounds)
         if best is None or candidate[0] > best[0]:
             best = candidate
 
-    margin, margin_up, constants, recs = best
+    margin, margin_up, constants, bounds = best
     return ComplianceReport(
         compliant=margin >= 0,
         best_constants=constants,
         margin=margin,
         margin_upper=margin_up,
         searched=len(constants_grid),
-        records=recs,
+        records=[
+            {
+                "dist": e.dist,
+                "threshold": e.threshold,
+                "p_hat": e.p_hat,
+                "ci_low": e.ci_low,
+                "ci_high": e.ci_high,
+                "bound": bound,
+            }
+            for e, bound in zip(estimates, bounds)
+        ],
     )
 
 

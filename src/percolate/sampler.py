@@ -26,7 +26,11 @@ Three walks apply it, and the box's dimension alone picks the eager one:
   decides all pairs of a 1-d box, whose slabs would be single vertices;
 - the lazy rows of `LazyRealization`, which decide a pair only when a
   search asks for it, as the hop estimators do: a k-hop search sees about
-  |B(k-1)| * n pairs, not n^2 / 2.
+  |B(k-1)| * n pairs, not n^2 / 2.  They walk the frontier one row at a
+  time against the sorted unvisited vertices, which the row's vertex
+  splits in two: the pairs below it read those vertices' states, the
+  pairs above it their ids as words, both as contiguous slices, so no
+  state or id is gathered per pair.
 
 All three get their probabilities from `_pair_probs`, so a lazily sampled
 realization is the scanned one, bit for bit, wherever it is observed.
@@ -155,8 +159,12 @@ class BoxSpec:
 
     def offset_index(self, lo, hi) -> np.ndarray:
         """The vertex id of the offset |x_lo - x_hi| of vertices lo and hi.
-        lo and hi index the vertices and broadcast."""
+        lo and hi are vertex ids or slices of them, and broadcast."""
         first, *rest = self.coords
+        if not rest:  # a 1-d box's coordinates are its vertex ids: nothing to gather
+            lo, hi = (first[i] if isinstance(i, slice) else i for i in (lo, hi))
+            index = np.asarray(np.subtract(lo, hi))
+            return np.abs(index, out=index)
         index = np.asarray(first[lo] - first[hi])  # an array even for two vertices
         np.abs(index, out=index)
         for x in rest:  # Horner, in place
@@ -174,9 +182,16 @@ class BoxSpec:
         return dist2
 
     def lattice_positions(self) -> np.ndarray:
-        """(n, d) float array of lattice points in row-major vertex order."""
-        origin = np.asarray(self.origin, dtype=np.float64)
-        return self.coords.T.astype(np.float64, order="C") + origin
+        """(n, d) float array of lattice points in row-major vertex order.
+        Read-only, as it is shared."""
+        return self._lattice_positions
+
+    @cached_property
+    def _lattice_positions(self) -> np.ndarray:
+        positions = self.coords.T.astype(np.float64, order="C")
+        positions += np.asarray(self.origin, dtype=np.float64)
+        positions.setflags(write=False)
+        return positions
 
 
 class _ArrayBacked:
@@ -370,6 +385,15 @@ def _offset_rates(box: BoxSpec, params: ModelParams, grid: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _offset_probs(box: BoxSpec, params: ModelParams) -> np.ndarray:
+    """The kernel of `_offset_rates` with the grid, at each offset id: the edge
+    probability of a lattice pair of unit weights.  Read-only, as shared."""
+    probs = apply_kernel(_offset_rates(box, params, True).copy(), params.kernel_variant)
+    probs.setflags(write=False)
+    return probs
+
+
+@lru_cache(maxsize=32)
 def _rate_window(box: BoxSpec, params: ModelParams) -> np.ndarray:
     """`_offset_rates` without the grid, mirrored on every axis, as read-only windows of
     the box's shape: the one at side - 1 - coords[:, u] holds u's rates, vertex by vertex."""
@@ -389,19 +413,19 @@ def _pair_probs(real: LazyRealization, x, y, ids=None, out=None) -> np.ndarray:
     A lattice pair's probability is the kernel of w_x^alpha * w_y^alpha
     times the `_offset_rates` entry of its offset, read by the offset's id:
     `ids`, which broadcasts against the pairs, where the walk has them, as
-    the slab scan does, else `BoxSpec.offset_index`.  Unit weights skip
-    their product, which is 1 and cost LRP rows a tenth of their time.
-    GIRG pairs go to `connection_prob` with their `_squared_distances`.
+    the slab scan does, else `BoxSpec.offset_index`.  Unit weights, whose
+    product is 1, read the pair's probability from `_offset_probs` by that
+    id: one gather, with no product and no kernel per pair.  GIRG pairs go
+    to `connection_prob` with their `_squared_distances`.
     """
     if real.model is Model.GIRG:
         dist = np.sqrt(_squared_distances(real._columns, x, y))
         return connection_prob(real.weights[x], real.weights[y], dist, real.params)
     ids = real.box.offset_index(x, y) if ids is None else ids
-    rates = _offset_rates(real.box, real.params, True)[ids]
     if real._w_alpha is None:  # every weight is 1, and so is their product
-        return apply_kernel(rates, real.params.kernel_variant)
+        return _offset_probs(real.box, real.params)[ids]
     arg = np.multiply(real._w_alpha[x], real._w_alpha[y], out=out)
-    arg *= rates
+    arg *= _offset_rates(real.box, real.params, True)[ids]
     return apply_kernel(arg, real.params.kernel_variant)
 
 
@@ -414,24 +438,15 @@ def _pair_blocks(n: int):
         yield np.repeat(rows, n - 1 - rows), np.concatenate([np.arange(i + 1, n) for i in rows])
 
 
-def _cross_blocks(rows: np.ndarray, others: np.ndarray):
-    """The pairs rows x others, in blocks of about _BLOCK_PAIRS, as a column
-    of rows and the row of others, which broadcast."""
-    step = max(1, _BLOCK_PAIRS // max(len(others), 1))
-    for i0 in range(0, len(rows), step):
-        yield rows[i0:i0 + step, None], others
-
-
 def _scan(real: LazyRealization, blocks):
     """The edges among the pairs of `blocks`, as two index arrays (lo, hi), lo < hi.
 
-    A block is two vertex index arrays that broadcast.  A pair is an edge iff
-    lo's hash state finished with hi, as a uniform, falls below `_pair_probs`."""
+    A block is two aligned vertex index arrays (lo, hi), lo < hi, as
+    `_pair_blocks` yields them.  A pair is an edge iff lo's hash state
+    finished with hi, as a uniform, falls below `_pair_probs`."""
     los, his = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for x, y in blocks:
-        p = _pair_probs(real, x, y).ravel()
-        lo, hi = np.minimum(x, y).ravel(), np.maximum(x, y).ravel()
-        del x, y  # a block holds up to _BLOCK_PAIRS pairs
+    for lo, hi in blocks:
+        p = _pair_probs(real, lo, hi)
         # the hash reads its words as uint64: a view of hi, not a copy
         sel = uniforms_from_states(real._states[lo], hi.view(np.uint64)) < p
         los.append(lo[sel])
@@ -800,8 +815,11 @@ class LazyRealization:
 
     @cached_property
     def _w_alpha(self) -> np.ndarray | None:
-        """weights^alpha, or None when every weight is 1, as LRP's are."""
-        return None if (self.weights == 1).all() else self.weights**self.params.alpha
+        """weights^alpha, or None when every weight is 1, as LRP's are: LRP
+        builds no weights for it."""
+        if self.model is Model.LRP or (self.weights == 1).all():
+            return None
+        return self.weights**self.params.alpha
 
     @cached_property
     def _columns(self) -> tuple:
@@ -823,9 +841,39 @@ class LazyRealization:
         return self._frontier_neighbors(integers("frontier", frontier, 0, self.n), unvisited)
 
     def _frontier_neighbors(self, frontier: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
-        """`frontier_neighbors` of an int64 array of vertex ids, unchecked, for the BFS."""
-        reached = np.concatenate(_scan(self, _cross_blocks(frontier, np.flatnonzero(unvisited))))
-        return np.unique(reached[unvisited[reached]])
+        """`frontier_neighbors` of an int64 array of vertex ids, unchecked, for the BFS.
+
+        It walks the frontier row by row against `others`, the m unvisited
+        vertices in increasing order.  Row x splits at k, the count of others
+        below x: its pairs with others[:k] hash their states with the word x,
+        and its pairs with others[k:] hash x's state with their ids.  A block
+        of B rows, at most _BLOCK_PAIRS pairs, starts each row of its (B, m)
+        state and word buffers as others' states and ids; then row x writes
+        its state from k on and its id below k, two contiguous slices, and
+        the block is hashed flat in one call.  The edges are others[j % m]
+        at the flat indices j whose uniform falls below `_pair_probs` of the
+        rows against others.
+        """
+        others = np.flatnonzero(unvisited)
+        m = len(others)
+        reached = [np.empty(0, dtype=np.int64)]
+        if m:
+            states = self._states[others]
+            splits = np.searchsorted(others, frontier).tolist()
+            step = max(1, _BLOCK_PAIRS // m)
+            lo = np.empty((min(step, len(frontier)), m), dtype=np.uint64)
+            hi = np.empty(lo.shape, dtype=np.int64)
+            for i0 in range(0, len(frontier), step):
+                rows = frontier[i0:i0 + step]
+                lo, hi = lo[:len(rows)], hi[:len(rows)]  # the last block may be shorter
+                lo[:], hi[:] = states, others
+                for b, (x, k) in enumerate(zip(rows.tolist(), splits[i0:i0 + step])):
+                    lo[b, k:], hi[b, :k] = self._states[x], x
+                # flat views; the hash reads the words as uint64
+                u = uniforms_from_states(lo.ravel(), hi.ravel().view(np.uint64))
+                p = _pair_probs(self, rows[:, None], others).ravel()
+                reached.append(others[np.flatnonzero(u < p) % m])
+        return np.unique(np.concatenate(reached))
 
 
 def sample_cffp_costs(box: BoxSpec, weights: np.ndarray, params: ModelParams,

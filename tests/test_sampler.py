@@ -44,6 +44,7 @@ from percolate import (
     vertex_uniform,
 )
 from percolate import rng, sampler
+from percolate.kernels import apply_kernel
 from percolate.metrics import cost_distances_from, hop_distances_from
 
 
@@ -1240,6 +1241,56 @@ class TestSlabScan:
         assert proc.exitcode == 0
 
 
+class TestLazyRows:
+    """`LazyRealization.frontier_neighbors` decides the frontier x unvisited
+    pairs row by row, and finds the edges `sample_graph` scans."""
+
+    @pytest.mark.parametrize("block_pairs", [sampler._BLOCK_PAIRS, 50])
+    @settings(max_examples=60, deadline=None)
+    @given(case=scanned_realizations(girg_dims=(1, 2, 3)), data=st.data())
+    def test_frontier_neighbors_are_the_unvisited_neighbours_in_the_scanned_graph(
+            self, block_pairs, case, data):
+        box, params, model, seed = case
+        n = box.n_vertices
+        adjacent = np.zeros((n, n), dtype=bool)
+        adjacent[tuple(sample_graph(box, params, model, seed).edge_array.T)] = True
+        adjacent |= adjacent.T
+        # a frontier in drawn order with the first and last vertices; any others unvisited
+        vertices = st.integers(0, n - 1)
+        frontier = np.unique([0, n - 1] + data.draw(st.lists(vertices, max_size=12)))
+        frontier = frontier[data.draw(st.permutations(range(len(frontier))))]
+        unvisited = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        unvisited[frontier] = False
+        real = sampler.LazyRealization(box, params, model, seed)
+        # each vertex's hash state, to name the lower vertex of a hashed pair
+        order = np.argsort(real._states)
+        hashed, calls = [], []
+
+        def counting(states, words):  # the contract: two positional arrays, flat words
+            assert words.ndim == 1 and len(words) == len(states)
+            lo = order[np.searchsorted(real._states[order], states)]
+            hashed.append(lo * n + words.astype(np.int64))
+            calls.append(len(words))
+            return rng.uniforms_from_states(states, words)
+
+        with mock.patch.object(sampler, "uniforms_from_states", counting), \
+                mock.patch.object(sampler, "_BLOCK_PAIRS", block_pairs):
+            got = real.frontier_neighbors(frontier, unvisited)
+            assert len(real.frontier_neighbors(frontier, np.zeros(n, dtype=bool))) == 0
+        want = np.flatnonzero(adjacent[frontier].any(axis=0) & unvisited)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        # every frontier x unvisited pair is hashed once, as (lo, hi), lo < hi
+        x, y = frontier[:, None], np.flatnonzero(unvisited)
+        pairs = np.minimum(x, y) * n + np.maximum(x, y)
+        hashed = np.concatenate([np.empty(0, dtype=np.int64), *hashed])
+        assert np.array_equal(np.sort(hashed), np.sort(pairs.ravel()))
+        assert max(calls, default=0) <= max(block_pairs, y.size)
+
+    def test_lrp_builds_no_weights_for_its_pairs(self):
+        real = sampler.LazyRealization(BoxSpec(d=1, side=30), lrp(), Model.LRP, 3)
+        assert real._w_alpha is None and "weights" not in real.__dict__
+
+
 class TestScalarOracle:
     """`sample_graph` against the definition, pair by pair, in scalar calls:
     {u, v} is an edge iff edge_uniform(seed, u, v) < connection_prob(w_u, w_v,
@@ -1289,6 +1340,9 @@ class TestLrpKernel:
             rates = sampler._offset_rates(box, params, True)
             assert not rates.flags.writeable
             assert rates[0] == 0.0 and np.all(rates[dist2 == 1] == np.inf)
+            probs = sampler._offset_probs(box, params)
+            assert not probs.flags.writeable
+            assert np.array_equal(probs, apply_kernel(rates.copy(), kernel))
 
     def test_offset_zero_reads_zero_at_infinite_lambda(self):
         params = ModelParams(d=2, alpha=1.5, tau=math.inf, lam=math.inf)
@@ -1383,6 +1437,24 @@ class TestBoxLayout:
 
     def test_offset_lengths_are_read_only(self):
         assert not BoxSpec(d=2, side=5).offset_dist2.flags.writeable
+
+    def test_lattice_positions_are_built_once_and_read_only(self):
+        box = BoxSpec(d=2, side=5, origin=(3, -1))
+        assert box.lattice_positions() is box.lattice_positions()
+        assert not box.lattice_positions().flags.writeable
+
+    @pytest.mark.parametrize("side", [1, 2, 37])
+    def test_1d_offset_ids_equal_the_coordinate_gather(self, side):
+        box = BoxSpec(d=1, side=side, origin=(-4,))
+        first = box.coords[0]
+        ids = np.arange(side)
+        for lo, hi in [(ids, ids[::-1]), (ids[:, None], ids), (0, side - 1), (side - 1, 0),
+                       (ids[-1], slice(None)), (slice(None), 0), (slice(1, None), slice(0, -1)),
+                       (slice(None, None, 2), ids[::2][::-1])]:
+            got = box.offset_index(lo, hi)
+            want = np.abs(np.asarray(first[lo] - first[hi]))
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+            assert got.shape == want.shape and np.array_equal(got, want)
 
     @pytest.mark.parametrize("kwargs", [
         dict(d=1, side=8, origin=(0.5,)),  # would sample at 0.5, 1.5, ... and reload at 0, 1, ...
