@@ -15,6 +15,7 @@ of both defaults at every check.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -55,7 +56,6 @@ from .couplings import (
 )
 from .estimators import (
     ModelConfig,
-    bk_brute_force,
     bk_brute_force_k,
     bound_compliance,
     fit_distance_exponent,
@@ -111,14 +111,12 @@ def _add_model_args(sp):
     sp.add_argument("--kernel", choices=["min", "exp"], default="min")
 
 
-def _params_from(args) -> ModelParams:
-    return ModelParams(
-        d=args.d,
-        alpha=args.alpha,
-        tau=args.tau,
-        lam=args.lam,
-        kernel_variant=KernelVariant(args.kernel),
-    )
+def _config_from(args, metric="hop") -> ModelConfig:
+    """The run's model on its box, from the flags `_add_model_args` adds."""
+    params = ModelParams(d=args.d, alpha=args.alpha, tau=args.tau, lam=args.lam,
+                         kernel_variant=KernelVariant(args.kernel))
+    return ModelConfig(box=BoxSpec(d=args.d, side=args.L), params=params,
+                       model=Model(args.model), metric=metric)
 
 
 def _resolved_config(args) -> dict:
@@ -146,14 +144,13 @@ def _emit(command: str, args, result: dict) -> None:
 # --------------------------------------------------------------------- generate
 
 def _cmd_generate(args) -> int:
-    params = _params_from(args)
-    box = BoxSpec(d=args.d, side=args.L)
-    graph = sample_graph(box, params, Model(args.model), args.seed)
+    config = _config_from(args)
+    graph = sample_graph(config.box, config.params, config.model, args.seed)
     costs = None
     if args.costs == "fpp":
         costs = sample_fpp_costs(graph, args.seed)
     elif args.costs == "cffp":
-        costs = sample_cffp_costs(box, graph.weights, params, args.seed)
+        costs = sample_cffp_costs(config.box, graph.weights, config.params, args.seed)
     save_graph(graph, args.out, costs=costs)
     _emit("generate", args, {
         "vertices": graph.n,
@@ -181,51 +178,32 @@ def _cmd_distance(args) -> int:
 # --------------------------------------------------------------------- tail
 
 def _cmd_tail(args) -> int:
-    params = _params_from(args)
-    box = BoxSpec(d=args.d, side=args.L)
-    config = ModelConfig(box=box, params=params, model=Model(args.model),
-                         metric=args.metric)
+    config = _config_from(args, args.metric)
     thresholds = _numbers("--thresholds", args.thresholds)
     if args.metric == "hop":  # whole hop counts as ints; 1.5 stays 1.5, not 1
         thresholds = [int(t) if t.is_integer() else t for t in thresholds]
     estimates = mc_tail_grid(config, args.source, _numbers("--targets", args.targets, int),
                              thresholds, args.trials, args.seed)
-    result = {
-        "points": len(estimates),
-        "out": args.out,
-    }
+    result = {"points": len(estimates), "out": args.out}
     if args.bound == "lrp":
         try:
             lo, hi, count = (float(x) for x in args.eps_grid.split(":"))
-            grid = np.linspace(lo, hi, int(count))
+            grid = np.linspace(lo, hi, int(count)).tolist()
         except (ValueError, OverflowError):
             raise UsageError(f"--eps-grid: {args.eps_grid!r} is not lo:hi:count") from None
-        report = bound_compliance(
-            estimates,
-            lambda k, dist, eps: tail_bound_lrp(k, dist, eps, params),
-            grid.tolist(),
-        )
-        result["best_eps"] = report.best_constants
+        bound, echo = tail_bound_lrp, lambda eps: {"best_eps": eps}
     elif args.bound == "sfp":
-        grid = [
-            BoundConstants(c1=c1, c2=c2, beta_exp=b)
-            for c1 in _numbers("--c1-grid", args.c1_grid)
-            for c2 in _numbers("--c2-grid", args.c2_grid)
-            for b in _numbers("--beta-grid", args.beta_grid)
-        ]
-        report = bound_compliance(
-            estimates,
-            lambda k, dist, bc: tail_bound_sfp(k, dist, bc, params),
-            grid,
-        )
-        result["best_constants"] = {
-            "c1": report.best_constants.c1,
-            "c2": report.best_constants.c2,
-            "beta": report.best_constants.beta_exp,
-        }
+        grid = [BoundConstants(c1=c1, c2=c2, beta_exp=b)
+                for c1 in _numbers("--c1-grid", args.c1_grid)
+                for c2 in _numbers("--c2-grid", args.c2_grid)
+                for b in _numbers("--beta-grid", args.beta_grid)]
+        bound = tail_bound_sfp
+        echo = lambda bc: {"best_constants": {"c1": bc.c1, "c2": bc.c2, "beta": bc.beta_exp}}
     if args.bound:
-        result.update(compliant=report.compliant, margin=report.margin,
-                      margin_upper=report.margin_upper)
+        report = bound_compliance(
+            estimates, lambda k, dist, constants: bound(k, dist, constants, config.params), grid)
+        result.update(echo(report.best_constants), compliant=report.compliant,
+                      margin=report.margin, margin_upper=report.margin_upper)
     if args.out:  # only once the bound has accepted every threshold
         write_tail_csv(estimates, args.out)
     _emit("tail", args, result)
@@ -235,26 +213,17 @@ def _cmd_tail(args) -> int:
 # --------------------------------------------------------------------- growth
 
 def _cmd_growth(args) -> int:
-    params = _params_from(args)
-    box = BoxSpec(d=args.d, side=args.L)
-    config = ModelConfig(box=box, params=params, model=Model(args.model),
-                         metric=args.metric)
-    root = args.root if args.root is not None else box.n_vertices // 2
+    config = _config_from(args, args.metric)
+    params = config.params
+    root = args.root if args.root is not None else config.box.n_vertices // 2
     series = mc_ball_growth(config, root, _numbers("--thresholds", args.thresholds),
                             args.trials, args.seed)
+    loglinear = dataclasses.asdict(series.loglinear)
+    del loglinear["residuals"]
     result = {
         "mean_sizes": list(series.mean_sizes),
-        "loglinear": {
-            "intercept": series.loglinear.intercept,
-            "slope": series.loglinear.slope,
-            "r2": series.loglinear.r2,
-        },
-        "stretched": {
-            "intercept": series.stretched.intercept,
-            "coeff": series.stretched.coeff,
-            "exponent": series.stretched.exponent,
-            "r2": series.stretched.r2,
-        },
+        "loglinear": loglinear,
+        "stretched": dataclasses.asdict(series.stretched),
         "out": args.out,
     }
     if args.h_t is not None:
@@ -340,37 +309,32 @@ def _cmd_coupling(args) -> int:
 # --------------------------------------------------------------------- bk
 
 def _parse_event(flag: str, spec: str, n: int):
+    """`full`, `count>=m`, or `open:` (all of) or `any:` edge numbers 1 .. n."""
     spec = spec.strip()
     if spec == "full":
         return lambda s: True
-    if spec.startswith("open:"):
-        idx = [_number(flag, x, int) - 1 for x in spec[5:].split(",")]
-    elif spec.startswith("any:"):
-        idx = [_number(flag, x, int) - 1 for x in spec[4:].split(",")]
-        if any(i < 0 or i >= n for i in idx):
-            raise UsageError(f"event index out of range in {spec!r}")
-        return lambda s, idx=tuple(idx): any(s[i] for i in idx)
-    elif spec.startswith("count>="):
+    if spec.startswith("count>="):
         m = _number(flag, spec[7:], int)
-        return lambda s, m=m: sum(s) >= m
-    else:
+        return lambda s: sum(s) >= m
+    kind, colon, items = spec.partition(":")
+    join = {"open": all, "any": any}.get(kind) if colon else None
+    if join is None:
         raise UsageError(f"unrecognized event spec {spec!r}")
+    idx = [_number(flag, x, int) - 1 for x in items.split(",")]
     if any(i < 0 or i >= n for i in idx):
         raise UsageError(f"event index out of range in {spec!r}")
-    return lambda s, idx=tuple(idx): all(s[i] for i in idx)
+    return lambda s: join(s[i] for i in idx)
 
 
 def _cmd_bk(args) -> int:
     probs = _numbers("--p", args.p)
     if len(probs) == 1:
         probs = probs * args.n
-    ev_a = _parse_event("--eventA", args.eventA, args.n)
-    ev_b = _parse_event("--eventB", args.eventB, args.n)
-    if args.eventC:
-        ev_c = _parse_event("--eventC", args.eventC, args.n)
-        p_disjoint, p_product = bk_brute_force_k(args.n, probs, [ev_a, ev_b, ev_c])
-    else:
-        p_disjoint, p_product = bk_brute_force(args.n, probs, ev_a, ev_b)
+    events = [_parse_event("--eventA", args.eventA, args.n),
+              _parse_event("--eventB", args.eventB, args.n)]
+    if args.eventC:  # an empty --eventC is no event
+        events.append(_parse_event("--eventC", args.eventC, args.n))
+    p_disjoint, p_product = bk_brute_force_k(args.n, probs, events)
     violated = p_disjoint > p_product + 1e-12
     _emit("bk", args, {
         "p_disjoint": p_disjoint,
@@ -408,14 +372,11 @@ def _cmd_fit(args) -> int:
 # --------------------------------------------------------------------- shape
 
 def _cmd_shape(args) -> int:
-    params = _params_from(args)
-    box = BoxSpec(d=args.d, side=args.L)
-    config = ModelConfig(box=box, params=params, model=Model(args.model),
-                         metric="hop")
-    root = args.root if args.root is not None else box.n_vertices // 2
+    config = _config_from(args)
+    root = args.root if args.root is not None else config.box.n_vertices // 2
     delta = args.delta
     if delta is None:
-        delta = delta_exponent(min(params.alpha, params.tau - 2))
+        delta = delta_exponent(min(config.params.alpha, config.params.tau - 2))
     reals("delta", delta, 0, ends="(]")  # r(k) = exp(c k^(1/delta))
     ks = _numbers("--ks", args.ks, int)
     if args.c is not None:

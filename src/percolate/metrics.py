@@ -4,7 +4,7 @@
 number.  All operations are read-only over immutable inputs.
 
 Every search on a `SampledGraph` is scipy's Dijkstra over one CSR of
-pairs (`_pair_csr`), with no Python container built: hop distances run it
+pairs (`_pair_dijkstra`), with no Python container built: hop distances run it
 unweighted over the graph's `edge_array`; FPP costs weight those edges with
 the costs found in the CostMap's sorted `pair_array`, and CFFP costs use
 the map's own pairs.  scipy is loaded by the first search on a
@@ -74,12 +74,18 @@ class BallKind(str, Enum):
     COST = "cost"
 
 
-def _pair_csr(n: int, pairs: np.ndarray, values: np.ndarray | None = None):
-    """(n, n) CSR of `values` (ones if None) at `pairs`; an explicit 0 is an edge of cost 0."""
+def _pair_dijkstra(n: int, pairs: np.ndarray, values: np.ndarray | None, x: int,
+                   limit: float) -> np.ndarray:
+    """scipy's undirected Dijkstra from x, up to `limit`, over the (n, n) CSR of
+    `values` at `pairs`: hop counts if `values` is None, else an explicit 0 is
+    an edge of cost 0."""
     from scipy.sparse import csr_array  # loaded by the first search on a SampledGraph
+    from scipy.sparse.csgraph import dijkstra
 
-    data = np.ones(len(pairs)) if values is None else values
-    return csr_array((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    unweighted = values is None
+    data = np.ones(len(pairs)) if unweighted else values
+    csr = csr_array((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return dijkstra(csr, directed=False, unweighted=unweighted, indices=x, limit=limit)
 
 
 def _check_thresholds(thresholds: list, hop: bool) -> None:
@@ -111,10 +117,7 @@ def hop_distances_from(graph, x: int, max_depth: int | None = None,
     if targets is not None:
         targets = integers("vertex id", targets, 0, graph.n)
     if not isinstance(graph, LazyRealization):
-        from scipy.sparse.csgraph import dijkstra  # loaded by the first search on a SampledGraph
-
-        hops = dijkstra(_pair_csr(graph.n, graph.edge_array), directed=False, unweighted=True,
-                        indices=x, limit=limit)
+        hops = _pair_dijkstra(graph.n, graph.edge_array, None, x, limit)
         return np.where(np.isinf(hops), -1, hops).astype(np.int64)
     dist = np.full(graph.n, -1, dtype=np.int64)
     dist[x] = 0
@@ -163,10 +166,7 @@ def _sparse_cost_search(graph: SampledGraph, costs: CostMap | None, x: int,
             u, v = e[np.argmin(covered)].tolist()
             raise DomainError(f"cost map does not cover edge ({u}, {v})")
         c = costs.cost_array[at]
-    from scipy.sparse.csgraph import dijkstra  # loaded by the first search on a SampledGraph
-
-    return dijkstra(_pair_csr(graph.n, e, c), directed=False, indices=x,
-                    limit=np.inf if t_max is None else t_max)
+    return _pair_dijkstra(graph.n, e, c, x, np.inf if t_max is None else t_max)
 
 
 def _dense_cost_search(real: CffpRealization, x: int, t_max: float | None) -> np.ndarray:

@@ -830,7 +830,8 @@ class LazyRealization:
         return absorb_indices(seed_state(self.seed), np.arange(self.n))
 
     def frontier_neighbors(self, frontier, unvisited: np.ndarray) -> np.ndarray:
-        """Sorted unvisited vertices joined to some vertex of `frontier`.
+        """Sorted unvisited vertices joined to some vertex of `frontier`, an
+        array of vertex ids or one id.
 
         `unvisited` is a boolean mask over the vertices that must be False
         on the frontier.  Only frontier x unvisited pairs are hashed, so a
@@ -838,7 +839,8 @@ class LazyRealization:
         at most once.  Grid neighbours are among them: their offsets' rate
         inf decides their pairs as edges, as it does in the scans.
         """
-        return self._frontier_neighbors(integers("frontier", frontier, 0, self.n), unvisited)
+        frontier = np.reshape(integers("frontier", frontier, 0, self.n), -1)
+        return self._frontier_neighbors(frontier, unvisited)
 
     def _frontier_neighbors(self, frontier: np.ndarray, unvisited: np.ndarray) -> np.ndarray:
         """`frontier_neighbors` of an int64 array of vertex ids, unchecked, for the BFS.

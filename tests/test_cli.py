@@ -144,6 +144,27 @@ class TestBk:
         assert main(["bk", "--n", "2", "--p", "0.5", "--eventA", "weird:1",
                      "--eventB", "open:2"]) == 1
 
+    @pytest.mark.parametrize("spec, message", [
+        ("open:3", "event index out of range in 'open:3'"),
+        ("any:0", "event index out of range in 'any:0'"),
+        ("any:1,9", "event index out of range in 'any:1,9'"),
+        ("none:1", "unrecognized event spec 'none:1'"),
+        ("", "unrecognized event spec ''"),
+        ("open:", "--eventA: '' is not an integer"),
+    ])
+    def test_refused_event_specs_name_the_fault(self, capsys, spec, message):
+        assert main(["bk", "--n", "2", "--p", "0.5", "--eventA", spec,
+                     "--eventB", "open:2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("event_c", [[], ["--eventC", ""]], ids=["two", "empty-c"])
+    def test_full_event_and_an_empty_event_c(self, capsys, event_c):
+        code, summary = run(capsys, "bk", "--n", "2", "--p", "0.5",
+                            "--eventA", "full", "--eventB", "open:2", *event_c)
+        assert code == 0
+        assert summary["result"] == {"p_disjoint": 0.5, "p_product": 0.5, "violations": 0}
+
 
 def coupling_report(summary, out) -> dict:
     """The --out report of a coupling run, checked against its summary."""
@@ -578,6 +599,10 @@ CLI_PINS = [
      "--targets 24,48 --thresholds 1,2,3 --trials 50 --seed 6 --bound lrp --out {out}",
      0, "c5d4902de57cbee8d48ddda302b43d4d4599d2f7176ad9f5e6c0e95c4c05a1df",
      "b7d6890df648e5fbe37fae885ff541cbbcbecdda9ffbc22d58825d88cc4b274a"),
+    ("tail-sfp-bound", "tail --model sfp --d 1 --L 65 --alpha 1.5 --tau 3.5 --lambda 1 "
+     "--source 16 --targets 24,48 --thresholds 1,2,3 --trials 20 --seed 6 --bound sfp "
+     "--c1-grid 0.5,1 --c2-grid 1 --beta-grid 1,2",
+     0, "1a578f7730469e3e4c90236bc49e685edc52414f26a49af695c990356c730ca2", None),
     ("growth-fpp", "growth --metric fpp --model sfp --d 2 --L 8 --alpha 2 --tau 3.5 --lambda 1 "
      "--thresholds 0.2,0.4,0.6 --trials 5 --seed 3 --out {out}",
      0, "ef5b38e863334304bbd435cbda998313ad7e7a7b9335b1e9f1bee8833d8336a3",

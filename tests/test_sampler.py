@@ -1208,9 +1208,14 @@ class TestSlabScan:
         box, params = BoxSpec(d=2, side=16), ModelParams(d=2, alpha=1.5, tau=3.0, lam=0.5)
         want = sample_graph(box, params, Model.SFP, 8).edge_array.tolist()
         threads = set()
+        # each thread's first hash waits for a second thread's: one thread can
+        # no longer take every block, and a lone worker breaks the barrier
+        barrier = threading.Barrier(2, timeout=10)
 
         def recording(states, words, **kwargs):
-            threads.add(threading.current_thread())
+            if threading.current_thread() not in threads:
+                threads.add(threading.current_thread())
+                barrier.wait()
             return rng.uniforms_from_states(states, words, **kwargs)
 
         monkeypatch.delattr(sampler.os, "sched_getaffinity", raising=False)
@@ -1285,6 +1290,15 @@ class TestLazyRows:
         hashed = np.concatenate([np.empty(0, dtype=np.int64), *hashed])
         assert np.array_equal(np.sort(hashed), np.sort(pairs.ravel()))
         assert max(calls, default=0) <= max(block_pairs, y.size)
+
+    def test_one_vertex_id_is_a_one_vertex_frontier(self):
+        real = sampler.LazyRealization(BoxSpec(d=1, side=8), lrp(), Model.LRP, 3)
+        unvisited = np.ones(8, dtype=bool)
+        unvisited[3] = False
+        got = real.frontier_neighbors(3, unvisited)
+        assert got.dtype == np.int64 and {2, 4} <= set(got.tolist())  # its grid neighbours
+        assert np.array_equal(got, real.frontier_neighbors([3], unvisited))
+        assert np.array_equal(real.frontier_neighbors(np.int64(3), unvisited), got)
 
     def test_lrp_builds_no_weights_for_its_pairs(self):
         real = sampler.LazyRealization(BoxSpec(d=1, side=30), lrp(), Model.LRP, 3)
