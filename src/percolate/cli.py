@@ -182,13 +182,12 @@ def _cmd_tail(args) -> int:
     thresholds = _numbers("--thresholds", args.thresholds)
     if args.metric == "hop":  # whole hop counts as ints; 1.5 stays 1.5, not 1
         thresholds = [int(t) if t.is_integer() else t for t in thresholds]
-    estimates = mc_tail_grid(config, args.source, _numbers("--targets", args.targets, int),
-                             thresholds, args.trials, args.seed)
-    result = {"points": len(estimates), "out": args.out}
-    if args.bound == "lrp":
+    targets = _numbers("--targets", args.targets, int)
+    if args.bound == "lrp":  # every grid is built before the first trial
         try:
-            lo, hi, count = (float(x) for x in args.eps_grid.split(":"))
-            grid = np.linspace(lo, hi, int(count)).tolist()
+            lo, hi, count = args.eps_grid.split(":")
+            if not (grid := np.linspace(float(lo), float(hi), int(count)).tolist()):
+                raise ValueError  # a count below 1
         except (ValueError, OverflowError):
             raise UsageError(f"--eps-grid: {args.eps_grid!r} is not lo:hi:count") from None
         bound, echo = tail_bound_lrp, lambda eps: {"best_eps": eps}
@@ -199,6 +198,8 @@ def _cmd_tail(args) -> int:
                 for b in _numbers("--beta-grid", args.beta_grid)]
         bound = tail_bound_sfp
         echo = lambda bc: {"best_constants": {"c1": bc.c1, "c2": bc.c2, "beta": bc.beta_exp}}
+    estimates = mc_tail_grid(config, args.source, targets, thresholds, args.trials, args.seed)
+    result = {"points": len(estimates), "out": args.out}
     if args.bound:
         report = bound_compliance(
             estimates, lambda k, dist, constants: bound(k, dist, constants, config.params), grid)

@@ -31,7 +31,7 @@ from .kernels import (
     pareto_quantile,
     tau_prime_max,
 )
-from .rng import trial_seeds, vertex_uniform_each
+from .rng import trial_seeds, vertex_uniforms
 from .sampler import BoxSpec, Model, SampledGraph, sample_graph
 
 __all__ = [
@@ -162,8 +162,8 @@ def fpp_cffp_edge_check(
     rate = params.lam * (wu * wv) ** params.alpha * dist ** (-params.alpha * params.d)
 
     seeds = trial_seeds(seed, trials)
-    u1 = vertex_uniform_each(seeds, 1)
-    u2 = vertex_uniform_each(seeds, 2)
+    u1 = vertex_uniforms(seeds, 1)
+    u2 = vertex_uniforms(seeds, 2)
 
     p_cost_unit = -math.expm1(-t)
     p_cost_rate = -math.expm1(-rate * t)
@@ -434,7 +434,7 @@ def weight_dominance_test(
     step = max(1, 1_000_000 // n)
     samples = np.concatenate([
         aggregate_weight(pareto_quantile(
-            vertex_uniform_each(seeds[i:i + step], np.arange(n)).reshape(-1, n), tau_prime),
+            vertex_uniforms(seeds[i:i + step], np.arange(n)).reshape(-1, n), tau_prime),
             alpha, r, d, c_agg)
         for i in range(0, trials, step)])
 

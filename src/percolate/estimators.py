@@ -27,7 +27,7 @@ from .errors import BudgetError, DomainError, integers, reals
 from .kernels import ModelParams, delta_exponent, pareto_quantile
 from .metrics import (_ball_profile, _check_thresholds, cost_distances_from,
                       hop_distances_from)
-from .rng import trial_seeds, vertex_uniform_each
+from .rng import trial_seeds, vertex_uniforms
 from .sampler import (
     BoxSpec,
     CffpRealization,
@@ -453,12 +453,12 @@ def sum_exp_tail(
             raise DomainError("requires 2*alpha < tau - 1")
         w = np.empty((trials, k + 1))
         for j in range(k + 1):
-            w[:, j] = pareto_quantile(vertex_uniform_each(seeds, 1000 + j), tau)
+            w[:, j] = pareto_quantile(vertex_uniforms(seeds, 1000 + j), tau)
         rate_matrix = (w[:, :-1] * w[:, 1:]) ** alpha * dists ** (-ad)
 
     total = np.zeros(trials)
     for i in range(k):
-        u = vertex_uniform_each(seeds, 2000 + i)
+        u = vertex_uniforms(seeds, 2000 + i)
         total += -np.log1p(-u) / rate_matrix[:, i]
     p_hat = float(np.mean(total <= t))
     return p_hat, float(bound)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, integers, reals
 from .sampler import (_ROW_BATCH_PAIRS, CffpRealization, CostMap, LazyRealization, RateModel,
-                      SampledGraph, _write_csv)
+                      SampledGraph, _adjacency, _pair_dict, _write_csv)
 
 __all__ = [
     "BallKind",
@@ -299,15 +299,6 @@ _BRUTE_MAX_VERTICES = 12
 _BRUTE_MAX_LEN = 6
 
 
-def _adjacency(graph: SampledGraph) -> list[list[int]]:
-    """Each vertex's neighbours, in increasing order, read off `edge_array`."""
-    adj: list[list[int]] = [[] for _ in range(graph.n)]
-    for u, v in zip(*graph.edge_array.T.tolist()):
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def brute_force_distance(
     graph: SampledGraph, x: int, y: int, max_len: int | None = None
 ) -> int | None:
@@ -361,7 +352,7 @@ def brute_force_cost_distance(
     if x == y:
         return 0.0
     adj = _adjacency(graph)
-    cost = dict(zip(map(tuple, costs.pair_array.tolist()), costs.cost_array.tolist()))
+    cost = _pair_dict(costs.pair_array, costs.cost_array)
     best: list[float] = [np.inf]
     visited = [False] * graph.n
     visited[x] = True

@@ -169,10 +169,14 @@ def edge_uniforms(seed: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return uniforms_from_states(absorb_indices(state, lo), hi)
 
 
-def vertex_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized `vertex_uniform`."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    return uniforms_from_states(seed_state(seed), idx)
+def vertex_uniforms(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Vectorized `vertex_uniform`, for one seed or an array of seeds that
+    broadcasts against `indices`; the uniforms come back flat."""
+    if np.ndim(seed) == 0:
+        state = seed_state(seed)
+    else:
+        state = _mix64_vec(np.asarray(seed, dtype=np.uint64) ^ np.uint64(_IV))
+    return uniforms_from_states(state, indices)
 
 
 def position_uniforms(seed: int, n: int, d: int) -> np.ndarray:
@@ -189,14 +193,3 @@ def trial_seeds(seed: int, n: int) -> np.ndarray:
     """uint64 array of trial_seed(seed, 0..n-1), bit-identical to the scalar."""
     h1 = np.uint64(_hash_words(seed, TRIAL_STREAM))
     return _absorb_vec(np.broadcast_to(h1, (n,)), np.arange(n, dtype=np.uint64))
-
-
-def vertex_uniform_each(seeds: np.ndarray, word) -> np.ndarray:
-    """vertex_uniform(s, word) evaluated for an array of seeds at once.
-
-    `word` may be an array of words that broadcasts against `seeds`; the
-    uniforms come back flat, as from `uniforms_from_states`.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    h = _mix64_vec(seeds ^ np.uint64(_IV))
-    return uniforms_from_states(h, word)

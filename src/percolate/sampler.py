@@ -260,6 +260,16 @@ def _pair_dict(pairs: np.ndarray, values: np.ndarray) -> dict:
     return dict(zip(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()), values.tolist()))
 
 
+def _adjacency(graph: SampledGraph) -> list[list[int]]:
+    """Each vertex's neighbours, in increasing order, read off `edge_array`.
+    Only the brute-force oracles, the tests and perfbench's tracer read them."""
+    adj: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v in zip(*graph.edge_array.T.tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
     """One realization: positions, weights, symmetric edge set, and its seed.
@@ -293,15 +303,7 @@ class SampledGraph:
     def n(self) -> int:
         return len(self.weights)
 
-    @cached_property
-    def neighbors(self) -> list[list[int]]:
-        """Each vertex's neighbours, in increasing order.  Nothing in the package
-        reads them: only the tests and perfbench's tracer."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in zip(*self.edge_array.T.tolist()):
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+    neighbors = cached_property(_adjacency)
 
 
 @dataclass(frozen=True, eq=False)

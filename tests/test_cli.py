@@ -551,6 +551,33 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, line, flag, token):
     assert flag in err and token in err
 
 
+# Tail grids are built before the first trial, so a malformed one is refused
+# without running any.  (flags after _TAIL, the one-line message)
+EARLY_GRID_ERRORS = [
+    ("--bound lrp --eps-grid 0.1:x:3", "usage error: --eps-grid: '0.1:x:3' is not lo:hi:count"),
+    ("--bound lrp --eps-grid 0.05:0.5:10.7",
+     "usage error: --eps-grid: '0.05:0.5:10.7' is not lo:hi:count"),
+    ("--bound lrp --eps-grid 0.05:0.5:0",
+     "usage error: --eps-grid: '0.05:0.5:0' is not lo:hi:count"),
+    ("--bound sfp --c1-grid -1", "invalid arguments: c1 must be positive, got -1.0"),
+    # a grid fault now wins over a trial count that the estimator refuses
+    ("--bound lrp --trials 0 --eps-grid 0.1:x:3",
+     "usage error: --eps-grid: '0.1:x:3' is not lo:hi:count"),
+]
+
+
+@pytest.mark.parametrize("flags, message", EARLY_GRID_ERRORS,
+                         ids=[c[0] for c in EARLY_GRID_ERRORS])
+def test_a_malformed_tail_grid_is_refused_before_any_trial(monkeypatch, capsys, flags, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mc_tail_grid ran before the grid was checked")
+
+    monkeypatch.setattr("percolate.cli.mc_tail_grid", refuse)
+    assert main(f"{_TAIL} --targets 20 --thresholds 1,2 {flags}".split()) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"
+
+
 @pytest.mark.parametrize("line", [
     "fit --in {missing}",
     "distance --in {missing} --source 0 --target 1",

@@ -77,8 +77,17 @@ class TestEdgeUniform:
                        for i in range(20) for a in range(3))
             seeds = rng.trial_seeds(seed, 30)
             assert seeds.tolist() == [rng.trial_seed(seed, i) for i in range(30)]
-            each = rng.vertex_uniform_each(seeds, 1000)
+            each = rng.vertex_uniforms(seeds, 1000)
             assert all(each[i] == vertex_uniform(int(seeds[i]), 1000) for i in range(30))
+            # (trials, 1) seeds against (n,) words, as `weight_dominance_test` draws them
+            grid = rng.vertex_uniforms(seeds[:, None], np.arange(7)).reshape(30, 7)
+            assert all(grid[i, j] == vertex_uniform(int(seeds[i]), j)
+                       for i in range(30) for j in range(7))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_vertex_uniforms_refuse_a_scalar_seed_outside_its_range(self, seed):
+        with pytest.raises(DomainError, match="^seed must be"):
+            rng.vertex_uniforms(seed, np.arange(3))
 
     @pytest.mark.parametrize("shapes", [
         ((3, 4, 1), (3, 1, 5)), ((6, 7), (6, 7)), ((), (40,)), ((9,), ()), ((2, 1), (5,)),

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from percolate import (BoxSpec, CffpRealization, Model, ModelConfig, ModelParams, estimators,
-                       rng, sampler)
+from percolate import (BoxSpec, CffpRealization, Model, ModelConfig, ModelParams, SampledGraph,
+                       estimators, rng, sample_graph, sampler)
 
 
 def test_tracer_installs_and_uninstalls(monkeypatch):
@@ -62,3 +62,23 @@ def test_estimator_trials_reach_the_traced_layers(monkeypatch):
     for name in ("rng.pairs_hashed", "sampler.cost_rows", "metrics.vertices_settled",
                  "metrics.search_s", "estimators.self_s"):
         assert layers[name][0] > 0, name
+
+
+def test_traced_neighbors_are_the_adjacency_and_stay_cached(monkeypatch):
+    """The tracer re-wraps `SampledGraph.neighbors`, a `cached_property` of
+    `sampler._adjacency`: one read under it is one span call, and the wrapped
+    function's result is cached on the graph."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer").Tracer()
+    g = sample_graph(BoxSpec(d=1, side=12), ModelParams(d=1, alpha=1.5, tau=math.inf, lam=0.5),
+                     Model.LRP, 4)
+    try:
+        tracer.install()
+        adj = g.neighbors
+        assert g.neighbors is adj
+    finally:
+        tracer.uninstall()
+    assert tracer.totals()["sampler.neighbors"]["calls"] == 1
+    assert adj == sampler._adjacency(g)
+    assert g.__dict__["neighbors"] is adj
+    assert SampledGraph.__dict__["neighbors"].func is sampler._adjacency
