@@ -56,6 +56,7 @@ from .couplings import (
 )
 from .estimators import (
     ModelConfig,
+    TailEstimate,
     bk_brute_force_k,
     bound_compliance,
     fit_distance_exponent,
@@ -198,11 +199,13 @@ def _cmd_tail(args) -> int:
                 for b in _numbers("--beta-grid", args.beta_grid)]
         bound = tail_bound_sfp
         echo = lambda bc: {"best_constants": {"c1": bc.c1, "c2": bc.c2, "beta": bc.beta_exp}}
+    if args.bound:  # what the bound refuses (grid, thresholds, alpha) it refuses before any trial
+        check = lambda k, dist, constants: bound(k, dist, constants, config.params)
+        bound_compliance([TailEstimate.from_counts(1.0, t, 1, 0) for t in thresholds], check, grid)
     estimates = mc_tail_grid(config, args.source, targets, thresholds, args.trials, args.seed)
     result = {"points": len(estimates), "out": args.out}
     if args.bound:
-        report = bound_compliance(
-            estimates, lambda k, dist, constants: bound(k, dist, constants, config.params), grid)
+        report = bound_compliance(estimates, check, grid)
         result.update(echo(report.best_constants), compliant=report.compliant,
                       margin=report.margin, margin_upper=report.margin_upper)
     if args.out:  # only once the bound has accepted every threshold

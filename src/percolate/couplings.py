@@ -161,9 +161,7 @@ def fpp_cffp_edge_check(
     # from the paper's lambda = 1 normalization.
     rate = params.lam * (wu * wv) ** params.alpha * dist ** (-params.alpha * params.d)
 
-    seeds = trial_seeds(seed, trials)
-    u1 = vertex_uniforms(seeds, 1)
-    u2 = vertex_uniforms(seeds, 2)
+    u1, u2 = vertex_uniforms(trial_seeds(seed, trials)[:, None], [1, 2]).reshape(-1, 2).T
 
     p_cost_unit = -math.expm1(-t)
     p_cost_rate = -math.expm1(-rate * t)

@@ -254,23 +254,19 @@ def bound_compliance(estimates, bound_fn, constants_grid) -> ComplianceReport:
     # a NaN bound never lowers the margin, so the check would pass vacuously
     reals("the estimates' distances", [e.dist for e in estimates], -math.inf, math.inf, "()")
 
+    # log ci_low is -inf at ci_low = 0, so such a point's margin is +inf
+    ci_logs = [(-math.inf if e.ci_low == 0 else math.log(e.ci_low), math.log(e.ci_high))
+               for e in estimates]
     best = None
     for constants in constants_grid:
-        margin = math.inf
-        margin_up = math.inf
-        bounds = []
-        for e in estimates:
-            bound = bound_fn(e.threshold, e.dist, constants)
-            m_low = (
-                math.inf if e.ci_low == 0 else math.log(bound) - math.log(e.ci_low)
-            )
-            m_up = math.log(bound) - math.log(e.ci_high)
-            margin = min(margin, m_low)
-            margin_up = min(margin_up, m_up)
-            bounds.append(bound)
-        candidate = (margin, margin_up, constants, bounds)
-        if best is None or candidate[0] > best[0]:
-            best = candidate
+        margin, margin_up, bounds = math.inf, math.inf, []
+        for e, (log_low, log_high) in zip(estimates, ci_logs):
+            bounds.append(bound := bound_fn(e.threshold, e.dist, constants))
+            log_bound = math.log(bound)
+            margin = min(margin, log_bound - log_low)
+            margin_up = min(margin_up, log_bound - log_high)
+        if best is None or margin > best[0]:
+            best = margin, margin_up, constants, bounds
 
     margin, margin_up, constants, bounds = best
     return ComplianceReport(
@@ -451,15 +447,14 @@ def sum_exp_tail(
             raise DomainError("tau is required when weights are re-sampled")
         if not 2 * alpha < tau - 1:
             raise DomainError("requires 2*alpha < tau - 1")
-        w = np.empty((trials, k + 1))
-        for j in range(k + 1):
-            w[:, j] = pareto_quantile(vertex_uniforms(seeds, 1000 + j), tau)
+        u = vertex_uniforms(seeds[:, None], np.arange(1000, 1001 + k))
+        w = pareto_quantile(u, tau).reshape(trials, k + 1)
         rate_matrix = (w[:, :-1] * w[:, 1:]) ** alpha * dists ** (-ad)
 
+    u = vertex_uniforms(seeds[:, None], np.arange(2000, 2000 + k)).reshape(trials, k)
     total = np.zeros(trials)
-    for i in range(k):
-        u = vertex_uniforms(seeds, 2000 + i)
-        total += -np.log1p(-u) / rate_matrix[:, i]
+    for cost in (-np.log1p(-u) / rate_matrix).T:  # summed in path order
+        total += cost
     p_hat = float(np.mean(total <= t))
     return p_hat, float(bound)
 

@@ -175,10 +175,9 @@ def _dense_cost_search(real: CffpRealization, x: int, t_max: float | None) -> np
     batch = max(1, _ROW_BATCH_PAIRS // n)
     # the largest distance settled: t_max, and in any case a finite one
     limit = min(np.inf if t_max is None else t_max, np.finfo(np.float64).max)
-    dist = np.full(n, np.inf)  # settled distances
+    dist = np.full(n, np.inf)  # settled distances, all <= limit; inf until settled
     tentative = np.full(n, np.inf)  # of unsettled vertices; inf once settled
     tentative[x] = 0.0
-    unsettled = np.ones(n, dtype=bool)
     rows: dict[int, tuple] = {}  # fetched, unsettled vertex -> its (vertices, costs) <= limit
     for _ in range(n):
         u = int(tentative.argmin())
@@ -198,9 +197,8 @@ def _dense_cost_search(real: CffpRealization, x: int, t_max: float | None) -> np
                 rows[v] = vs[ptr[b]:ptr[b + 1]], cs[ptr[b]:ptr[b + 1]]
         dist[u] = du
         tentative[u] = np.inf
-        unsettled[u] = False
         vs, cs = rows.pop(u)  # settled vertices among vs stay at inf
-        tentative[vs] = np.where(unsettled[vs], np.minimum(tentative[vs], cs + du), np.inf)
+        tentative[vs] = np.where(np.isinf(dist[vs]), np.minimum(tentative[vs], cs + du), np.inf)
     return dist
 
 

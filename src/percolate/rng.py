@@ -181,12 +181,8 @@ def vertex_uniforms(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 def position_uniforms(seed: int, n: int, d: int) -> np.ndarray:
     """(n, d) array of per-vertex, per-axis uniforms."""
-    pos_seed = stream_seed(seed, POSITION_STREAM)
-    state = seed_state(pos_seed)
-    idx = np.repeat(np.arange(n, dtype=np.uint64), d)
-    axes = np.tile(np.arange(d, dtype=np.uint64), n)
-    u = uniforms_from_states(absorb_indices(state, idx), axes)
-    return u.reshape(n, d)
+    states = absorb_indices(seed_state(stream_seed(seed, POSITION_STREAM)), np.arange(n))
+    return uniforms_from_states(states[:, None], np.arange(d, dtype=np.uint64)).reshape(n, d)
 
 
 def trial_seeds(seed: int, n: int) -> np.ndarray:

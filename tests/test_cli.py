@@ -3,9 +3,14 @@ bytes of a fixed set of runs."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import percolate
 from percolate import BoxSpec, CffpRealization, ModelParams, cost_distance, couple_alpha
 from percolate.cli import main
 from percolate.sampler import load_graph
@@ -104,6 +109,14 @@ class TestDistance:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("invalid arguments: ") and "vertex id" in captured.err
+
+    def test_cost_search_needs_cost_records(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        run(capsys, "generate", "--L", "8", "--alpha", "1.5", "--lambda", "0.3", "--seed", "7",
+            "--out", str(out))
+        assert main(["distance", "--in", str(out), "--source", "0", "--target", "7",
+                     "--cost"]) == 1
+        assert capsys.readouterr().err == "usage error: graph file carries no cost records\n"
 
     def test_cffp_costs_are_searched_as_the_complete_graph(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
@@ -301,6 +314,10 @@ class TestTailGrowthShapeFit:
         assert summary["result"]["delta_hat"] == pytest.approx(2.0, abs=0.1)
         assert summary["result"]["reference_delta"] == pytest.approx(2.409, abs=1e-3)
 
+    def test_fit_needs_samples(self, capsys):
+        assert main(["fit", "--alpha", "1.5"]) == 1
+        assert capsys.readouterr().err == "usage error: fit needs --in or --samples\n"
+
 
 class TestUsageAndConfig:
     def test_missing_seed_is_usage_error(self, tmp_path):
@@ -350,6 +367,14 @@ class TestUsageAndConfig:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("usage error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("selfbound", [True, False])
+    def test_config_switch_is_a_json_bool(self, tmp_path, capsys, selfbound):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"selfbound": selfbound}))
+        code, summary = run(capsys, *_GROWTH.split(), "--config", str(cfg))
+        assert code == 0 and summary["config"]["selfbound"] is selfbound
+        assert ("selfbound_c" in summary["result"]) is selfbound
 
     def test_repeated_config_is_usage_error(self, tmp_path, capsys):
         a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "g.txt"
@@ -560,6 +585,15 @@ EARLY_GRID_ERRORS = [
     ("--bound lrp --eps-grid 0.05:0.5:0",
      "usage error: --eps-grid: '0.05:0.5:0' is not lo:hi:count"),
     ("--bound sfp --c1-grid -1", "invalid arguments: c1 must be positive, got -1.0"),
+    # what the bound itself refuses: an empty grid, its values, thresholds or alpha
+    ("--bound sfp --c1-grid ,",
+     "invalid arguments: need at least one estimate and one constants choice"),
+    ("--bound lrp --eps-grid nan:nan:2", "invalid arguments: eps must be positive, got nan"),
+    ("--bound lrp --eps-grid 0:0.5:3", "invalid arguments: eps must be positive, got 0.0"),
+    ("--thresholds 0,1 --bound lrp", "invalid arguments: k must be a positive integer, got 0"),
+    ("--alpha 2.5 --bound lrp", "invalid arguments: alpha must be a number in (1, 2), got 2.5"),
+    # the bound's refusal of a threshold now wins over the estimator's
+    ("--thresholds=-1 --bound lrp", "invalid arguments: k must be a positive integer, got -1"),
     # a grid fault now wins over a trial count that the estimator refuses
     ("--bound lrp --trials 0 --eps-grid 0.1:x:3",
      "usage error: --eps-grid: '0.1:x:3' is not lo:hi:count"),
@@ -590,6 +624,18 @@ def test_unusable_files_are_one_line_errors(tmp_path, capsys, line):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("file error:") and err.count("\n") == 1
     assert str(missing) in err
+
+
+def test_the_module_runs_as_a_program_and_exits_with_main_s_code(capsys):
+    """`python -m percolate.cli` prints what main() prints and exits with its code."""
+    argv = ["bk", "--n", "2", "--p", "0.5", "--eventA", "open:1", "--eventB", "open:3"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    src = str(Path(percolate.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "percolate.cli", *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", err)
+    assert err == "usage error: event index out of range in 'open:3'\n"
 
 
 # The graph files that the `distance` runs below read, as `generate` writes them.

@@ -17,6 +17,7 @@ from percolate import (
     aggregate_weight,
     blowup_box_map,
     blowup_lrp,
+    connection_prob,
     couple_alpha,
     fpp_cffp_edge_check,
     min_exp_inequality,
@@ -32,7 +33,7 @@ from percolate.couplings import (
 )
 from percolate.metrics import hop_distances_from
 from percolate.kernels import pareto_quantile
-from percolate.rng import trial_seed, vertex_uniforms
+from percolate.rng import trial_seed, trial_seeds, vertex_uniforms
 
 
 def lrp_small(lam, alpha=1.5, d=1):
@@ -128,6 +129,19 @@ class TestFppCffpEdgeCheck:
             fpp_cffp_edge_check(0.5, 1.0, 2.0, 1.0, 100, 1, params)
         with pytest.raises(DomainError):
             fpp_cffp_edge_check(1.0, 1.0, 0.5, 1.0, 100, 1, params)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_a_draw_of_u1_and_u2_by_separate_calls(self, seed):
+        params = ModelParams(d=1, alpha=1.2, tau=4.0, lam=0.6)
+        for wu, wv, dist, t in ((1.0, 1.0, 2.0, 1.0), (1.5, 2.0, 3.0, 0.4), (3.0, 1.2, 9.0, 2.5)):
+            seeds = trial_seeds(seed, 300)
+            u1, u2 = vertex_uniforms(seeds, 1), vertex_uniforms(seeds, 2)
+            rate = params.lam * (wu * wv) ** params.alpha * dist ** (-params.alpha)
+            lhs = np.count_nonzero((u1 < connection_prob(wu, wv, dist, params))
+                                   & (u2 < -math.expm1(-t))) / 300
+            rhs = np.count_nonzero(u2 < -math.expm1(-rate * t)) / 300
+            d = fpp_cffp_edge_check(wu, wv, dist, t, 300, seed, params).details[0]
+            assert (d["lhs"], d["rhs"]) == (lhs, rhs)
 
     @pytest.mark.parametrize("at", range(4), ids=["wu", "wv", "dist", "t"])
     def test_nan_is_rejected(self, at):

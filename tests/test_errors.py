@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from percolate import (
+    BlowupSpec,
     BoxSpec,
     CffpRealization,
+    CouplingKind,
+    CouplingReport,
     DomainError,
     LazyRealization,
     Model,
@@ -18,6 +21,7 @@ from percolate import (
     aggregate_weight,
     bk_brute_force,
     bk_brute_force_k,
+    blowup_lrp,
     couple_alpha,
     fit_distance_exponent,
     fit_shape_constant,
@@ -36,11 +40,13 @@ from percolate import (
     wilson_interval,
 )
 from percolate.cli import main
+from percolate.couplings import combine_blowup_reports
 from percolate.errors import integers, reals
 from percolate.estimators import (GrowthSeries, LogLinearFit, StretchedFit,
                                   fit_selfbound_constant)
 from percolate.kernels import BoundConstants
-from percolate.metrics import hop_distances_from
+from percolate.metrics import cost_distances_from, hop_distances_from
+from percolate.rng import edge_uniforms
 
 
 class TestIntegers:
@@ -259,6 +265,55 @@ REFUSED_REALS = [
 def test_real_arguments_hop_counts_and_seeds_are_refused_by_name(name, what, call):
     with pytest.raises(DomainError, match=f"^{what} must be"):
         call()
+
+
+def _either(s):
+    return s[0] or s[1]
+
+
+# Refusals of inputs that no argument check names, and their whole messages.
+REFUSED_OTHERWISE = [
+    ("config-metric", "unknown metric 'graph'",
+     lambda: ModelConfig(box=BoxSpec(d=1, side=8), params=_EXP, metric="graph")),
+    ("config-cffp-lambda", "CFFP is normalized to lambda = 1",
+     lambda: ModelConfig(box=BoxSpec(d=1, side=8), params=_LRP_15, metric="cffp")),
+    ("tail-no-target", "need at least one target", lambda: mc_tail_grid(_lrp(), 16, [], [1], 2, 1)),
+    ("growth-thresholds-decrease", "thresholds must be strictly increasing",
+     lambda: mc_ball_growth(_lrp(), 16, [2, 1], 2, 1)),
+    ("sum-exp-rates-length", "rates and dists must have equal length",
+     lambda: sum_exp_tail([1.0, 2.0], 1.0, 10, 1, 1.2, 1, [1.0])),
+    ("sum-exp-no-tau", "tau is required when weights are re-sampled",
+     lambda: sum_exp_tail(None, 1.0, 10, 1, 1.2, 1, [1.0])),
+    ("bk-event-table-size", "event table must have 2^2 entries",
+     lambda: bk_brute_force(2, [0.5, 0.5], np.ones(3, dtype=bool), _either)),
+    ("bk-probs-length", "probs length must equal n_edges",
+     lambda: bk_brute_force(2, [0.5], _either, _either)),
+    ("bk-one-event", "need at least two events",
+     lambda: bk_brute_force_k(2, [0.5, 0.5], [_either])),
+    ("shape-fpp", "shape containment is a hop-ball check",
+     lambda: shape_containment(ModelConfig(box=BoxSpec(d=1, side=33), params=_LRP_15,
+                                           metric="fpp"), 16, [1], lambda k: 1.0, 2, 1)),
+    ("report-violations", "violations cannot exceed trials",
+     lambda: CouplingReport(kind=CouplingKind.ALPHA_REDUCE, trials=1, violations=2)),
+    ("blowup-dimension", "box dimension must match the model dimension",
+     lambda: blowup_lrp(BoxSpec(d=2, side=4), BlowupSpec(r=2, params_small=_LRP_15), 0.5, 1)),
+    ("combine-no-report", "need at least one report", lambda: combine_blowup_reports([])),
+    ("sparse-search-no-costs", "a CostMap is required for sparse graphs",
+     lambda: cost_distances_from(sample_graph(BoxSpec(d=1, side=8), _LRP_15, Model.LRP, 1),
+                                 None, 0)),
+    ("edge-uniforms-self-pair", "edge_uniforms called with a self-pair",
+     lambda: edge_uniforms(1, [0, 3], [1, 3])),
+    ("cffp-weights-length", "weights length must equal the box vertex count",
+     lambda: CffpRealization(box=BoxSpec(d=1, side=5), weights=np.ones(4), params=_EXP, seed=1)),
+]
+
+
+@pytest.mark.parametrize("name, message, call", REFUSED_OTHERWISE,
+                         ids=[row[0] for row in REFUSED_OTHERWISE])
+def test_other_refusals_carry_their_message(name, message, call):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("line", [

@@ -44,7 +44,8 @@ from percolate.estimators import (
 )
 from percolate import sampler
 from percolate.metrics import cost_distances_from, hop_distances_from
-from percolate.rng import trial_seed, trial_seeds, uniforms_from_states
+from percolate.kernels import pareto_quantile
+from percolate.rng import trial_seed, trial_seeds, uniforms_from_states, vertex_uniforms
 
 
 def lrp_config(side, lam, alpha=1.5, metric="hop"):
@@ -202,6 +203,48 @@ class TestBoundCompliance:
         with pytest.raises(DomainError):
             bound_compliance([], lambda *a: 1.0, [0.1])
 
+    @staticmethod
+    def fold_per_estimate(estimates, bound_fn, grid):
+        """The search with both logs of each estimate taken for every choice."""
+        best = None
+        for constants in grid:
+            margin, margin_up, bounds = math.inf, math.inf, []
+            for e in estimates:
+                bound = bound_fn(e.threshold, e.dist, constants)
+                m_low = math.inf if e.ci_low == 0 else math.log(bound) - math.log(e.ci_low)
+                margin = min(margin, m_low)
+                margin_up = min(margin_up, math.log(bound) - math.log(e.ci_high))
+                bounds.append(bound)
+            if best is None or margin > best[0]:
+                best = margin, margin_up, constants, bounds
+        return best
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_fold_per_estimate(self, seed):
+        gen = np.random.default_rng(seed)
+        params = ModelParams(d=1, alpha=1.5, tau=math.inf, lam=0.05)
+        ests = []
+        for _ in range(int(gen.integers(1, 9))):
+            trials = int(gen.integers(1, 60))
+            successes = 0 if gen.random() < 0.3 else int(gen.integers(0, trials + 1))
+            ests.append(TailEstimate.from_counts(float(gen.integers(1, 40)),
+                                                 int(gen.integers(1, 6)), trials, successes))
+        # repeated eps values tie, and the tag tells which tied choice won; a
+        # NaN bound at k = 5 pins the order of each fold
+        grid = [(float(eps), tag) for tag, eps in enumerate(gen.choice([0.05, 0.2, 0.6], 6))]
+        bound_fn = lambda k, dist, c: math.nan if k == 5 else tail_bound_lrp(k, dist, c[0], params)
+        rep = bound_compliance(ests, bound_fn, grid)
+        got = rep.margin, rep.margin_upper, rep.best_constants, [r["bound"] for r in rep.records]
+        assert got == self.fold_per_estimate(ests, bound_fn, grid)
+        assert rep.compliant is (rep.margin >= 0)
+
+    def test_the_first_of_tied_choices_wins(self):
+        params = ModelParams(d=1, alpha=1.5, tau=math.inf, lam=0.05)
+        ests = [TailEstimate.from_counts(8.0, k, 50, 0) for k in (1, 2)]
+        rep = bound_compliance(ests, lambda k, dist, c: tail_bound_lrp(k, dist, c[0], params),
+                               [(0.3, "a"), (0.1, "b"), (0.3, "c")])
+        assert rep.margin == math.inf and rep.best_constants == (0.3, "a")
+
     def test_girg_tail_has_no_distance_to_bound(self):
         # GIRG positions are redrawn per trial, so its tail estimates carry
         # dist = NaN; compliance at NaN would pass vacuously.
@@ -351,6 +394,25 @@ class TestSumExpTail:
         # E[W^(2a)] = (tau-1)/(tau-1-2a)
         assert calibrate_sum_exp_constant(1.2, 5.0) == pytest.approx(4.0 / 1.6)
 
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_equals_the_loop_over_labels(self, k):
+        """Each trial's sum equals the one drawn label by label, summed in path order:
+        p-hat at t = a reference sum and just below it counts the same trials."""
+        alpha, tau, trials, dists = 1.1, 4.5, 25, np.array([1.0, 2.0, 5.0, 3.0][:k])
+        for seed in range(40):
+            seeds = trial_seeds(seed, trials)
+            w = np.stack([pareto_quantile(vertex_uniforms(seeds, 1000 + j), tau)
+                          for j in range(k + 1)], axis=1)
+            rates = (w[:, :-1] * w[:, 1:]) ** alpha * dists ** -alpha
+            total = np.zeros(trials)
+            for i in range(k):
+                total += -np.log1p(-vertex_uniforms(seeds, 2000 + i)) / rates[:, i]
+            for t in total:
+                for at in (t, np.nextafter(t, 0)):
+                    p_hat, _ = sum_exp_tail(None, float(at), trials, seed, alpha, 1, dists,
+                                            tau=tau)
+                    assert p_hat == float(np.mean(total <= at))
+
     def test_respects_bound_with_e_constant(self):
         # sampled within tau - 1 >= 3.3 alpha, where c = e provably suffices
         rng = np.random.default_rng(17)
@@ -473,6 +535,11 @@ class TestShapeContainment:
             config, 64, [2], lambda k: math.exp(c * k ** (1 / 1.357)), 50, 11
         )
         assert rows[0]["frequency"] >= 0.85
+
+    def test_fit_constant_of_a_one_vertex_box(self):
+        # every radius is 0, and the quantile is raised to 1, whose log is 0
+        config = lrp_config(1, 0.1, alpha=1.2)
+        assert fit_shape_constant(config, 0, 2, 1.357, 5, 11) == 0.0
 
 
 class TestHFunctional:

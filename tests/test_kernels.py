@@ -190,6 +190,7 @@ class TestTailBoundLrp:
         params = lrp_params(alpha=1.5, lam=0.05)
         vals = [tail_bound_lrp(3, d, 0.1, params) for d in (1, 2, 8, 64, 512)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+        assert tail_bound_lrp(3, math.inf, 0.1, params) == 0.0
 
     def test_domain(self):
         params = lrp_params(alpha=1.5, lam=0.05)

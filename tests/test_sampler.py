@@ -72,9 +72,11 @@ class TestEdgeUniform:
         vv = rng.vertex_uniforms(3, np.arange(50))
         assert all(vv[i] == vertex_uniform(3, i) for i in range(50))
         for seed in (3, 2**63 + 5):
-            pos = rng.position_uniforms(seed, 20, 3)
-            assert all(pos[i, a] == rng.position_uniform(seed, i, a)
-                       for i in range(20) for a in range(3))
+            for n, d in ((20, 3), (20, 1), (1, 3), (1, 1)):
+                pos = rng.position_uniforms(seed, n, d)
+                assert pos.shape == (n, d)
+                assert all(pos[i, a] == rng.position_uniform(seed, i, a)
+                           for i in range(n) for a in range(d))
             seeds = rng.trial_seeds(seed, 30)
             assert seeds.tolist() == [rng.trial_seed(seed, i) for i in range(30)]
             each = rng.vertex_uniforms(seeds, 1000)
@@ -787,6 +789,25 @@ class TestSerialization:
             load_graph(path)
         if where is not None:
             assert f"line {len(lines) if where == 'last' else where}:" in str(err.value)
+
+    # Faults that no one line shows: the last weight record is missing, or an id
+    # that Python's int() reads (0_1 is 1) but numpy's parser does not.
+    @pytest.mark.parametrize("change, message", [
+        ("w 7 ", "no weight record for vertex 7"),
+        ("w 1 ", "a number that numpy does not parse"),
+    ])
+    def test_fault_without_a_line_is_named(self, tmp_path, change, message):
+        g = sample_graph(BoxSpec(d=1, side=8), ModelParams(d=1, alpha=1.5, tau=math.inf,
+                                                           lam=0.3), Model.LRP, 7)
+        path = tmp_path / "g.txt"
+        save_graph(g, path)
+        lines = path.read_text().splitlines(keepends=True)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(change))
+        lines[at] = "" if change == "w 7 " else lines[at].replace("w 1 ", "w 0_1 ")
+        path.write_text("".join(lines))
+        with pytest.raises(DomainError) as err:
+            load_graph(path)
+        assert str(err.value) == f"{path}: {message}"
 
     # The header's seventh field is the seed; GIRG positions are drawn from it.
     @pytest.mark.parametrize("model", [Model.LRP, Model.GIRG])
