@@ -201,7 +201,8 @@ def _cmd_tail(args) -> int:
         echo = lambda bc: {"best_constants": {"c1": bc.c1, "c2": bc.c2, "beta": bc.beta_exp}}
     if args.bound:  # what the bound refuses (grid, thresholds, alpha) it refuses before any trial
         check = lambda k, dist, constants: bound(k, dist, constants, config.params)
-        bound_compliance([TailEstimate.from_counts(1.0, t, 1, 0) for t in thresholds], check, grid)
+        dist = math.nan if config.model is Model.GIRG else 1.0  # as mc_tail_grid's estimates
+        bound_compliance([TailEstimate.from_counts(dist, t, 1, 0) for t in thresholds], check, grid)
     estimates = mc_tail_grid(config, args.source, targets, thresholds, args.trials, args.seed)
     result = {"points": len(estimates), "out": args.out}
     if args.bound:

@@ -106,42 +106,37 @@ def _mix64_vec(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _absorb_vec(h: np.ndarray, w: np.ndarray, z: np.ndarray | None = None,
-                t: np.ndarray | None = None) -> np.ndarray:
-    """Absorb w into the states h; neither is written.
-
-    h and w may have any shapes that broadcast.  h is offset and XORed with
-    w into z, a uint64 buffer of the broadcast shape, fresh when None; the
-    mixer then finishes z in place, with t for its temporaries.
-    """
-    if z is None:
-        z = np.empty(np.broadcast(h, w).shape, dtype=np.uint64)
-    np.add(h, np.uint64(_GOLD), out=z)
-    z ^= w
-    return _mix64_vec(z, t)
-
-
 def seed_state(seed: int) -> np.uint64:
-    """Pre-mixed per-seed state reused across vectorized calls."""
-    return np.uint64(_hash_words(seed))
+    """Pre-mixed per-seed state reused across vectorized calls, offset by the
+    golden ratio for its next absorb, as every vectorized state is."""
+    return np.uint64((_hash_words(seed) + _GOLD) & _MASK)
 
 
 def absorb_indices(state: np.uint64, idx: np.ndarray) -> np.ndarray:
-    """Absorb one word per element; used to share hash prefixes."""
-    return _absorb_vec(state, np.asarray(idx, dtype=np.uint64))
+    """Absorb one word per element into an offset state; used to share hash
+    prefixes.  The states come back offset."""
+    idx = np.asarray(idx, dtype=np.uint64)
+    z = _mix64_vec(np.bitwise_xor(state, idx, out=np.empty(idx.shape, np.uint64)))
+    z += np.uint64(_GOLD)
+    return z
 
 
 def uniforms_from_states(states: np.ndarray, words: np.ndarray,
-                         out: tuple | None = None) -> np.ndarray:
+                         out: tuple | None = None, numerators: bool = False) -> np.ndarray:
     """Finish a hash chain with one more absorbed word, as uniforms.
 
-    `states` and `words` broadcast against each other; the uniforms come
-    back flat, one per element of the broadcast shape in C order.
+    `states`, offset as `seed_state` and `absorb_indices` give them, and
+    `words` broadcast against each other; the uniforms come back flat, one
+    per element of the broadcast shape in C order.  With `numerators`, each
+    uniform u comes back as its 53-bit numerator k = u * 2^53, as uint64:
+    u < p exactly when k < 2^53 p, so a caller can decide a pair without
+    making floats.
 
     The computation runs in two 8-byte buffers: with `out`, a pair of flat
     arrays of at least that many elements, or else two fresh ones.  The
-    first holds the hash states, the second the mixer's temporaries and then
-    the uniforms, of which the result is a view.
+    first holds the hash states and then the numerators, the second the
+    mixer's temporaries and then the uniforms; the result is a view of
+    the one it ends in.
     """
     words = np.asarray(words, dtype=np.uint64)
     b = np.broadcast(states, words)
@@ -149,8 +144,10 @@ def uniforms_from_states(states: np.ndarray, words: np.ndarray,
         z, t = np.empty(b.shape, dtype=np.uint64), np.empty(b.shape, dtype=np.uint64)
     else:
         z, t = (buf[:b.size].view(np.uint64).reshape(b.shape) for buf in out)
-    h = _absorb_vec(states, words, z, t)
+    h = _mix64_vec(np.bitwise_xor(states, words, out=z), t)
     h >>= np.uint64(11)
+    if numerators:
+        return h.ravel()
     u = t.view(np.float64)
     np.copyto(u, h)
     u *= _INV53
@@ -176,6 +173,7 @@ def vertex_uniforms(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
         state = seed_state(seed)
     else:
         state = _mix64_vec(np.asarray(seed, dtype=np.uint64) ^ np.uint64(_IV))
+        state += np.uint64(_GOLD)
     return uniforms_from_states(state, indices)
 
 
@@ -187,5 +185,5 @@ def position_uniforms(seed: int, n: int, d: int) -> np.ndarray:
 
 def trial_seeds(seed: int, n: int) -> np.ndarray:
     """uint64 array of trial_seed(seed, 0..n-1), bit-identical to the scalar."""
-    h1 = np.uint64(_hash_words(seed, TRIAL_STREAM))
-    return _absorb_vec(np.broadcast_to(h1, (n,)), np.arange(n, dtype=np.uint64))
+    h1 = np.uint64((_hash_words(seed, TRIAL_STREAM) + _GOLD) & _MASK)
+    return _mix64_vec(h1 ^ np.arange(n, dtype=np.uint64))

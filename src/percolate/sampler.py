@@ -6,13 +6,15 @@ same seed share their uniforms edge by edge.  That is what makes the
 couplings in `couplings` exact rather than merely distributional.
 
 A pair is decided one way: the hash state of its lower vertex, finished
-with its higher one (`uniforms_from_states`), gives a uniform, and the pair
-is an edge iff that falls below `_pair_probs`: the kernel of
-(w_x^alpha * w_y^alpha) * lam |x - y|^(-alpha d), as in `connection_prob`.
-LRP and SFP pairs read the second factor per lattice offset from the one
-table `_offset_rates`, whose inf at distance 1 is the nearest-neighbour
-grid: probability 1, above every uniform.  GIRG pairs call `connection_prob`.
-Three walks apply it, and the box's dimension alone picks the eager one:
+with its higher one (`uniforms_from_states`), gives a uniform u, and the
+pair is an edge iff u falls below p, the kernel of (w_x^alpha * w_y^alpha)
+* lam |x - y|^(-alpha d), as in `connection_prob`.  The walks test this
+exactly without making u: its 53-bit numerator falls below 2^53 p
+(`_pair_thresholds`).  LRP and SFP pairs read the second factor per
+lattice offset from the one table `_offset_rates`, whose inf at distance 1
+is the nearest-neighbour grid: probability 1, above every uniform.  GIRG
+pairs call `connection_prob`.  Three walks apply it, and the box's
+dimension alone picks the eager one:
 
 - the slab scan (`_slab_scan`), with which `sample_graph` decides all
   n(n-1)/2 pairs of a box of d >= 2, lattice or GIRG.  Row-major order
@@ -32,7 +34,7 @@ Three walks apply it, and the box's dimension alone picks the eager one:
   pairs above it their ids as words, both as contiguous slices, so no
   state or id is gathered per pair.
 
-All three get their probabilities from `_pair_probs`, so a lazily sampled
+All three get their thresholds from `_pair_thresholds`, so a lazily sampled
 realization is the scanned one, bit for bit, wherever it is observed.
 CFFP cost rows read slices of the cost stream's vertex states and a window of
 that table, mirrored, at lam = 1 without the grid.
@@ -343,6 +345,8 @@ def sample_weights(n: int, tau: float, seed: int) -> np.ndarray:
 # worker of the slab scan decides its blocks in buffers it allocates once
 # per scan, and the trial takes 2.3 k to 2.8 k (medians of 12 trials).
 _BLOCK_PAIRS = 131_072
+# The pair walks compare a pair's 53-bit hash numerator with 2^53 p.
+_TWO53 = 2.0**53
 
 
 def _coordinate_columns(positions: np.ndarray) -> tuple:
@@ -387,12 +391,14 @@ def _offset_rates(box: BoxSpec, params: ModelParams, grid: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _offset_probs(box: BoxSpec, params: ModelParams) -> np.ndarray:
-    """The kernel of `_offset_rates` with the grid, at each offset id: the edge
-    probability of a lattice pair of unit weights.  Read-only, as shared."""
+def _offset_thresholds(box: BoxSpec, params: ModelParams) -> np.ndarray:
+    """ceil(2^53 p) as uint64 at each offset id, p the kernel of `_offset_rates`
+    with the grid: the edge probability of a lattice pair of unit weights.
+    Read-only, as shared."""
     probs = apply_kernel(_offset_rates(box, params, True).copy(), params.kernel_variant)
-    probs.setflags(write=False)
-    return probs
+    thresholds = np.ceil(probs * _TWO53).astype(np.uint64)
+    thresholds.setflags(write=False)
+    return thresholds
 
 
 @lru_cache(maxsize=32)
@@ -404,31 +410,40 @@ def _rate_window(box: BoxSpec, params: ModelParams) -> np.ndarray:
     return sliding_window_view(rates[np.ix_(*(mirror,) * box.d)], (box.side,) * box.d)
 
 
-def _pair_probs(real: LazyRealization, x, y, ids=None, out=None) -> np.ndarray:
-    """Edge probabilities of the pairs {x, y} of vertex index arrays that
+def _pair_thresholds(real: LazyRealization, x, y, ids=None, out=None) -> np.ndarray:
+    """Edge thresholds of the pairs {x, y} of vertex index arrays that
     broadcast: for a column against a row, or for slab slices, it gathers
     per vertex, not per pair.  The result broadcasts against the pairs.
-    With `out`, a float64 array of the pairs' shape, the probabilities of
-    lattice pairs with weights are made in it, not in a fresh array; unit
-    weights and GIRG pairs leave it unused.
+    A pair is an edge iff its hash numerator k (`uniforms_from_states` with
+    `numerators`) falls below its threshold: 2^53 p for a pair of edge
+    probability p, as float64, or ceil(2^53 p) as uint64.  Both are exact,
+    and so is k as a float, as k < 2^53, so k falls below either exactly
+    when its uniform k 2^-53 falls below p.  With `out`, a float64 array
+    of the pairs' shape, the thresholds of lattice pairs with weights are
+    made in it, not in a fresh array; unit weights and GIRG pairs leave it
+    unused.
 
     A lattice pair's probability is the kernel of w_x^alpha * w_y^alpha
     times the `_offset_rates` entry of its offset, read by the offset's id:
     `ids`, which broadcasts against the pairs, where the walk has them, as
     the slab scan does, else `BoxSpec.offset_index`.  Unit weights, whose
-    product is 1, read the pair's probability from `_offset_probs` by that
-    id: one gather, with no product and no kernel per pair.  GIRG pairs go
-    to `connection_prob` with their `_squared_distances`.
+    product is 1, read the pair's integer threshold from the realization's
+    `_offset_thresholds` by that id: one gather, with no product and no
+    kernel per pair.  GIRG pairs go to `connection_prob` with their
+    `_squared_distances`.
     """
     if real.model is Model.GIRG:
         dist = np.sqrt(_squared_distances(real._columns, x, y))
-        return connection_prob(real.weights[x], real.weights[y], dist, real.params)
-    ids = real.box.offset_index(x, y) if ids is None else ids
-    if real._w_alpha is None:  # every weight is 1, and so is their product
-        return _offset_probs(real.box, real.params)[ids]
-    arg = np.multiply(real._w_alpha[x], real._w_alpha[y], out=out)
-    arg *= _offset_rates(real.box, real.params, True)[ids]
-    return apply_kernel(arg, real.params.kernel_variant)
+        p = connection_prob(real.weights[x], real.weights[y], dist, real.params)
+    else:
+        ids = real.box.offset_index(x, y) if ids is None else ids
+        if real._w_alpha is None:  # every weight is 1, and so is their product
+            return real._thresholds[ids]
+        p = np.multiply(real._w_alpha[x], real._w_alpha[y], out=out)
+        p *= _offset_rates(real.box, real.params, True)[ids]
+        p = apply_kernel(p, real.params.kernel_variant)
+    p *= _TWO53
+    return p
 
 
 def _pair_blocks(n: int):
@@ -445,12 +460,12 @@ def _scan(real: LazyRealization, blocks):
 
     A block is two aligned vertex index arrays (lo, hi), lo < hi, as
     `_pair_blocks` yields them.  A pair is an edge iff lo's hash state
-    finished with hi, as a uniform, falls below `_pair_probs`."""
+    finished with hi, as a numerator, falls below `_pair_thresholds`."""
     los, his = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for lo, hi in blocks:
-        p = _pair_probs(real, lo, hi)
         # the hash reads its words as uint64: a view of hi, not a copy
-        sel = uniforms_from_states(real._states[lo], hi.view(np.uint64)) < p
+        num = uniforms_from_states(real._states[lo], hi.view(np.uint64), numerators=True)
+        sel = num < _pair_thresholds(real, lo, hi)
         los.append(lo[sel])
         his.append(hi[sel])
     return np.concatenate(los), np.concatenate(his)
@@ -498,10 +513,10 @@ def _slab_block(real: LazyRealization, slabs: tuple, block, buffers: tuple) -> t
     vertex arrays (lo, hi).  `slabs` holds the (side, m) vertex ids and hash
     states of the box.
 
-    The block's uniforms, probabilities and selection are made in `buffers`,
+    The block's numerators, thresholds and selection are made in `buffers`,
     two 8-byte arrays and a bool array of at least the block's size: the
-    hash in both 8-byte buffers, leaving the uniforms in the second, then
-    the probabilities in the first.  The edges returned are copies, so they
+    hash in both 8-byte buffers, leaving the numerators in the first, then
+    the thresholds in the second.  The edges returned are copies, so they
     outlive the buffers' next use."""
     vertex, states = slabs
     a, r0, r1, lo, hi, ids = block
@@ -511,9 +526,10 @@ def _slab_block(real: LazyRealization, slabs: tuple, block, buffers: tuple) -> t
     size = math.prod(shape)
     first, second, chosen = buffers
     # the hash reads its words as uint64: a view of the vertex ids, not a copy
-    u = uniforms_from_states(states[lo], y.view(np.uint64), out=(first, second))
-    p = _pair_probs(real, x, y, ids, out=first[:size].view(np.float64).reshape(shape))
-    sel = np.less(u.reshape(shape), p, out=chosen[:size].reshape(shape))
+    num = uniforms_from_states(states[lo], y.view(np.uint64), out=(first, second),
+                               numerators=True)
+    t = _pair_thresholds(real, x, y, ids, out=second[:size].view(np.float64).reshape(shape))
+    sel = np.less(num.reshape(shape), t, out=chosen[:size].reshape(shape))
     return np.broadcast_to(x, shape)[sel], np.broadcast_to(y, shape)[sel]
 
 
@@ -523,9 +539,10 @@ def _slab_scan(real: LazyRealization):
 
     Every block of `_slab_blocks` reads contiguous slices of the slabs'
     vertex ids and states, which broadcast against each other, so nothing
-    is gathered per pair but the a = 0 columns.  `_pair_probs` gathers the
-    weights and GIRG coordinates per vertex and reads a lattice pair's rate
-    at the block's offset ids, so a lattice pair costs no power of its own.
+    is gathered per pair but the a = 0 columns.  `_pair_thresholds` gathers
+    the weights and GIRG coordinates per vertex and reads a lattice pair's
+    rate at the block's offset ids, so a lattice pair costs no power of its
+    own.
 
     One worker per CPU this process may use pulls blocks from one shared
     iterator and decides each by `_slab_block`, in buffers it allocates once
@@ -539,10 +556,10 @@ def _slab_scan(real: LazyRealization):
     side, n = real.box.side, real.n
     vertex = np.arange(n).reshape(side, -1)
     slabs = vertex, real._states.reshape(side, -1)
-    # An empty block fills the caches `_pair_probs` reads (weights, their
-    # powers, GIRG coordinate columns, offset tables) before the workers
-    # do, as `cached_property` has no lock from Python 3.12 on.
-    _pair_probs(real, vertex[:0, 0], vertex[:0, 0])
+    # An empty block fills the caches `_pair_thresholds` reads (weights,
+    # their powers, GIRG coordinate columns, offset tables) before the
+    # workers do, as `cached_property` has no lock from Python 3.12 on.
+    _pair_thresholds(real, vertex[:0, 0], vertex[:0, 0])
     blocks, edges = enumerate(_slab_blocks(real.box)), {}
     lock, stop = threading.Lock(), threading.Event()
     size = max(_BLOCK_PAIRS, n // side)
@@ -790,7 +807,7 @@ class LazyRealization:
 
     Positions and weights are drawn as `sample_graph` draws them.  An edge
     is decided only when `frontier_neighbors` reaches its pair, from the
-    pair's own uniform and through the scan's `_pair_probs`, so every edge
+    pair's own hash and through the scan's `_pair_thresholds`, so every edge
     it reports is an edge of the scanned graph and vice versa.
     """
 
@@ -828,6 +845,11 @@ class LazyRealization:
         return _coordinate_columns(self.positions)
 
     @cached_property
+    def _thresholds(self) -> np.ndarray:
+        """`_offset_thresholds` of the box, looked up once per realization."""
+        return _offset_thresholds(self.box, self.params)
+
+    @cached_property
     def _states(self) -> np.ndarray:
         return absorb_indices(seed_state(self.seed), np.arange(self.n))
 
@@ -855,8 +877,8 @@ class LazyRealization:
         state and word buffers as others' states and ids; then row x writes
         its state from k on and its id below k, two contiguous slices, and
         the block is hashed flat in one call.  The edges are others[j % m]
-        at the flat indices j whose uniform falls below `_pair_probs` of the
-        rows against others.
+        at the flat indices j whose numerator falls below `_pair_thresholds`
+        of the rows against others.
         """
         others = np.flatnonzero(unvisited)
         m = len(others)
@@ -874,10 +896,12 @@ class LazyRealization:
                 for b, (x, k) in enumerate(zip(rows.tolist(), splits[i0:i0 + step])):
                     lo[b, k:], hi[b, :k] = self._states[x], x
                 # flat views; the hash reads the words as uint64
-                u = uniforms_from_states(lo.ravel(), hi.ravel().view(np.uint64))
-                p = _pair_probs(self, rows[:, None], others).ravel()
-                reached.append(others[np.flatnonzero(u < p) % m])
-        return np.unique(np.concatenate(reached))
+                num = uniforms_from_states(lo.ravel(), hi.ravel().view(np.uint64),
+                                           numerators=True)
+                t = _pair_thresholds(self, rows[:, None], others).ravel()
+                reached.append(others[np.flatnonzero(num < t) % m])
+        # no block, or one, needs no concatenation
+        return np.unique(reached[-1] if len(reached) <= 2 else np.concatenate(reached))
 
 
 def sample_cffp_costs(box: BoxSpec, weights: np.ndarray, params: ModelParams,

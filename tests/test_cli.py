@@ -594,6 +594,9 @@ EARLY_GRID_ERRORS = [
     ("--alpha 2.5 --bound lrp", "invalid arguments: alpha must be a number in (1, 2), got 2.5"),
     # the bound's refusal of a threshold now wins over the estimator's
     ("--thresholds=-1 --bound lrp", "invalid arguments: k must be a positive integer, got -1"),
+    # GIRG estimates carry NaN distances, which no bound takes
+    ("--model girg --tau 3.5 --bound lrp", "invalid arguments: the estimates' distances must "
+     "be a number in (-inf, inf), got nan"),
     # a grid fault now wins over a trial count that the estimator refuses
     ("--bound lrp --trials 0 --eps-grid 0.1:x:3",
      "usage error: --eps-grid: '0.1:x:3' is not lo:hi:count"),

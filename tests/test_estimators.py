@@ -115,9 +115,9 @@ class TestMcTail:
         x, ys, ks, trials, seed = 512, [520, 544, 640, 1024], list(range(1, 9)), 3, 100
         hashed = []
 
-        def counting(states, words):
+        def counting(states, words, **kwargs):
             hashed.append(len(words))
-            return uniforms_from_states(states, words)
+            return uniforms_from_states(states, words, **kwargs)
 
         with mock.patch.object(sampler, "uniforms_from_states", counting):
             ests = mc_tail_grid(config, x, ys, ks, trials, seed)

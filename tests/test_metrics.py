@@ -512,9 +512,9 @@ class TestBruteForce:
 def _hashing(calls):
     """A stand-in for `uniforms_from_states` that counts the pairs it hashes."""
 
-    def counting(states, words):
+    def counting(states, words, **kwargs):
         calls.append(len(words))
-        return rng.uniforms_from_states(states, words)
+        return rng.uniforms_from_states(states, words, **kwargs)
 
     return counting
 

@@ -107,6 +107,34 @@ class TestEdgeUniform:
         assert np.shares_memory(got, buffers[1])
         assert (buffers[0][size:] == 7).all() and (buffers[1][size:] == 7).all()
 
+    @pytest.mark.parametrize("shapes", [
+        ((3, 4, 1), (3, 1, 5)), ((6, 7), (6, 7)), ((), (40,)), ((9,), ()), ((2, 1), (5,)),
+    ])
+    def test_numerators_are_the_uniforms_times_two_to_the_53(self, shapes):
+        gen = np.random.default_rng(5)
+        states, words = (gen.integers(0, 2**64, size=shape, dtype=np.uint64)
+                         for shape in shapes)
+        want = rng.uniforms_from_states(states, words)
+        size = want.size
+        buffers = (np.full(size + 9, 7, np.uint64), np.full(size + 9, 7, np.uint64))
+        for out in (None, buffers):
+            num = rng.uniforms_from_states(states, words, out=out, numerators=True)
+            assert num.shape == (size,) and num.dtype == np.uint64
+            assert (num < 2**53).all()
+            assert (num * 2.0**-53).tobytes() == want.tobytes()
+        assert np.shares_memory(num, buffers[0])  # the numerators end in the first buffer
+        assert (buffers[0][size:] == 7).all() and (buffers[1][size:] == 7).all()
+
+    def test_vectorized_states_are_offset_for_their_next_word(self):
+        # the scalar chain adds the golden ratio before each absorb; the
+        # vectorized states carry it already
+        gold = 0x9E3779B97F4A7C15
+        for seed in (0, 3, 2**64 - 1):
+            assert int(rng.seed_state(seed)) == (rng._hash_words(seed) + gold) % 2**64
+            states = rng.absorb_indices(rng.seed_state(seed), np.arange(6))
+            assert states.tolist() == [(rng._hash_words(seed, i) + gold) % 2**64
+                                       for i in range(6)]
+
     def test_empirical_mean(self):
         n = 1_000_000
         u = rng.edge_uniforms(271828, np.arange(n), np.arange(n) + 1)
@@ -1301,12 +1329,12 @@ class TestLazyRows:
         order = np.argsort(real._states)
         hashed, calls = [], []
 
-        def counting(states, words):  # the contract: two positional arrays, flat words
+        def counting(states, words, **kwargs):  # two positional arrays, flat words
             assert words.ndim == 1 and len(words) == len(states)
             lo = order[np.searchsorted(real._states[order], states)]
             hashed.append(lo * n + words.astype(np.int64))
             calls.append(len(words))
-            return rng.uniforms_from_states(states, words)
+            return rng.uniforms_from_states(states, words, **kwargs)
 
         with mock.patch.object(sampler, "uniforms_from_states", counting), \
                 mock.patch.object(sampler, "_BLOCK_PAIRS", block_pairs):
@@ -1379,14 +1407,20 @@ class TestLrpKernel:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # no inf * 0, not even at lambda = inf
                 # the offset from vertex 0 to vertex v has the id v
-                got = sampler._pair_probs(real, 0, np.arange(box.n_vertices))
-            assert np.array_equal(got, want)
+                got = sampler._pair_thresholds(real, 0, np.arange(box.n_vertices))
+            # unit weights read ceil(2^53 p) as integers, weighted pairs 2^53 p as floats
+            if model is Model.LRP:
+                assert got.dtype == np.uint64
+                assert np.array_equal(got, np.ceil(want * 2.0**53).astype(np.uint64))
+            else:
+                assert np.array_equal(got, want * 2.0**53)
             rates = sampler._offset_rates(box, params, True)
             assert not rates.flags.writeable
             assert rates[0] == 0.0 and np.all(rates[dist2 == 1] == np.inf)
-            probs = sampler._offset_probs(box, params)
-            assert not probs.flags.writeable
-            assert np.array_equal(probs, apply_kernel(rates.copy(), kernel))
+            table = sampler._offset_thresholds(box, params)
+            assert not table.flags.writeable and table.dtype == np.uint64
+            probs = apply_kernel(rates.copy(), kernel)
+            assert np.array_equal(table, np.ceil(probs * 2.0**53).astype(np.uint64))
 
     def test_offset_zero_reads_zero_at_infinite_lambda(self):
         params = ModelParams(d=2, alpha=1.5, tau=math.inf, lam=math.inf)
@@ -1396,6 +1430,86 @@ class TestLrpKernel:
                 table = sampler._offset_rates(BoxSpec(d=2, side=5), params, grid)
             assert table[0] == 0.0
             assert np.all(table[1:] == np.inf)
+
+
+class TestIntegerThresholds:
+    """Every walk decides a pair by its hash numerator k against the pair's
+    threshold T = ceil(2^53 p): k = T - 1 is an edge and k = T is not, as
+    the float rule k 2^-53 < p says.  A stand-in hash gives each pair one of
+    the two numerators."""
+
+    CASES = [  # (model, tau, kernel): unit weights, weights and GIRG pairs
+        (Model.LRP, math.inf, KernelVariant.MIN), (Model.LRP, math.inf, KernelVariant.EXP),
+        (Model.SFP, 2.5, KernelVariant.MIN), (Model.SFP, 2.5, KernelVariant.EXP),
+        (Model.GIRG, 2.5, KernelVariant.MIN), (Model.GIRG, 2.5, KernelVariant.EXP),
+    ]
+
+    @staticmethod
+    def boundary_hash(real, params):
+        """(stand-in for `uniforms_from_states`, numerators k, probabilities p),
+        k and p as (n, n) tables of the pairs (lo, hi), lo < hi; k is T - 1 or T,
+        by a fixed random pick, and T where T = 0."""
+        n, pos, w = real.n, real.positions, real.weights
+        # the squared distance summed over the axes in order, as the walks do for d <= 2
+        diff = pos[:, None, :] - pos[None, :, :]
+        dist2 = diff[..., 0] ** 2 + (diff[..., 1] ** 2 if real.box.d == 2 else 0.0)
+        np.fill_diagonal(dist2, 1.0)  # no pair, read at distance 1
+        p = connection_prob(w[:, None], w[None, :], np.sqrt(dist2), params)
+        if real.model is not Model.GIRG:
+            p[dist2 == 1] = 1.0  # the grid
+        top = np.ceil(p * 2.0**53).astype(np.uint64)
+        pick = (np.random.default_rng(n).random((n, n)) < 0.5) & (top > 0)
+        k = top - pick.astype(np.uint64)
+        order = np.argsort(real._states)
+
+        def numerators(states, words, out=None, numerators=False):
+            assert numerators  # every walk decides on numerators
+            states, words = np.broadcast_arrays(states, words)
+            lo = order[np.searchsorted(real._states[order], states.ravel())]
+            return k[lo, words.ravel().astype(np.int64)]
+
+        return numerators, k, p
+
+    @classmethod
+    def expected(cls, real, params):
+        """The stand-in hash and the edges (lo, hi), lo < hi, by the float rule."""
+        numerators, k, p = cls.boundary_hash(real, params)
+        upper = np.triu(np.ones_like(p, dtype=bool), 1)
+        edge = (k * 2.0**-53 < p) & upper
+        # the rule's two sides at T: every T - 1 is an edge and every T is not
+        top = np.ceil(p * 2.0**53).astype(np.uint64)
+        assert np.array_equal(edge, (k < top) & upper)
+        assert edge.any() and ((k == top) & (top > 0) & upper).any()
+        return numerators, edge
+
+    def realization(self, d, side, model, tau, kernel):
+        params = ModelParams(d=d, alpha=1.5 if kernel is KernelVariant.MIN else 2.5,
+                             tau=tau, lam=0.5, kernel_variant=kernel)
+        return sampler.LazyRealization(BoxSpec(d=d, side=side), params, model, 11), params
+
+    @pytest.mark.parametrize("model, tau, kernel", CASES)
+    @pytest.mark.parametrize("d, side", [(1, 40), (2, 7)])  # the block scan, the slab scan
+    def test_scans_decide_t_minus_one_as_an_edge_and_t_as_none(self, d, side, model, tau,
+                                                                kernel):
+        real, params = self.realization(d, side, model, tau, kernel)
+        numerators, edge = self.expected(real, params)
+        with mock.patch.object(sampler, "uniforms_from_states", numerators):
+            got = sample_graph(real.box, params, model, real.seed).edge_array
+        assert got.tolist() == np.argwhere(edge).tolist()
+
+    @pytest.mark.parametrize("model, tau, kernel", CASES)
+    @pytest.mark.parametrize("d, side", [(1, 40), (2, 7)])
+    def test_lazy_rows_decide_t_minus_one_as_an_edge_and_t_as_none(self, d, side, model, tau,
+                                                                   kernel):
+        real, params = self.realization(d, side, model, tau, kernel)
+        numerators, edge = self.expected(real, params)
+        edge |= edge.T
+        frontier = np.array([9, 0, real.n - 1, real.n // 2])  # unsorted
+        unvisited = np.ones(real.n, dtype=bool)
+        unvisited[frontier] = False
+        with mock.patch.object(sampler, "uniforms_from_states", numerators):
+            got = real.frontier_neighbors(frontier, unvisited)
+        assert got.tolist() == np.flatnonzero(edge[frontier].any(axis=0) & unvisited).tolist()
 
 
 class TestGrid:
