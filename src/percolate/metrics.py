@@ -149,12 +149,17 @@ def _sparse_cost_search(graph: SampledGraph, costs: CostMap | None, x: int,
     An FPP map costs the graph's edges: each edge's cost is found in the
     map's sorted pairs by its key lo * base + hi, with base above every
     vertex id, so a map that misses an edge raises DomainError naming the
-    first one.  A CFFP map stores the complete graph, whose pairs are its own.
+    first one.  A map whose pairs are the graph's `edge_array` itself, as
+    `sample_fpp_costs` builds it, holds the costs in edge order, with
+    nothing to look up.  A CFFP map stores the complete graph, whose pairs
+    are its own.
     """
     if costs is None:
         raise DomainError("a CostMap is required for sparse graphs")
     if costs.rate_model is RateModel.CFFP_RATE:
         e, c = costs.pair_array, costs.cost_array
+    elif costs.pair_array is graph.edge_array:
+        e, c = graph.edge_array, costs.cost_array
     else:
         e, pairs = graph.edge_array, costs.pair_array
         base = max(graph.n, int(pairs.max(initial=0)) + 1)

@@ -6,8 +6,17 @@ indices).  This makes realizations reproducible, order-independent, and --
 crucially for the coupling constructions -- lets two models share the exact
 same uniform for the same edge.
 
-The mixer is the splitmix64 finalizer applied to an absorb chain.  It is
-statistical-quality only, not cryptographic.
+The mixer is the splitmix64 finalizer applied to an absorb chain: the
+state h takes a word w as mix(h + gold ^ w).  It is statistical-quality
+only, not cryptographic.
+
+The vectorized functions keep each state folded, as s ^ (s >> 30) of the
+offset state s = h + gold.  The finalizer's first step is that fold, and
+it is linear over XOR, so the fold of s ^ w is fold(s) ^ fold(w), and a
+word below 2^30 (`WORD_BOUND`) is its own fold.  Every pair a walk decides
+finishes a vertex's state with a vertex id as its word, so the fold is done
+once per vertex, not once per pair; functions that take words of any size
+fold them first.  Every uniform is the scalar chain's, bit for bit.
 """
 
 from __future__ import annotations
@@ -88,16 +97,31 @@ def position_uniform(seed: int, index: int, axis: int) -> float:
 # equivalence is pinned by tests.
 # ---------------------------------------------------------------------------
 
-# (shift, multiplier) per round, as uint64 scalars made once: the hash runs
-# on small blocks too, where making them per call is a measurable share
-_MIX_ROUNDS = ((np.uint64(30), np.uint64(_P1)), (np.uint64(27), np.uint64(_P2)),
-               (np.uint64(31), None))
+# The finalizer's steps as uint64 scalars made once: the hash runs on small
+# blocks too, where making them per call is a measurable share.  Its first
+# step, z ^= z >> 30, is the fold; the rest is (shift, multiplier) per round.
+_FOLD_SHIFT = np.uint64(30)
+_FIRST_MULT = np.uint64(_P1)
+_MIX_ROUNDS = ((np.uint64(27), np.uint64(_P2)), (np.uint64(31), None))
+_GOLD_VEC = np.uint64(_GOLD)
+# Every word that `uniforms_from_states` absorbs as it is lies below this
+# bound, where the fold leaves it unchanged; vertex ids do, as a box holds
+# at most this many vertices.
+WORD_BOUND = 2**30
 
 
-def _mix64_vec(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """The splitmix64 finalizer, mixed into z in place; z must be a buffer the
-    caller owns.  t, of z's shape, holds the temporaries, fresh when None."""
-    t = np.empty_like(z) if t is None else t
+def _fold_vec(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """z ^= z >> 30, in place, with t of z's shape for the shift."""
+    np.right_shift(z, _FOLD_SHIFT, out=t)
+    z ^= t
+    return z
+
+
+def _finish_vec(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer after its fold, mixed into a folded z in
+    place; z must be a buffer the caller owns, and t, of z's shape, holds
+    the temporaries."""
+    z *= _FIRST_MULT
     for shift, mult in _MIX_ROUNDS:
         np.right_shift(z, shift, out=t)
         z ^= t
@@ -106,31 +130,57 @@ def _mix64_vec(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
+def _mix64_vec(z: np.ndarray) -> np.ndarray:
+    """The whole splitmix64 finalizer, mixed into z in place."""
+    t = np.empty_like(z)
+    return _finish_vec(_fold_vec(z, t), t)
+
+
+def _folded(values) -> np.ndarray:
+    """Values of any size as a fresh uint64 array, folded: a folded state
+    XORed with folded words is the fold of the state XORed with the words."""
+    z = np.array(values, dtype=np.uint64)
+    return _fold_vec(z, np.empty_like(z))
+
+
 def seed_state(seed: int) -> np.uint64:
-    """Pre-mixed per-seed state reused across vectorized calls, offset by the
-    golden ratio for its next absorb, as every vectorized state is."""
-    return np.uint64((_hash_words(seed) + _GOLD) & _MASK)
+    """Pre-mixed per-seed state reused across vectorized calls, folded as
+    every vectorized state is: the chain's state h offset by the golden
+    ratio for its next absorb, s = h + gold, and stored as s ^ (s >> 30).
+
+    The finalizer opens with z ^= z >> 30, which is linear over XOR, so
+    absorbing a word w into s folds to fold(s) ^ fold(w), and fold(w) = w
+    for w < 2^30.  A folded state thus takes such a word with one XOR and
+    goes straight to the first multiply."""
+    s = (_hash_words(seed) + _GOLD) & _MASK
+    return np.uint64(s ^ (s >> 30))
 
 
 def absorb_indices(state: np.uint64, idx: np.ndarray) -> np.ndarray:
-    """Absorb one word per element into an offset state; used to share hash
-    prefixes.  The states come back offset."""
-    idx = np.asarray(idx, dtype=np.uint64)
-    z = _mix64_vec(np.bitwise_xor(state, idx, out=np.empty(idx.shape, np.uint64)))
-    z += np.uint64(_GOLD)
-    return z
+    """Absorb one word per element into a folded state; used to share hash
+    prefixes.  The words may take any uint64 value, as they are folded
+    here; the states come back folded."""
+    z = _folded(idx)
+    z ^= state
+    t = np.empty_like(z)
+    _finish_vec(z, t)
+    z += _GOLD_VEC
+    return _fold_vec(z, t)
 
 
 def uniforms_from_states(states: np.ndarray, words: np.ndarray,
                          out: tuple | None = None, numerators: bool = False) -> np.ndarray:
     """Finish a hash chain with one more absorbed word, as uniforms.
 
-    `states`, offset as `seed_state` and `absorb_indices` give them, and
+    `states`, folded as `seed_state` and `absorb_indices` give them, and
     `words` broadcast against each other; the uniforms come back flat, one
-    per element of the broadcast shape in C order.  With `numerators`, each
-    uniform u comes back as its 53-bit numerator k = u * 2^53, as uint64:
-    u < p exactly when k < 2^53 p, so a caller can decide a pair without
-    making floats.
+    per element of the broadcast shape in C order.  Each word must lie
+    below `WORD_BOUND`, 2^30, as every vertex id does, or come folded
+    (w ^ (w >> 30)): it is XORed into its state as it is, and the finalizer
+    goes on from its first multiply.  With `numerators`, each uniform u
+    comes back as its 53-bit numerator k = u * 2^53, as uint64: u < p
+    exactly when k < 2^53 p, so a caller can decide a pair without making
+    floats.
 
     The computation runs in two 8-byte buffers: with `out`, a pair of flat
     arrays of at least that many elements, or else two fresh ones.  The
@@ -144,7 +194,7 @@ def uniforms_from_states(states: np.ndarray, words: np.ndarray,
         z, t = np.empty(b.shape, dtype=np.uint64), np.empty(b.shape, dtype=np.uint64)
     else:
         z, t = (buf[:b.size].view(np.uint64).reshape(b.shape) for buf in out)
-    h = _mix64_vec(np.bitwise_xor(states, words, out=z), t)
+    h = _finish_vec(np.bitwise_xor(states, words, out=z), t)
     h >>= np.uint64(11)
     if numerators:
         return h.ravel()
@@ -160,10 +210,9 @@ def edge_uniforms(seed: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     vs = np.asarray(vs, dtype=np.int64)
     if np.any(us == vs):
         raise DomainError("edge_uniforms called with a self-pair")
-    lo = np.minimum(us, vs).astype(np.uint64)
-    hi = np.maximum(us, vs).astype(np.uint64)
     state = seed_state(seed)
-    return uniforms_from_states(absorb_indices(state, lo), hi)
+    lo = absorb_indices(state, np.minimum(us, vs))
+    return uniforms_from_states(lo, _folded(np.maximum(us, vs)))
 
 
 def vertex_uniforms(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -172,9 +221,9 @@ def vertex_uniforms(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     if np.ndim(seed) == 0:
         state = seed_state(seed)
     else:
-        state = _mix64_vec(np.asarray(seed, dtype=np.uint64) ^ np.uint64(_IV))
-        state += np.uint64(_GOLD)
-    return uniforms_from_states(state, indices)
+        state = _folded(_mix64_vec(np.asarray(seed, dtype=np.uint64) ^ np.uint64(_IV))
+                        + _GOLD_VEC)
+    return uniforms_from_states(state, _folded(indices))
 
 
 def position_uniforms(seed: int, n: int, d: int) -> np.ndarray:

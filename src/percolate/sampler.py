@@ -72,6 +72,7 @@ from .kernels import (KernelVariant, ModelParams, apply_kernel, connection_prob,
                       distance_rate, pareto_quantile)
 from .rng import (
     COST_STREAM,
+    WORD_BOUND,
     absorb_indices,
     edge_uniform,
     edge_uniforms,
@@ -402,6 +403,15 @@ def _offset_thresholds(box: BoxSpec, params: ModelParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _scaled_rates(box: BoxSpec, params: ModelParams) -> np.ndarray:
+    """`_offset_rates` with the grid, times 2^53: the MIN kernel's thresholds
+    of weighted lattice pairs read it.  Read-only, as shared."""
+    rates = _offset_rates(box, params, True) * _TWO53
+    rates.setflags(write=False)
+    return rates
+
+
+@lru_cache(maxsize=32)
 def _rate_window(box: BoxSpec, params: ModelParams) -> np.ndarray:
     """`_offset_rates` without the grid, mirrored on every axis, as read-only windows of
     the box's shape: the one at side - 1 - coords[:, u] holds u's rates, vertex by vertex."""
@@ -415,13 +425,13 @@ def _pair_thresholds(real: LazyRealization, x, y, ids=None, out=None) -> np.ndar
     broadcast: for a column against a row, or for slab slices, it gathers
     per vertex, not per pair.  The result broadcasts against the pairs.
     A pair is an edge iff its hash numerator k (`uniforms_from_states` with
-    `numerators`) falls below its threshold: 2^53 p for a pair of edge
-    probability p, as float64, or ceil(2^53 p) as uint64.  Both are exact,
-    and so is k as a float, as k < 2^53, so k falls below either exactly
-    when its uniform k 2^-53 falls below p.  With `out`, a float64 array
-    of the pairs' shape, the thresholds of lattice pairs with weights are
-    made in it, not in a fresh array; unit weights and GIRG pairs leave it
-    unused.
+    `numerators`) falls below its threshold (`_below`): 2^53 p for a pair of
+    edge probability p, as float64, or ceil(2^53 p) as uint64.  Both are
+    exact, and so is k as a float, as k < 2^53, so k falls below either
+    exactly when its uniform k 2^-53 falls below p.  With `out`, a float64
+    array of the pairs' shape, the thresholds of lattice pairs with weights
+    are made in it, not in a fresh array; unit weights and GIRG pairs leave
+    it unused.
 
     A lattice pair's probability is the kernel of w_x^alpha * w_y^alpha
     times the `_offset_rates` entry of its offset, read by the offset's id:
@@ -429,8 +439,12 @@ def _pair_thresholds(real: LazyRealization, x, y, ids=None, out=None) -> np.ndar
     the slab scan does, else `BoxSpec.offset_index`.  Unit weights, whose
     product is 1, read the pair's integer threshold from the realization's
     `_offset_thresholds` by that id: one gather, with no product and no
-    kernel per pair.  GIRG pairs go to `connection_prob` with their
-    `_squared_distances`.
+    kernel per pair.  Weighted pairs under the MIN kernel read the rates
+    times 2^53 (`_scaled_rates`) and clamp at 2^53: min(w 2^53 r, 2^53) is
+    2^53 min(w r, 1) bit for bit, as scaling by 2^53 commutes with rounding,
+    w >= 1 keeps the product out of the subnormals and an overflow reads
+    inf, which the clamp takes to 2^53 as the kernel takes it to 1.  GIRG
+    pairs go to `connection_prob` with their `_squared_distances`.
     """
     if real.model is Model.GIRG:
         dist = np.sqrt(_squared_distances(real._columns, x, y))
@@ -440,10 +454,23 @@ def _pair_thresholds(real: LazyRealization, x, y, ids=None, out=None) -> np.ndar
         if real._w_alpha is None:  # every weight is 1, and so is their product
             return real._thresholds[ids]
         p = np.multiply(real._w_alpha[x], real._w_alpha[y], out=out)
+        if real.params.kernel_variant is KernelVariant.MIN:
+            p *= _scaled_rates(real.box, real.params)[ids]
+            return np.minimum(p, _TWO53, out=p)
         p *= _offset_rates(real.box, real.params, True)[ids]
         p = apply_kernel(p, real.params.kernel_variant)
     p *= _TWO53
     return p
+
+
+def _below(num: np.ndarray, thresholds: np.ndarray, out=None) -> np.ndarray:
+    """num < thresholds, elementwise, for hash numerators and the uint64 or
+    float64 `_pair_thresholds` they broadcast against.  Both compare as
+    int64, exactly, as k < 2^53 and ceil(2^53 p) <= 2^53: numpy compares
+    int64 with a float faster than uint64."""
+    if thresholds.dtype == np.uint64:
+        thresholds = thresholds.view(np.int64)
+    return np.less(num.view(np.int64), thresholds, out=out)
 
 
 def _pair_blocks(n: int):
@@ -465,9 +492,9 @@ def _scan(real: LazyRealization, blocks):
     for lo, hi in blocks:
         # the hash reads its words as uint64: a view of hi, not a copy
         num = uniforms_from_states(real._states[lo], hi.view(np.uint64), numerators=True)
-        sel = num < _pair_thresholds(real, lo, hi)
-        los.append(lo[sel])
-        his.append(hi[sel])
+        at = np.flatnonzero(_below(num, _pair_thresholds(real, lo, hi)))
+        los.append(lo[at])
+        his.append(hi[at])
     return np.concatenate(los), np.concatenate(his)
 
 
@@ -516,8 +543,9 @@ def _slab_block(real: LazyRealization, slabs: tuple, block, buffers: tuple) -> t
     The block's numerators, thresholds and selection are made in `buffers`,
     two 8-byte arrays and a bool array of at least the block's size: the
     hash in both 8-byte buffers, leaving the numerators in the first, then
-    the thresholds in the second.  The edges returned are copies, so they
-    outlive the buffers' next use."""
+    the thresholds in the second.  The edges are picked at the block's flat
+    indices below their thresholds, as copies, so they outlive the buffers'
+    next use."""
     vertex, states = slabs
     a, r0, r1, lo, hi, ids = block
     lo, hi = (slice(r0, r1),) + lo, (slice(r0 + a, r1 + a),) + hi
@@ -529,8 +557,9 @@ def _slab_block(real: LazyRealization, slabs: tuple, block, buffers: tuple) -> t
     num = uniforms_from_states(states[lo], y.view(np.uint64), out=(first, second),
                                numerators=True)
     t = _pair_thresholds(real, x, y, ids, out=second[:size].view(np.float64).reshape(shape))
-    sel = np.less(num.reshape(shape), t, out=chosen[:size].reshape(shape))
-    return np.broadcast_to(x, shape)[sel], np.broadcast_to(y, shape)[sel]
+    at = np.unravel_index(np.flatnonzero(_below(num.reshape(shape), t,
+                                                out=chosen[:size].reshape(shape))), shape)
+    return np.broadcast_to(x, shape)[at], np.broadcast_to(y, shape)[at]
 
 
 def _slab_scan(real: LazyRealization):
@@ -614,13 +643,17 @@ def _vertex_budget(default: int) -> int:
 
 def _check_box(real, default: int, budget: str) -> None:
     """A realization's box has its params' dimension and at most the named
-    vertex budget, and its seed is one of the 2^64 that the hash tells apart."""
+    vertex budget, and its seed is one of the 2^64 that the hash tells apart.
+    Whatever the budget, the box has at most `WORD_BOUND` (2^30) vertices, so
+    that the walks may absorb vertex ids into folded states as they are."""
     integers("seed", real.seed, 0, 2**64)
     if real.box.d != real.params.d:
         raise DomainError(f"box dimension {real.box.d} != params dimension {real.params.d}")
     limit = _vertex_budget(default)
     if real.n > limit:
         raise BudgetError(f"{real.n} vertices exceed the {budget} of {limit}")
+    if real.n > WORD_BOUND:
+        raise BudgetError(f"{real.n} vertices exceed the {WORD_BOUND} vertex ids the hash takes")
 
 
 def _positions(box: BoxSpec, model: Model, seed: int) -> np.ndarray:
@@ -899,7 +932,7 @@ class LazyRealization:
                 num = uniforms_from_states(lo.ravel(), hi.ravel().view(np.uint64),
                                            numerators=True)
                 t = _pair_thresholds(self, rows[:, None], others).ravel()
-                reached.append(others[np.flatnonzero(num < t) % m])
+                reached.append(others[np.flatnonzero(_below(num, t)) % m])
         # no block, or one, needs no concatenation
         return np.unique(reached[-1] if len(reached) <= 2 else np.concatenate(reached))
 
@@ -947,20 +980,27 @@ def save_graph(graph: SampledGraph, path, costs: CostMap | None = None) -> None:
     box = graph.box or BoxSpec(d=params.d, side=round(graph.n ** (1.0 / params.d)))
     if box.n_vertices != graph.n:
         raise DomainError(f"a boxless graph needs n = side^d: n = {graph.n}, d = {params.d}")
-    lines = [
-        f"{graph.model.value} {params.d} {box.side} "
-        f"{_fmt(params.alpha)} {_fmt(params.tau)} "
-        f"{_fmt(params.lam)} {graph.seed} {params.kernel_variant.value} "
-        + " ".join(str(int(o)) for o in box.origin)
-    ]
-    lines += (f"w {i} {_fmt(w)}" for i, w in enumerate(graph.weights))
-    # columns as lists of ints: rows as lists would be m objects for the collector
-    lines += (f"e {u} {v}" for u, v in zip(*graph.edge_array.T.tolist()))
+    header = (f"{graph.model.value} {params.d} {box.side} "
+              f"{_fmt(params.alpha)} {_fmt(params.tau)} "
+              f"{_fmt(params.lam)} {graph.seed} {params.kernel_variant.value} "
+              + " ".join(str(int(o)) for o in box.origin))
+    blocks = [_records("w %d %.17g\n", range(graph.n), graph.weights.tolist()),
+              _records("e %d %d\n", *graph.edge_array.T.tolist())]
     if costs is not None:
-        lines += (f"c {u} {v} {_fmt(c)}" for u, v, c in
-                  zip(*costs.pair_array.T.tolist(), costs.cost_array.tolist()))
+        blocks.append(_records("c %d %d %.17g\n", *costs.pair_array.T.tolist(),
+                               costs.cost_array.tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n" + "".join(blocks))
+
+
+def _records(template: str, *columns) -> str:
+    """One block of records, the line `template` filled with each row of the
+    columns, all by one %-format: %d prints an int as str does, and %.17g a
+    float as `_fmt` does."""
+    values = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        values[k::len(columns)] = column
+    return (template * len(columns[0])) % tuple(values)
 
 
 _RECORD_DTYPES = {"w": [("u", np.int64), ("x", np.float64)],  # the fields after the kind

@@ -225,6 +225,39 @@ class TestCostSearch:
         assert np.array_equal(cost_distances_from(g, cm, 0), want)
         assert cost_distance(g, cm, 0, 39) == want[39]
 
+    def test_sampled_costs_are_read_in_edge_order(self):
+        # `sample_fpp_costs` shares the graph's edge_array, so the search takes
+        # the costs as they are, with no lookup
+        params = ModelParams(d=2, alpha=2.0, tau=3.5, lam=1.0)
+        g = sample_graph(BoxSpec(d=2, side=12), params, Model.SFP, 3)
+        cm = sampler.sample_fpp_costs(g, 3)
+        assert cm.pair_array is g.edge_array
+        with mock.patch.object(metrics, "_pair_dijkstra", wraps=metrics._pair_dijkstra) as spy:
+            dist = cost_distances_from(g, cm, 5)
+        _, pairs, values, _, _ = spy.call_args.args
+        assert pairs is g.edge_array and values is cm.cost_array
+        # the same costs in a map of its own are looked up, to the same distances
+        own = CostMap(costs=(g.edge_array.copy(), cm.cost_array), rate_model=RateModel.UNIT_RATE)
+        assert own.pair_array is not g.edge_array
+        with mock.patch.object(metrics, "_pair_dijkstra", wraps=metrics._pair_dijkstra) as spy:
+            assert cost_distances_from(g, own, 5).tobytes() == dist.tobytes()
+        assert spy.call_args.args[2] is not own.cost_array
+
+    def test_a_map_of_its_own_is_looked_up_and_must_cover_every_edge(self, tmp_path):
+        params = ModelParams(d=2, alpha=2.0, tau=3.5, lam=1.0)
+        g = sample_graph(BoxSpec(d=2, side=12), params, Model.SFP, 4)
+        save_graph(g, tmp_path / "g.txt", sampler.sample_fpp_costs(g, 4))
+        loaded, cm = load_graph(tmp_path / "g.txt")
+        assert cm.pair_array is not loaded.edge_array
+        want = cost_distances_from(g, sampler.sample_fpp_costs(g, 4), 7)
+        assert cost_distances_from(loaded, cm, 7).tobytes() == want.tobytes()
+        u, v = g.edge_array[len(g.edge_array) // 2].tolist()
+        costs = dict(cm.costs)
+        del costs[(u, v)]
+        short = CostMap(costs=costs, rate_model=RateModel.UNIT_RATE)
+        with pytest.raises(DomainError, match=rf"cost map does not cover edge \({u}, {v}\)"):
+            cost_distances_from(loaded, short, 7)
+
     def test_t_max_must_be_a_nonnegative_number(self):
         g = make_graph(4, {(0, 1), (1, 2)})
         cm = CostMap({(0, 1): 1.0, (1, 2): 0.5}, RateModel.UNIT_RATE)

@@ -127,13 +127,90 @@ class TestEdgeUniform:
 
     def test_vectorized_states_are_offset_for_their_next_word(self):
         # the scalar chain adds the golden ratio before each absorb; the
-        # vectorized states carry it already
+        # vectorized states carry it already, folded by the finalizer's
+        # first step, s ^ (s >> 30)
         gold = 0x9E3779B97F4A7C15
+
+        def folded(h):
+            s = (h + gold) % 2**64
+            return s ^ (s >> 30)
+
         for seed in (0, 3, 2**64 - 1):
-            assert int(rng.seed_state(seed)) == (rng._hash_words(seed) + gold) % 2**64
+            assert int(rng.seed_state(seed)) == folded(rng._hash_words(seed))
             states = rng.absorb_indices(rng.seed_state(seed), np.arange(6))
-            assert states.tolist() == [(rng._hash_words(seed, i) + gold) % 2**64
-                                       for i in range(6)]
+            assert states.tolist() == [folded(rng._hash_words(seed, i)) for i in range(6)]
+
+    @pytest.mark.parametrize("seed", [7, 2**63 + 1])
+    def test_ids_at_and_above_the_word_bound_equal_the_scalar_hash(self, seed):
+        # the vectorized functions fold their own words, so the fold's bound
+        # of 2^30 holds no id of theirs
+        ids = [0, 1, 2**30 - 1, 2**30, 2**30 + 1, 2**62, 2**63 - 1]
+        lo, hi = np.array(ids[:-1]), np.array(ids[1:])
+        assert rng.edge_uniforms(seed, lo, hi).tolist() == [
+            edge_uniform(seed, u, v) for u, v in zip(ids[:-1], ids[1:])]
+        assert rng.edge_uniforms(seed, hi, lo).tolist() == rng.edge_uniforms(seed, lo, hi).tolist()
+        assert rng.vertex_uniforms(seed, np.array(ids)).tolist() == [
+            vertex_uniform(seed, i) for i in ids]
+        seeds = np.array([seed, 3], dtype=np.uint64)
+        assert rng.vertex_uniforms(seeds[:, None], np.array(ids)).tolist() == [
+            vertex_uniform(int(s), i) for s in seeds for i in ids]
+        states = rng.absorb_indices(rng.seed_state(seed), np.array(ids, dtype=np.uint64))
+        words = np.array([0, 5, 2**30 - 1], dtype=np.uint64)
+        got = rng.uniforms_from_states(states[:, None], words)
+        assert got.tolist() == [rng._u01(rng._hash_words(seed, i, int(w)))
+                                for i in ids for w in words]
+
+    # Integer literals of the parent implementation: the hash is integer
+    # arithmetic only, so they hold on every CPU.
+    TRIAL_SEEDS = {
+        0: [18253729181879317217, 12906430961567432753, 11637527457398409095,
+            7771127916401045594],
+        2**64 - 1: [18208099556146590232, 13066046228206143105, 10588697855709136948,
+                    1631359375883143720],
+    }
+    PINS = {  # seed: (numerators, edge, vertex and position uniforms as bit patterns)
+        7: ([7309378499217909, 1983792177333755, 8615355579983083, 7409820413567165,
+             7838883916329974, 6293039445784560, 3887063679564619, 6721583165348302,
+             6327643505112885, 6868493084668091, 3787507555908653, 7568611105397778,
+             3292439026489772, 7965334286655659, 7979876411638734],
+            [4604028437005899072, 4577003742536253696, 4605219336928436733,
+             4600097946751783926],
+            [4605685639666592966, 4599785567053499218, 4603667262420962646,
+             4596641219269835552, 4603682220689305935],
+            [[4603642433562351038, 4603748263123296107],
+             [4601296995646840496, 4606697036404062388],
+             [4606989509455955053, 4598424500868971652]]),
+        2**63 + 1: ([4048811916556422, 2295374621980721, 4551752381413198, 6844960218371156,
+                     2006241904019577, 7809154683446282, 6932793597241268, 7816913557183101,
+                     1521112198287906, 1898936306997046, 723640915112719, 2019764086799947,
+                     1601765039124388, 5619620667403777, 8388327896754239],
+                    [4606606858342081420, 4600820340447731522, 4604964370487776899,
+                     4599586402401141400],
+                    [4603572602696271530, 4604705748729642407, 4607141430150059840,
+                     4605136603411997656, 4603161794119479174],
+                    [[4576546244128966336, 4589972523806890976],
+                     [4606810655988051977, 4602816825519808621],
+                     [4604181203453933032, 4595310843596772220]]),
+    }
+
+    @pytest.mark.parametrize("seed", list(PINS))
+    def test_the_hash_is_pinned_to_integer_literals(self, seed):
+        ids = [0, 1, 2**30 - 1, 2**30, 2**62]
+        states = rng.absorb_indices(rng.seed_state(seed), np.array(ids, dtype=np.uint64))
+        words = np.array([0, 3, 2**30 - 1], dtype=np.uint64)
+        numerators, edge, vertex, position = self.PINS[seed]
+        assert rng.uniforms_from_states(states[:, None], words,
+                                        numerators=True).tolist() == numerators
+        us, vs = np.array([0, 2**30 - 1, 2**30, 5]), np.array([2**62, 2**30, 1, 2**30 - 1])
+        assert rng.edge_uniforms(seed, us, vs).view(np.uint64).tolist() == edge
+        assert rng.vertex_uniforms(seed, np.array(ids)).view(np.uint64).tolist() == vertex
+        assert rng.position_uniforms(seed, 3, 2).view(np.uint64).tolist() == position
+        for s, want in self.TRIAL_SEEDS.items():
+            assert rng.trial_seeds(s, 4).tolist() == want
+        seeds = np.array([0, 2**64 - 1], dtype=np.uint64)[:, None]
+        assert rng.vertex_uniforms(seeds, np.array([1, 2**30])).view(np.uint64).tolist() == [
+            4606612035275973214, 4594117971149753720, 4594453136895405048,
+            4602343144980276258]
 
     def test_empirical_mean(self):
         n = 1_000_000
@@ -249,6 +326,19 @@ class TestSampleGraph:
         with pytest.raises(BudgetError):
             sample_graph(BoxSpec(d=1, side=sampler.DEFAULT_SPARSE_BUDGET + 1), lrp(),
                          Model.LRP, 1)
+
+    def test_a_box_beyond_the_word_bound_is_refused_whatever_the_budget(self, monkeypatch):
+        # the walks absorb vertex ids as words unfolded, exact below 2^30 only
+        monkeypatch.setenv("PERCOLATE_BUDGET_VERTICES", str(2**40))
+        # refused before anything is hashed or allocated: the box's arrays are lazy
+        monkeypatch.setattr(sampler, "absorb_indices", None)
+        for box in (BoxSpec(d=1, side=2**30 + 1), BoxSpec(d=2, side=2**15 + 1)):
+            with pytest.raises(BudgetError, match="vertex ids the hash takes"):
+                sampler.LazyRealization(box, lrp(d=box.d), Model.LRP, 1)
+            with pytest.raises(BudgetError, match="vertex ids the hash takes"):
+                sample_graph(box, lrp(d=box.d), Model.LRP, 1)
+        # 2^30 vertices pass the check
+        assert sampler.LazyRealization(BoxSpec(d=1, side=2**30), lrp(), Model.LRP, 1).n == 2**30
 
     def test_budget_env_applies_to_library_calls(self, monkeypatch):
         box, params = BoxSpec(d=1, side=16), ModelParams(d=1, alpha=1.5, tau=4.0, lam=1.0)
